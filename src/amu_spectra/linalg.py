@@ -2,7 +2,8 @@
 
 Thin, contract-checked wrappers: a Hermitian matrix type that stores an
 exactly symmetrized array, an eigensolver with residual verification, the
-operator norm via the top eigenvalue of A†A, and a modified Gram-Schmidt.
+operator norm of a square or rectangular matrix via the top eigenvalue of
+its Gram matrix, and a modified Gram-Schmidt.
 """
 from __future__ import annotations
 
@@ -23,14 +24,15 @@ __all__ = [
 ]
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a square, finite, complex128 2-d array."""
+def as_matrix(a, *, square: bool = True) -> np.ndarray:
+    """Coerce ``a`` to a finite, non-empty complex128 2-d array, square unless told otherwise."""
     if isinstance(a, HermitianMatrix):
         return a.array
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0:
+    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
+        kind = "square matrix" if square else "matrix"
+        raise ValueError(f"expected a {kind}, got shape {arr.shape}")
+    if arr.size == 0:
         raise ValueError("empty matrices are not supported")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
@@ -101,9 +103,16 @@ def eig_hermitian(a) -> EigenDecomposition:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value, as the square root of the top eigenvalue of A†A."""
-    arr = as_matrix(a)
-    gram = arr.conj().T @ arr
+    """Largest singular value of a finite, non-empty m×k matrix.
+
+    Computed as the square root of the top eigenvalue of the Gram matrix on
+    the smaller side: A†A (k×k) when m >= k, otherwise AA† (m×m).
+    """
+    arr = as_matrix(a, square=False)
+    if arr.shape[0] >= arr.shape[1]:
+        gram = arr.conj().T @ arr
+    else:
+        gram = arr @ arr.conj().T
     top = float(np.linalg.eigvalsh(gram)[-1])
     return float(np.sqrt(max(top, 0.0)))
 

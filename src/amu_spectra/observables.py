@@ -63,6 +63,10 @@ class VectorState:
     def dim(self) -> int:
         return self.vector.shape[0]
 
+    def to_json_list(self) -> list[float]:
+        """Real and imaginary parts interleaved: [re_0, im_0, re_1, im_1, ...]."""
+        return self.vector.view(np.float64).tolist()
+
     def __repr__(self) -> str:
         return f"VectorState(dim={self.dim})"
 
@@ -152,11 +156,6 @@ class AmuCertificate:
         return max(abs(e - l) for e, l in zip(self.report.exp, self.lam))
 
     def to_json_dict(self) -> dict:
-        v = self.state.vector
-        interleaved: list[float] = []
-        for z in v:
-            interleaved.append(float(z.real))
-            interleaved.append(float(z.imag))
         return {
             "lambda": [float(x) for x in self.lam],
             "sigma": self.sigma,
@@ -166,7 +165,7 @@ class AmuCertificate:
             "exp": list(self.report.exp),
             "var": list(self.report.var),
             "sd": list(self.report.sd),
-            "state": interleaved,
+            "state": self.state.to_json_list(),
         }
 
 

@@ -371,11 +371,6 @@ class SuperpositionPlan:
     achieved_distance: float
 
     def to_json_dict(self) -> dict:
-        v = self.state.vector
-        interleaved: list[float] = []
-        for z in v:
-            interleaved.append(float(z.real))
-            interleaved.append(float(z.imag))
         return {
             "target": list(self.target),
             "weights": [float(w) for w in self.weights],
@@ -383,7 +378,7 @@ class SuperpositionPlan:
             "exp": list(self.report.exp),
             "sd": list(self.report.sd),
             "achieved_distance": self.achieved_distance,
-            "state": interleaved,
+            "state": self.state.to_json_list(),
         }
 
 

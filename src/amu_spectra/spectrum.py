@@ -7,6 +7,13 @@ point is accepted when the ordered theta product centered there has
 operator norm at least 1 - eta (with a small slack absorbing eigensolver
 error), and the synthetic spectrum at resolution eta is the union of
 closed eta-balls around the accepted points.
+
+The scan never forms a dim×dim factor. Writing each factor as
+U_j D_j U_j† gives ||F_1 ⋯ F_n|| = ||D_1 W_12 D_2 ⋯ W_{n-1,n} D_n|| with
+W_ij = U_i† U_j, and the right-hand core only has rows and columns on the
+bump supports. ``scan`` walks the grid axis by axis, extends the
+rectangular core by one coupling block per axis, and takes one operator
+norm per evaluated point.
 """
 from __future__ import annotations
 
@@ -23,6 +30,9 @@ from .calculus import BumpFactorCache
 from .errors import GridCapExceeded
 from .linalg import operator_norm
 from .observables import OperatorTuple
+
+# Largest |rows|×|B|×n float64 difference tensor ``hausdorff`` forms at once.
+HAUSDORFF_BLOCK_BYTES = 32 * 2**20
 
 __all__ = [
     "GridSpec",
@@ -214,8 +224,10 @@ def scan(
     A point is accepted when the ordered theta product centered there has
     norm >= 1 - eta - slack. Points where some single factor already has
     norm below the threshold are skipped: the product norm is at most the
-    smallest factor norm, so the skipped points cannot be accepted. Factor
-    matrices are computed once per (axis, coordinate) and shared.
+    smallest factor norm, so the skipped points cannot be accepted. The
+    norm is taken from the support-restricted core D_1 W_12 D_2 ⋯ D_n (see
+    ``calculus``), built axis by axis so every prefix is shared by the
+    points below it; supports are computed once per (axis, coordinate).
 
     ``threads`` parallelizes over slices of the first coordinate; results
     are assembled in grid order, so the output is identical for any thread
@@ -228,6 +240,7 @@ def scan(
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n
 
+    # factor_norm fills the support cache, so the threaded phase only reads it.
     alive: list[list[float]] = []
     for axis in range(n):
         vals = [
@@ -239,26 +252,22 @@ def scan(
     if any(not vals for vals in alive):
         return SyntheticSpectrumResult(eta, grid, (), TOL.accept_slack)
 
-    # Prefill so the threaded phase only reads the cache.
-    for axis, vals in enumerate(alive):
-        for x in vals:
-            local_cache.factor_matrix(axis, x, eta)
-
     def scan_block(first: float) -> list[tuple[tuple[float, ...], float]]:
         out: list[tuple[tuple[float, ...], float]] = []
         point = [first] + [0.0] * (n - 1)
 
-        def descend(axis: int, prefix: np.ndarray) -> None:
+        def descend(axis: int, core: np.ndarray) -> None:
             if axis == n:
-                nrm = operator_norm(prefix)
+                nrm = operator_norm(np.diag(core) if core.ndim == 1 else core)
                 if nrm >= threshold:
                     out.append((tuple(point), float(nrm)))
                 return
+            prev = point[axis - 1]
             for x in alive[axis]:
                 point[axis] = x
-                descend(axis + 1, prefix @ local_cache.factor_matrix(axis, x, eta))
+                descend(axis + 1, local_cache.core_step(core, axis, prev, x, eta))
 
-        descend(1, local_cache.factor_matrix(0, first, eta))
+        descend(1, local_cache.support(0, first, eta)[1])
         return out
 
     if threads > 1:
@@ -275,7 +284,10 @@ def hausdorff(x, y) -> float:
 
     Points are rows; one-dimensional inputs are treated as points on the
     line. Raises ValueError when either set is empty, where the distance
-    is undefined.
+    is undefined. Squared distances are formed a block of rows of ``x`` at
+    a time, each block at most ``HAUSDORFF_BLOCK_BYTES``, so memory stays
+    bounded for large sets; min and max are exact, so the result does not
+    depend on the block size.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -287,7 +299,11 @@ def hausdorff(x, y) -> float:
         raise ValueError("Hausdorff distance is undefined for empty sets")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    forward = d2.min(axis=1).max()
-    backward = d2.min(axis=0).max()
-    return float(np.sqrt(max(forward, backward)))
+    rows = max(1, HAUSDORFF_BLOCK_BYTES // (8 * b.shape[0] * max(1, b.shape[1])))
+    forward = -math.inf
+    col_min = np.full(b.shape[0], np.inf)
+    for start in range(0, a.shape[0], rows):
+        d2 = ((a[start:start + rows, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        forward = max(forward, float(d2.min(axis=1).max()))
+        np.minimum(col_min, d2.min(axis=0), out=col_min)
+    return float(np.sqrt(max(forward, col_min.max())))

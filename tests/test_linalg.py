@@ -61,6 +61,23 @@ def test_operator_norm_nonsymmetric_input():
     assert operator_norm(a) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (7, 7), (1, 6), (6, 1)])
+def test_operator_norm_rectangular(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert abs(operator_norm(a) - np.linalg.norm(a, ord=2)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4), np.array([[1.0, np.nan]]),
+     np.array([[np.inf], [0.0]])],
+)
+def test_operator_norm_rejects_empty_and_nonfinite(bad):
+    with pytest.raises(ValueError):
+        operator_norm(bad)
+
+
 def test_gram_schmidt_orthonormalizes_and_preserves_span():
     rng = np.random.default_rng(3)
     vecs = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3)]

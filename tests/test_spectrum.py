@@ -21,7 +21,7 @@ from amu_spectra import (
     scan,
     theta_product,
 )
-from amu_spectra import TOL
+from amu_spectra import TOL, spectrum
 from amu_spectra.spectrum import SyntheticSpectrumResult
 from conftest import random_hermitian
 
@@ -122,6 +122,58 @@ def test_scan_matches_bruteforce_noncommuting():
     assert res.accepted == tuple(expected)
 
 
+def dense_reference_norm(eig, point, eta) -> float:
+    """Plain-numpy norm of the ordered bump product at ``point``."""
+    prod = None
+    for (w, u), c in zip(eig, point):
+        vals = np.clip((eta - np.abs(w - c)) * 4.0 / eta, 0.0, 1.0)
+        factor = (u * vals) @ u.conj().T
+        prod = factor if prod is None else prod @ factor
+    return float(np.linalg.norm(prod, ord=2))
+
+
+@pytest.mark.parametrize(
+    "make, eta",
+    [
+        (lambda: generate(ModelSpec("commuting_diag", 10, n=1, seed=3)), 0.3),
+        (lambda: generate(ModelSpec("shift_pair", 12)), 0.5),
+        (lambda: OperatorTuple((random_hermitian(9, seed=5), random_hermitian(9, seed=6))), 0.45),
+        (lambda: generate(ModelSpec("clock_shift_triple", 8, n=3)), 0.9),
+        (
+            lambda: generate(
+                ModelSpec("perturbed_commuting", 8, n=3, seed=4, params={"perturbation": 0.2})
+            ),
+            0.9,
+        ),
+    ],
+    ids=["n1-commuting", "n2-shift", "n2-random", "n3-clock", "n3-perturbed"],
+)
+def test_scan_matches_dense_reference(make, eta):
+    tup = make()
+    res = scan(tup, eta)
+    eig = [np.linalg.eigh(op.array) for op in tup.ops]
+    threshold = 1.0 - eta - TOL.accept_slack
+    expected = {}
+    for row in res.grid.points:
+        nrm = dense_reference_norm(eig, row, eta)
+        if nrm >= threshold:
+            expected[tuple(float(c) for c in row)] = nrm
+    got = dict(res.accepted)
+    assert expected
+    assert list(got) == list(expected)
+    for pt, nrm in got.items():
+        assert abs(nrm - expected[pt]) <= 1e-12
+
+
+def test_theta_product_empty_support_has_zero_norm():
+    # The second center is 0.4 from both eigenvalues of d2, beyond eta = 0.3.
+    tup = OperatorTuple((np.diag([0.0, 0.3]), np.diag([0.1, 0.5])), bound=1.0)
+    tp = theta_product(tup, (0.0, 0.9), 0.3)
+    assert tp.factor_norms[1] == 0.0
+    assert tp.norm == 0.0
+    assert not np.any(tp.value)
+
+
 def test_scan_thread_counts_agree(shift_pair_64):
     one = scan(shift_pair_64, 0.5, threads=1)
     four = scan(shift_pair_64, 0.5, threads=4)
@@ -188,6 +240,20 @@ def test_hausdorff_hand_values():
 def test_hausdorff_empty_raises():
     with pytest.raises(ValueError):
         hausdorff(np.zeros((0, 2)), np.array([[0.0, 0.0]]))
+
+
+def test_hausdorff_blocks_match_one_shot(monkeypatch):
+    a = finite_sets(1, 50, n=3)
+    b = finite_sets(2, 7, n=3)
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    one_shot = float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+    # 8 * 7 * 3 = 168 bytes per row of a: 6 rows per block, 9 blocks for a.
+    monkeypatch.setattr(spectrum, "HAUSDORFF_BLOCK_BYTES", 1024)
+    assert hausdorff(a, b) == one_shot
+    # Swapped, one row costs 8 * 50 * 3 = 1200 bytes: one row per block.
+    d2t = d2.T
+    swapped = float(np.sqrt(max(d2t.min(axis=1).max(), d2t.min(axis=0).max())))
+    assert hausdorff(b, a) == swapped
 
 
 def finite_sets(seed: int, count: int, n: int = 2) -> np.ndarray:
