@@ -34,14 +34,10 @@ from .observables import (
     variance_sd,
 )
 from .calculus import (
-    Bump,
     BumpFactorCache,
     ThetaProduct,
-    apply_function,
-    bump_eval,
     bump_values,
     theta_product,
-    witness_test,
 )
 from .spectrum import (
     GridSpec,
@@ -69,7 +65,6 @@ from .essential import (
     EssentialSpectrumEstimate,
     TailCompression,
     amu_sequence,
-    boundary_block_norm,
     escape_window,
     essential_spectrum_estimate,
     tail_commutator_decay,

@@ -1,4 +1,4 @@
-"""Trapezoid bumps, matrix functional calculus, and ordered theta products.
+"""Trapezoid bumps and the norms of ordered theta products.
 
 The bump with center c and width eta is the piecewise-linear function that
 is 1 on |t - c| <= 3 eta/4, 0 on |t - c| >= eta, and linear on the two
@@ -21,7 +21,9 @@ the blocks W_{j,j+1}[S_j, S_{j+1}]: an |S_1|×|S_n| matrix instead of a
 dim×dim product. ``BumpFactorCache`` holds the eigen-data, the couplings
 W_{j,j+1} and the supports; ``theta_product`` and ``spectrum.scan`` build
 the core with the same ``BumpFactorCache.core_step``, so their norms agree
-bit for bit.
+bit for bit. No dense factor is formed on either path;
+``BumpFactorCache.factor_matrix`` builds one only as the reference the core
+norms are tested against.
 """
 from __future__ import annotations
 
@@ -30,27 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .errors import DimensionMismatch
-from .linalg import EigenDecomposition, HermitianMatrix, eig_hermitian, operator_norm
-from .observables import OperatorTuple, VectorState
+from .linalg import eig_hermitian, operator_norm
+from .observables import OperatorTuple, as_point
 
 __all__ = [
-    "Bump",
     "ThetaProduct",
     "BumpFactorCache",
     "bump_values",
-    "bump_eval",
-    "apply_function",
     "theta_product",
-    "witness_test",
 ]
-
-
-def _check_width(width: float) -> float:
-    width = float(width)
-    if width <= 0.0:
-        raise ValueError(f"bump width must be positive, got {width}")
-    return width
 
 
 def bump_values(center: float, width: float, t) -> np.ndarray:
@@ -60,57 +50,17 @@ def bump_values(center: float, width: float, t) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Bump:
-    """One trapezoid bump; callable on scalars and arrays."""
-
-    center: float
-    width: float
-
-    def __post_init__(self):
-        _check_width(self.width)
-
-    def __call__(self, t):
-        return bump_values(self.center, self.width, t)
-
-
-def bump_eval(bump: Bump, t: float) -> float:
-    return float(bump_values(bump.center, bump.width, t))
-
-
-def apply_function(f, a, dec: EigenDecomposition | None = None) -> HermitianMatrix:
-    """Apply a real-valued function to a Hermitian matrix spectrally.
-
-    f(A) = U diag(f(w)) U† from the eigendecomposition; the result is
-    symmetrized on construction. Pass ``dec`` to reuse a decomposition.
-    """
-    h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
-    if dec is None:
-        dec = eig_hermitian(h)
-    w = dec.eigenvalues
-    try:
-        vals = np.asarray(f(w), dtype=float)
-        if vals.shape != w.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(x)) for x in w])
-    m = (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
-    return HermitianMatrix(m)
-
-
-@dataclass(frozen=True)
 class ThetaProduct:
-    """Ordered product of bump factors, one per observable.
+    """Norms of the ordered product of bump factors, one per observable.
 
-    ``value`` is the raw dense product matrix. ``factor_norms`` are the
-    operator norms of the individual factors (each the max of the bump over
-    the corresponding spectrum). ``norm`` is the operator norm of the
-    product, taken from its support-restricted core (see the module
-    docstring); it is exactly 0.0 when some factor vanishes.
+    ``factor_norms`` are the operator norms of the individual factors (each
+    the max of the bump over the corresponding spectrum). ``norm`` is the
+    operator norm of the product, taken from its support-restricted core
+    (see the module docstring); it is exactly 0.0 when some factor vanishes.
     """
 
     centers: tuple[float, ...]
     width: float
-    value: np.ndarray
     factor_norms: tuple[float, ...]
     norm: float
 
@@ -136,7 +86,6 @@ class BumpFactorCache:
             couplings.append(w)
         self.couplings = tuple(couplings)
         self._supports: dict[tuple[int, float, float], tuple[slice, np.ndarray]] = {}
-        self._matrices: dict[tuple[int, float, float], np.ndarray] = {}
 
     def support(self, axis: int, center: float, width: float) -> tuple[slice, np.ndarray]:
         """Eigenvalue indices where the bump is non-zero, and its values there.
@@ -165,18 +114,14 @@ class BumpFactorCache:
         return float(np.max(vals)) if vals.size else 0.0
 
     def factor_matrix(self, axis: int, center: float, width: float) -> np.ndarray:
-        """The dense factor U_j D_j U_j†, Hermitian and read-only."""
-        key = (axis, float(center), float(width))
-        got = self._matrices.get(key)
-        if got is None:
-            sl, vals = self.support(axis, center, width)
-            u = self._eig[axis].eigenvectors[:, sl]
-            m = (u * vals) @ u.conj().T
-            m = (m + m.conj().T) / 2.0  # bump is real, so the factor is Hermitian
-            m.setflags(write=False)
-            self._matrices[key] = m
-            got = m
-        return got
+        """The dense factor U_j[:, S] diag(v) U_j[:, S]†, built on every call.
+
+        No scan or product forms it: it is the dense reference the core norms
+        are tested against.
+        """
+        sl, vals = self.support(axis, center, width)
+        u = self._eig[axis].eigenvectors[:, sl]
+        return (u * vals) @ u.conj().T
 
     def core_step(
         self, prefix: np.ndarray, axis: int, prev_center: float, center: float, width: float
@@ -201,20 +146,15 @@ def theta_product(
     eta: float,
     cache: BumpFactorCache | None = None,
 ) -> ThetaProduct:
-    """Ordered theta product for ``tup`` at the point ``xi`` with width ``eta``."""
+    """Factor norms and product norm of the ordered theta product at ``xi``."""
     eta = float(eta)
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    centers = tuple(float(x) for x in np.asarray(xi, dtype=float).reshape(-1))
-    if len(centers) != tup.n:
-        raise DimensionMismatch(f"point has {len(centers)} coordinates, tuple has n={tup.n}")
+    centers = as_point(xi, tup.n, "point")
     if cache is None:
         cache = BumpFactorCache(tup)
     elif cache.tuple is not tup:
         raise ValueError("cache was built for a different tuple")
-    value = cache.factor_matrix(0, centers[0], eta)
-    for j in range(1, tup.n):
-        value = value @ cache.factor_matrix(j, centers[j], eta)
     fnorms = tuple(cache.factor_norm(j, centers[j], eta) for j in range(tup.n))
     if min(fnorms) == 0.0:
         norm = 0.0  # some support is empty, so the product is zero
@@ -223,20 +163,5 @@ def theta_product(
         for j in range(1, tup.n):
             core = cache.core_step(core, j, centers[j - 1], centers[j], eta)
         norm = operator_norm(np.diag(core) if core.ndim == 1 else core)
-    return ThetaProduct(centers, eta, value, fnorms, norm)
+    return ThetaProduct(centers, eta, fnorms, norm)
 
-
-def witness_test(theta: ThetaProduct, state: VectorState, eta: float | None = None) -> bool:
-    """True when Re <Theta x, x> > 1 - eta for the unit vector x.
-
-    A passing witness certifies ||Theta|| >= 1 - eta; a failing one proves
-    nothing. Defaults to the product's own width.
-    """
-    if eta is None:
-        eta = theta.width
-    if theta.value.shape[0] != state.dim:
-        raise DimensionMismatch(
-            f"product dim {theta.value.shape[0]} does not match state dim {state.dim}"
-        )
-    val = complex(np.vdot(state.vector, theta.value @ state.vector))
-    return bool(val.real > 1.0 - float(eta))

@@ -23,7 +23,7 @@ from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
 from .models import FAMILIES, ModelSpec, generate, load_tuple, save_tuple, write_accepted_csv
-from .observables import commutator_profile
+from .observables import as_point, commutator_profile
 from .search import amu_at
 from .spectrum import scan
 
@@ -134,14 +134,19 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _parse_point(raw: str, n: int) -> list[float]:
+def _parse_point(raw: str, n: int) -> tuple[float, ...]:
     try:
         coords = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"could not parse point {raw!r}") from None
-    if len(coords) != n:
-        raise ValueError(f"point {raw!r} has {len(coords)} coordinates, tuple has n={n}")
-    return coords
+    return as_point(coords, n, f"point {raw!r}")
+
+
+def _write_json(path: str, obj) -> None:
+    """Write ``obj`` as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _cmd_models(args) -> int:
@@ -172,9 +177,7 @@ def _cmd_models(args) -> int:
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
     result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=_threads(args))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(result.to_json())
-        fh.write("\n")
+    _write_json(args.output, result.to_json_dict())
     if args.csv:
         write_accepted_csv(result, args.csv)
     print(
@@ -226,9 +229,7 @@ def _cmd_amu(args) -> int:
     }
     if scan_meta is not None:
         payload["scan"] = scan_meta
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.output, payload)
     print(f"certified {certified}/{len(certs)} points")
     return 0
 
@@ -243,9 +244,7 @@ def _cmd_essential(args) -> int:
         tup, args.eta, cuts, interior=not args.one_sided,
         k=args.k, cap=args.grid_cap, threads=_threads(args),
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(estimate.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.output, estimate.to_json_dict())
     for lvl in estimate.levels:
         print(f"cut={lvl.cut} window={lvl.window} accepted={len(lvl.result.accepted)}")
     stability = "n/a" if estimate.stability is None else f"{estimate.stability:.6f}"

@@ -52,9 +52,6 @@ class Tolerances:
     hull_membership: float = 1e-6
     """Distance to the convex hull accepted when superposing toward a target."""
 
-    simplex_accuracy: float = 1e-8
-    """Target accuracy of the simplex-constrained least-squares solver."""
-
 
 TOL = Tolerances()
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GRID_POINT_CAP
-from .errors import DimensionMismatch
 from .linalg import operator_norm
-from .observables import AmuCertificate, OperatorTuple, VectorState, amu_check
+from .observables import AmuCertificate, OperatorTuple, VectorState, amu_check, as_point
 from .search import ground_state
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
 
@@ -38,7 +37,6 @@ __all__ = [
     "essential_spectrum_estimate",
     "amu_sequence",
     "escape_window",
-    "boundary_block_norm",
 ]
 
 
@@ -108,8 +106,7 @@ def tail_commutator_decay(
                 piece = k[m:hi, m:hi] if hi - m > 0 else np.zeros((1, 1))
             else:
                 piece = k[:, m:]
-            if piece.size:
-                worst = max(worst, float(np.linalg.svd(piece, compute_uv=False)[0]))
+            worst = max(worst, operator_norm(piece))
         out.append((m, worst))
     return out
 
@@ -241,11 +238,7 @@ def amu_sequence(
     supplied, a target outside its stabilized set (beyond its eta) only
     warns: the certificates still report what was measured.
     """
-    lam_arr = np.asarray(lam, dtype=float).reshape(-1)
-    if lam_arr.shape[0] != tup.n:
-        raise DimensionMismatch(
-            f"lambda has {lam_arr.shape[0]} coordinates, tuple has n={tup.n}"
-        )
+    lam_arr = np.array(as_point(lam, tup.n))
     cuts = [int(m) for m in cuts]
     sigmas = _broadcast_schedule(sigma_schedule, len(cuts), "sigma_schedule")
     epss = (
@@ -275,17 +268,3 @@ def amu_sequence(
         certs.append(amu_check(tup, VectorState(full), lam_arr, sg, ep))
     return certs
 
-
-def boundary_block_norm(tup: OperatorTuple, window: tuple[int, int]) -> float:
-    """Largest norm of a coupling block between a window and its complement.
-
-    Bounds how much any sd measured on the full space can exceed the one
-    measured on the compression, for states supported in the window.
-    """
-    lo, hi = window
-    worst = 0.0
-    for op in tup.ops:
-        block = np.concatenate([op.array[:lo, lo:hi], op.array[hi:, lo:hi]], axis=0)
-        if block.size:
-            worst = max(worst, float(np.linalg.svd(block, compute_uv=False)[0]))
-    return worst

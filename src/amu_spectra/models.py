@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -235,18 +236,30 @@ def _load_json_tuple(path: str) -> tuple[OperatorTuple, dict]:
         raise TupleFormatError(
             f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
         ) from exc
+    if not isinstance(d, dict):
+        raise TupleFormatError(f"{path}: top level must be an object")
     for key in ("n", "dim", "M", "ops"):
         if key not in d:
             raise TupleFormatError(f"{path}: missing key {key!r}")
-    n, dim = int(d["n"]), int(d["dim"])
+    try:
+        n, dim, bound = int(d["n"]), int(d["dim"]), float(d["M"])
+    except (TypeError, ValueError) as exc:
+        raise TupleFormatError(f"{path}: n, dim and M must be numbers: {exc}") from exc
+    if not isinstance(d["ops"], list):
+        raise TupleFormatError(f"{path}: ops must be a list")
     if len(d["ops"]) != n:
         raise TupleFormatError(
             f"{path}: declared n={n} but found {len(d['ops'])} operators"
         )
     ops = []
     for j, entry in enumerate(d["ops"]):
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry["im"], dtype=float)
+        if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
+            raise TupleFormatError(f"{path}: operator {j} needs 're' and 'im' arrays")
+        try:
+            re = np.asarray(entry["re"], dtype=float)
+            im = np.asarray(entry["im"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise TupleFormatError(
                 f"{path}: operator {j} has shape {re.shape}/{im.shape}, "
@@ -257,7 +270,7 @@ def _load_json_tuple(path: str) -> tuple[OperatorTuple, dict]:
         except ValueError as exc:
             raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
     try:
-        tup = OperatorTuple(ops, bound=float(d["M"]))
+        tup = OperatorTuple(ops, bound=bound)
     except ValueError as exc:
         raise TupleFormatError(f"{path}: {exc}") from exc
     meta = d.get("meta") or {}
@@ -267,7 +280,14 @@ def _load_json_tuple(path: str) -> tuple[OperatorTuple, dict]:
 
 
 def _load_npz_tuple(path: str) -> tuple[OperatorTuple, dict]:
-    with np.load(path) as archive:
+    try:
+        archive = np.load(path)
+    except zipfile.BadZipFile as exc:
+        raise TupleFormatError(f"{path}: not a valid npz archive: {exc}") from exc
+    with archive:
+        for key in ("n", "dim", "M", "ops"):
+            if key not in archive:
+                raise TupleFormatError(f"{path}: missing array {key!r}")
         ops = archive["ops"]
         bound = float(archive["M"])
         declared_n = int(archive["n"])

@@ -26,12 +26,27 @@ __all__ = [
     "OperatorTuple",
     "MeasurementReport",
     "AmuCertificate",
+    "as_point",
     "expectation",
     "variance_sd",
     "measure",
     "amu_check",
     "commutator_profile",
 ]
+
+
+def as_point(values, n: int, name: str = "lambda") -> tuple[float, ...]:
+    """Coordinates of a point in R^n as floats; ``name`` labels the errors.
+
+    Raises DimensionMismatch when the count is not ``n`` and ValueError when
+    a coordinate is not finite.
+    """
+    point = tuple(float(x) for x in np.asarray(values, dtype=float).reshape(-1))
+    if len(point) != n:
+        raise DimensionMismatch(f"{name} has {len(point)} coordinates, tuple has n={n}")
+    if not all(np.isfinite(point)):
+        raise ValueError(f"{name} has a non-finite coordinate: {point}")
+    return point
 
 
 class VectorState:
@@ -235,9 +250,7 @@ def amu_check(
     Both flags use strict inequalities; the certificate records the full
     measurement so callers can audit margins.
     """
-    lam = tuple(float(x) for x in np.asarray(lam, dtype=float).reshape(-1))
-    if len(lam) != tup.n:
-        raise DimensionMismatch(f"lambda has {len(lam)} coordinates, tuple has n={tup.n}")
+    lam = as_point(lam, tup.n)
     if not (sigma > 0 and eps > 0):
         raise ValueError("sigma and eps must be positive")
     report = measure(tup, state)

@@ -27,8 +27,12 @@ from .observables import (
     OperatorTuple,
     VectorState,
     amu_check,
+    as_point,
     measure,
 )
+
+# Iteration cap of the projected-gradient phase of ``solve_simplex_lsq``.
+SIMPLEX_MAX_ITER = 20000
 
 __all__ = [
     "LocalizationOperator",
@@ -52,17 +56,8 @@ class LocalizationOperator:
     matrix: HermitianMatrix
 
 
-def _as_lambda(tup: OperatorTuple, lam) -> tuple[float, ...]:
-    arr = np.asarray(lam, dtype=float).reshape(-1)
-    if arr.shape[0] != tup.n:
-        raise DimensionMismatch(
-            f"lambda has {arr.shape[0]} coordinates, tuple has n={tup.n}"
-        )
-    return tuple(float(x) for x in arr)
-
-
 def localization_operator(tup: OperatorTuple, lam) -> LocalizationOperator:
-    lam = _as_lambda(tup, lam)
+    lam = as_point(lam, tup.n)
     dim = tup.dim
     q = np.zeros((dim, dim), dtype=np.complex128)
     eye = np.eye(dim)
@@ -275,18 +270,16 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def solve_simplex_lsq(
-    points: np.ndarray,
-    target: np.ndarray,
-    *,
-    max_iter: int = 20000,
-) -> tuple[np.ndarray, float]:
+def solve_simplex_lsq(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ||target - alpha @ points|| over the probability simplex.
 
-    Accelerated projected gradient followed by an active-set polish that
-    solves the equality-constrained problem on the detected support
-    exactly. Desk-scale accuracy: the returned objective is within
-    ``TOL.simplex_accuracy`` of optimal. Returns (alpha, residual).
+    Accelerated projected gradient, stopped when a step past iteration 50
+    moves every weight by less than 1e-14, or after ``SIMPLEX_MAX_ITER``
+    iterations. An active-set polish then solves the equality-constrained
+    problem on the support (weights above 1e-10), dropping the most
+    negative weight until the solution is feasible, and keeps it when it
+    does not raise the objective by more than 1e-15. No optimality gap is
+    certified. Returns (alpha, residual).
     """
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
@@ -310,7 +303,7 @@ def solve_simplex_lsq(
     x = np.full(m, 1.0 / m)
     y = x.copy()
     momentum = 1.0
-    for it in range(max_iter):
+    for it in range(SIMPLEX_MAX_ITER):
         grad = gram @ y - lin
         x_new = project_simplex(y - grad / lipschitz)
         momentum_new = (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
@@ -394,9 +387,7 @@ def superpose(tup: OperatorTuple, certs, mu) -> SuperpositionPlan:
     certs = list(certs)
     if not certs:
         raise ValueError("need at least one certificate")
-    mu_arr = np.asarray(mu, dtype=float).reshape(-1)
-    if mu_arr.shape[0] != tup.n:
-        raise DimensionMismatch(f"target has {mu_arr.shape[0]} coordinates, tuple has n={tup.n}")
+    mu_arr = np.array(as_point(mu, tup.n, "target"))
     for c in certs:
         if c.state.dim != tup.dim:
             raise DimensionMismatch("certificate state dim does not match tuple dim")

@@ -6,7 +6,10 @@ the smallest positive integer with (M + 1)/k < eta / (2 sqrt(n)). A grid
 point is accepted when the ordered theta product centered there has
 operator norm at least 1 - eta (with a small slack absorbing eigensolver
 error), and the synthetic spectrum at resolution eta is the union of
-closed eta-balls around the accepted points.
+closed eta-balls around the accepted points. A ``GridSpec`` stores only
+the step count and its axis values, never the list of points:
+``itertools.product(grid.axis_values, repeat=grid.n)`` enumerates them in
+the lexicographic order ``scan`` reports.
 
 The scan never forms a dim×dim factor. Writing each factor as
 U_j D_j U_j† gives ||F_1 ⋯ F_n|| = ||D_1 W_12 D_2 ⋯ W_{n-1,n} D_n|| with
@@ -17,7 +20,6 @@ norm per evaluated point.
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,14 +69,6 @@ class GridSpec:
         vals = np.arange(-self.half, self.half + 1, dtype=float) / float(self.k)
         vals.setflags(write=False)
         return vals
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """All grid points, lexicographic in the coordinates, shape (count, n)."""
-        axes = np.meshgrid(*([self.axis_values] * self.n), indexing="ij")
-        pts = np.stack([ax.reshape(-1) for ax in axes], axis=1)
-        pts.setflags(write=False)
-        return pts
 
     def nearest(self, z) -> np.ndarray:
         """Closest grid point to ``z`` (coordinatewise rounding, clipped)."""
@@ -158,17 +152,10 @@ class SyntheticSpectrumResult:
     accepted: tuple[tuple[tuple[float, ...], float], ...]
     slack: float
 
-    @property
-    def ball_radius(self) -> float:
-        return self.eta
-
     def accepted_points(self) -> np.ndarray:
         if not self.accepted:
             return np.zeros((0, self.grid.n))
         return np.array([p for p, _ in self.accepted], dtype=float)
-
-    def accepted_norms(self) -> np.ndarray:
-        return np.array([nrm for _, nrm in self.accepted], dtype=float)
 
     def covers(self, z, radius: float | None = None) -> bool:
         """Whether ``z`` lies within ``radius`` (default eta) of an accepted point."""
@@ -196,9 +183,6 @@ class SyntheticSpectrumResult:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @staticmethod
     def from_json_dict(d: dict) -> "SyntheticSpectrumResult":
         grid = build_grid(int(d["n"]), float(d["M"]), k=int(d["k"]), cap=None)
@@ -217,7 +201,6 @@ def scan(
     k: int | None = None,
     cap: int | None = GRID_POINT_CAP,
     threads: int = 1,
-    cache: BumpFactorCache | None = None,
 ) -> SyntheticSpectrumResult:
     """Evaluate the acceptance test at every grid point.
 
@@ -236,7 +219,7 @@ def scan(
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     grid = build_grid(tup.n, tup.bound, eta, k=k, cap=cap)
-    local_cache = cache if cache is not None else BumpFactorCache(tup)
+    cache = BumpFactorCache(tup)
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n
 
@@ -246,7 +229,7 @@ def scan(
         vals = [
             float(x)
             for x in grid.axis_values
-            if local_cache.factor_norm(axis, float(x), eta) >= threshold
+            if cache.factor_norm(axis, float(x), eta) >= threshold
         ]
         alive.append(vals)
     if any(not vals for vals in alive):
@@ -265,9 +248,9 @@ def scan(
             prev = point[axis - 1]
             for x in alive[axis]:
                 point[axis] = x
-                descend(axis + 1, local_cache.core_step(core, axis, prev, x, eta))
+                descend(axis + 1, cache.core_step(core, axis, prev, x, eta))
 
-        descend(1, local_cache.support(0, first, eta)[1])
+        descend(1, cache.support(0, first, eta)[1])
         return out
 
     if threads > 1:

@@ -156,6 +156,26 @@ def test_amu_rejects_bad_lambda(tmp_path, shift_file):
     assert proc.returncode == 2
 
 
+def test_amu_rejects_nonfinite_lambda(tmp_path, shift_file):
+    proc = run_cli(
+        "amu", "--input", str(shift_file), "--lambda", "nan,0",
+        "--sigma", "0.3", "--eps", "0.3", "-o", str(tmp_path / "x.json"),
+    )
+    assert proc.returncode == 2
+    assert "non-finite coordinate" in proc.stderr
+
+
+def test_malformed_tuple_file_exit_code(tmp_path):
+    path = tmp_path / "no_im.json"
+    path.write_text(json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": [[0.0]]}]}))
+    proc = run_cli(
+        "spectrum", "--input", str(path), "--eta", "0.5", "-o", str(tmp_path / "out.json"),
+    )
+    assert proc.returncode == 2
+    assert "operator 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_amu_all_accepted_chains_scan(tmp_path):
     src = tmp_path / "diag.json"
     tup = generate(

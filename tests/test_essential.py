@@ -9,7 +9,6 @@ from amu_spectra import (
     ModelSpec,
     OperatorTuple,
     amu_sequence,
-    boundary_block_norm,
     commutator_profile,
     escape_window,
     essential_spectrum_estimate,
@@ -141,11 +140,3 @@ def test_amu_sequence_schedule_broadcast():
     with pytest.raises(ValueError):
         amu_sequence(tup, (1.0, 0.0), (8, 16), (0.4, 0.3, 0.2))
 
-
-def test_boundary_block_norm_bounds_shift_coupling():
-    tup = generate(ModelSpec("shift_pair", 64))
-    nrm = boundary_block_norm(tup, (16, 32))
-    # Off-window blocks of the shift pair have entries of size 1/2.
-    assert 0.0 < nrm <= 1.0
-    commuting = generate(ModelSpec("commuting_diag", 64, n=2, seed=1))
-    assert boundary_block_norm(commuting, (16, 32)) == pytest.approx(0.0, abs=1e-14)

@@ -211,6 +211,34 @@ def test_load_rejects_shape_mismatch(tmp_path):
         load_tuple(path)
 
 
+_SQUARE = [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("no_im.json", json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE}]})),
+        (
+            "null_n.json",
+            json.dumps({"n": None, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE, "im": _SQUARE}]}),
+        ),
+        ("scalar.json", "7"),
+        ("no_ops.npz", None),
+        ("truncated.npz", "PK\x03\x04garbage"),
+    ],
+    ids=["op-without-im", "null-n", "top-level-scalar", "npz-without-ops", "npz-not-a-zip"],
+)
+def test_load_rejects_malformed_files(tmp_path, name, content):
+    path = tmp_path / name
+    if content is None:
+        np.savez(path, n=np.array(1), dim=np.array(2), M=np.array(1.0))
+    else:
+        path.write_text(content)
+    with pytest.raises(TupleFormatError) as info:
+        load_tuple(path)
+    assert str(path) in str(info.value)
+
+
 def test_csv_output_is_stable(tmp_path):
     from amu_spectra import build_grid
     from amu_spectra.spectrum import SyntheticSpectrumResult

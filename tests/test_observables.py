@@ -13,11 +13,16 @@ from amu_spectra import (
     OperatorTuple,
     VectorState,
     amu_check,
+    amu_sequence,
     commutator_profile,
     expectation,
+    ground_state,
     measure,
+    superpose,
+    theta_product,
     variance_sd,
 )
+from amu_spectra.observables import as_point
 from conftest import random_hermitian
 
 
@@ -148,3 +153,38 @@ def test_commutator_profile_shift_pair(shift_pair_64):
     prof = commutator_profile(shift_pair_64)
     assert prof[0, 1] == pytest.approx(0.5, abs=1e-10)
     assert prof[0, 0] == 0.0
+
+
+def test_as_point_checks_count_and_finiteness():
+    assert as_point(np.array([[0.5], [-1]]), 2) == (0.5, -1.0)
+    with pytest.raises(DimensionMismatch, match="lambda has 3 coordinates, tuple has n=2"):
+        as_point((0.0, 0.0, 0.0), 2)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        as_point((np.nan, 0.0), 2)
+    assert not isinstance(info.value, DimensionMismatch)
+    with pytest.raises(ValueError, match="target has a non-finite"):
+        as_point((0.0, np.inf), 2, "target")
+
+
+def _point_entry_points():
+    tup = diag_pair()
+    state = VectorState(np.array([1.0, 0.0]))
+    cert = amu_check(tup, state, (0.0, 0.0), 0.1, 0.1)
+    return {
+        "amu_check": lambda p: amu_check(tup, state, p, 0.1, 0.1),
+        "ground_state": lambda p: ground_state(tup, p),
+        "superpose": lambda p: superpose(tup, [cert], p),
+        "amu_sequence": lambda p: amu_sequence(tup, p, (1,), 0.1),
+        "theta_product": lambda p: theta_product(tup, p, 0.5),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["amu_check", "ground_state", "superpose", "amu_sequence", "theta_product"]
+)
+def test_point_arguments_reject_wrong_count_and_nan(name):
+    call = _point_entry_points()[name]
+    with pytest.raises(DimensionMismatch):
+        call((0.0,))
+    with pytest.raises(ValueError, match="non-finite"):
+        call((np.nan, 0.0))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,12 +57,12 @@ def test_build_grid_axis_values():
     g = build_grid(2, 1.0, k=2)
     assert list(g.axis_values) == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert g.count == 25
-    pts = g.points
-    assert pts.shape == (25, 2)
+    pts = list(itertools.product(g.axis_values, repeat=g.n))
+    assert len(pts) == 25
     # Lexicographic order: first coordinate varies slowest.
-    assert pts[0].tolist() == [-1.0, -1.0]
-    assert pts[1].tolist() == [-1.0, -0.5]
-    assert pts[-1].tolist() == [1.0, 1.0]
+    assert pts[0] == (-1.0, -1.0)
+    assert pts[1] == (-1.0, -0.5)
+    assert pts[-1] == (1.0, 1.0)
 
 
 def test_build_grid_respects_cap():
@@ -96,7 +98,7 @@ def brute_scan(tup, eta, k=None):
     grid = build_grid(tup.n, tup.bound, eta, k=k)
     cache = BumpFactorCache(tup)
     out = []
-    for row in grid.points:
+    for row in itertools.product(grid.axis_values, repeat=grid.n):
         xi = tuple(float(c) for c in row)
         tp = theta_product(tup, xi, eta, cache=cache)
         if tp.norm >= 1.0 - eta - TOL.accept_slack:
@@ -154,7 +156,7 @@ def test_scan_matches_dense_reference(make, eta):
     eig = [np.linalg.eigh(op.array) for op in tup.ops]
     threshold = 1.0 - eta - TOL.accept_slack
     expected = {}
-    for row in res.grid.points:
+    for row in itertools.product(res.grid.axis_values, repeat=res.grid.n):
         nrm = dense_reference_norm(eig, row, eta)
         if nrm >= threshold:
             expected[tuple(float(c) for c in row)] = nrm
@@ -168,10 +170,11 @@ def test_scan_matches_dense_reference(make, eta):
 def test_theta_product_empty_support_has_zero_norm():
     # The second center is 0.4 from both eigenvalues of d2, beyond eta = 0.3.
     tup = OperatorTuple((np.diag([0.0, 0.3]), np.diag([0.1, 0.5])), bound=1.0)
-    tp = theta_product(tup, (0.0, 0.9), 0.3)
+    cache = BumpFactorCache(tup)
+    tp = theta_product(tup, (0.0, 0.9), 0.3, cache=cache)
     assert tp.factor_norms[1] == 0.0
     assert tp.norm == 0.0
-    assert not np.any(tp.value)
+    assert not np.any(cache.factor_matrix(1, 0.9, 0.3))
 
 
 def test_scan_thread_counts_agree(shift_pair_64):
