@@ -20,6 +20,7 @@ from .linalg import (
     HermitianMatrix,
     eig_hermitian,
     gram_schmidt,
+    ground_eigenpair,
     operator_norm,
 )
 from .observables import (

@@ -1,9 +1,12 @@
 """Dense complex linear algebra used everywhere else.
 
 Thin, contract-checked wrappers: a Hermitian matrix type that stores an
-exactly symmetrized array, an eigensolver with residual verification, the
-operator norm of a square or rectangular matrix via the top eigenvalue of
-its Gram matrix, and a modified Gram-Schmidt.
+exactly symmetrized array, a full eigensolver with residual and unitarity
+verification, a lowest-eigenpair solver that verifies only the pair it
+returns (its residual, and a Cholesky factorization showing that no
+eigenvalue lies below it), the operator norm of a square or rectangular
+matrix via the top eigenvalue of its Gram matrix, and a modified
+Gram-Schmidt.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ __all__ = [
     "EigenDecomposition",
     "as_matrix",
     "eig_hermitian",
+    "ground_eigenpair",
     "operator_norm",
     "gram_schmidt",
 ]
@@ -51,13 +55,18 @@ class HermitianMatrix:
 
     def __init__(self, array):
         a = as_matrix(array)
-        asym = float(np.max(np.abs(a - a.conj().T)))
-        if asym > TOL.hermitian_symmetry:
-            raise ValueError(
-                f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-                f"exceeds {TOL.hermitian_symmetry:.1e}"
-            )
-        sym = (a + a.conj().T) / 2.0
+        # A† laid out row-major once, so no pass below reads a transpose.
+        adj = np.conjugate(a.T, order="C")
+        # One comparison settles an exactly Hermitian input (asymmetry 0).
+        if not np.array_equal(a, adj):
+            asym = float(np.max(np.abs(a - adj)))
+            if asym > TOL.hermitian_symmetry:
+                raise ValueError(
+                    f"matrix is not Hermitian: max asymmetry {asym:.3e} "
+                    f"exceeds {TOL.hermitian_symmetry:.1e}"
+                )
+        sym = a + adj
+        sym /= 2.0
         sym.setflags(write=False)
         self.array = sym
 
@@ -100,6 +109,42 @@ def eig_hermitian(a) -> EigenDecomposition:
     w.setflags(write=False)
     u.setflags(write=False)
     return EigenDecomposition(w, u)
+
+
+def ground_eigenpair(a) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue E of a Hermitian matrix and a unit eigenvector v.
+
+    Only the returned pair is verified, against the bound
+    delta = ``TOL.eig_residual * dim * scale`` with scale the larger of 1 and
+    the spectral radius: the residual ||A v - E v|| must be at most delta,
+    so some eigenvalue lies within delta of E, and A - (E - delta) I must
+    have a Cholesky factorization, so every eigenvalue exceeds E - delta.
+    Together they pin the smallest eigenvalue to within delta of E.
+    Raises NumericalError when either check fails.
+    """
+    h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
+    w, u = np.linalg.eigh(h.array)
+    dim = h.dim
+    energy = float(w[0])
+    v = u[:, 0] / np.linalg.norm(u[:, 0])
+    scale = max(1.0, float(np.max(np.abs(w))))
+    bound = TOL.eig_residual * dim * scale
+    resid = float(np.linalg.norm(h.array @ v - energy * v))
+    if not resid <= bound:
+        raise NumericalError(
+            f"lowest eigenpair residual {resid:.3e} exceeds "
+            f"{TOL.eig_residual:.1e} * {dim} * {scale:.3e}"
+        )
+    shifted = h.array.copy()
+    shifted.flat[:: dim + 1] -= energy - bound
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"eigenvalue {energy:.6e} is not the smallest: A - ({energy:.6e} - "
+            f"{bound:.3e}) I is not positive definite"
+        ) from None
+    return energy, v
 
 
 def operator_norm(a) -> float:

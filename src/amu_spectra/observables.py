@@ -93,7 +93,7 @@ class OperatorTuple:
     ``TOL.tuple_norm_slack``). It controls the grid range in scans.
     """
 
-    __slots__ = ("ops", "bound")
+    __slots__ = ("ops", "bound", "_square_sum")
 
     def __init__(self, ops, bound: float = 1.0):
         converted = tuple(
@@ -117,6 +117,7 @@ class OperatorTuple:
                 )
         self.ops = converted
         self.bound = bound
+        self._square_sum = None
 
     @property
     def n(self) -> int:
@@ -128,6 +129,19 @@ class OperatorTuple:
 
     def arrays(self) -> list[np.ndarray]:
         return [op.array for op in self.ops]
+
+    @property
+    def square_sum(self) -> HermitianMatrix:
+        """S = sum_j T_j^2, symmetrized, built on first use.
+
+        Safe for concurrent readers: every thread computes the same value,
+        so it does not matter which one stores it first.
+        """
+        got = self._square_sum
+        if got is None:
+            got = HermitianMatrix(sum(op.array @ op.array for op in self.ops))
+            self._square_sum = got
+        return got
 
     def __repr__(self) -> str:
         return f"OperatorTuple(n={self.n}, dim={self.dim}, bound={self.bound})"
@@ -191,25 +205,27 @@ def _check_dim(op: HermitianMatrix, state: VectorState) -> None:
         )
 
 
-def expectation(op: HermitianMatrix, state: VectorState) -> float:
-    """<T v, v> for Hermitian T; the imaginary part must be noise-level."""
+def _expect(op: HermitianMatrix, state: VectorState) -> tuple[float, np.ndarray]:
+    """<T v, v> and T v; the imaginary part must be noise-level."""
     _check_dim(op, state)
-    val = complex(np.vdot(state.vector, op.array @ state.vector))
+    tv = op.array @ state.vector
+    val = complex(np.vdot(state.vector, tv))
     if abs(val.imag) > TOL.imag_expectation:
         raise NumericalError(
             f"expectation has imaginary part {val.imag:.3e} for a Hermitian operator"
         )
-    return float(val.real)
+    return float(val.real), tv
 
 
-def variance_sd(op: HermitianMatrix, state: VectorState) -> tuple[float, float]:
-    """Variance and standard deviation about the expectation.
+def expectation(op: HermitianMatrix, state: VectorState) -> float:
+    """<T v, v> for Hermitian T; the imaginary part must be noise-level."""
+    return _expect(op, state)[0]
 
-    Computed along two algebraically equal paths, ||(T - e)v||^2 and
-    <(T - e)^2 v, v>, which must agree within ``TOL.cross_check``.
-    """
-    e = expectation(op, state)
-    shifted = op.array @ state.vector - e * state.vector
+
+def _moments(op: HermitianMatrix, state: VectorState) -> tuple[float, float, float]:
+    """Expectation, variance and sd, from two products with T (see ``variance_sd``)."""
+    e, tv = _expect(op, state)
+    shifted = tv - e * state.vector
     var_direct = float(np.vdot(shifted, shifted).real)
     var_quad = float(np.vdot(state.vector, op.array @ shifted - e * shifted).real)
     if abs(var_direct - var_quad) > TOL.cross_check:
@@ -221,21 +237,26 @@ def variance_sd(op: HermitianMatrix, state: VectorState) -> tuple[float, float]:
         if var < -TOL.variance_clamp:
             raise NumericalError(f"variance {var:.3e} is negative beyond clamp")
         var = 0.0
-    return var, float(np.sqrt(var))
+    return e, var, float(np.sqrt(var))
+
+
+def variance_sd(op: HermitianMatrix, state: VectorState) -> tuple[float, float]:
+    """Variance and standard deviation about the expectation.
+
+    Computed along two algebraically equal paths, ||(T - e)v||^2 and
+    <(T - e)^2 v, v>, which must agree within ``TOL.cross_check``.
+    """
+    return _moments(op, state)[1:]
 
 
 def measure(tup: OperatorTuple, state: VectorState) -> MeasurementReport:
-    """Expectation, variance, and sd of ``state`` for every observable."""
-    exps: list[float] = []
-    vars_: list[float] = []
-    sds: list[float] = []
-    for op in tup.ops:
-        e = expectation(op, state)
-        v, s = variance_sd(op, state)
-        exps.append(e)
-        vars_.append(v)
-        sds.append(s)
-    return MeasurementReport(tuple(exps), tuple(vars_), tuple(sds))
+    """Expectation, variance, and sd of ``state`` for every observable.
+
+    Two products with each T_j: T v for the expectation, then T (T - e) v
+    for the variance cross-check.
+    """
+    exps, vars_, sds = zip(*(_moments(op, state) for op in tup.ops))
+    return MeasurementReport(exps, vars_, sds)
 
 
 def amu_check(

@@ -3,7 +3,14 @@
 The primary search route at a target point lambda is the ground state of
 the localization operator Q(lambda) = sum_j (T_j - lambda_j I)^2: its
 energy dominates the total variance of the state, so a small ground
-energy certifies small standard deviations. The secondary route runs a
+energy certifies small standard deviations. Q is built as the pencil
+S - 2 sum_j lambda_j T_j + |lambda|^2 I from the tuple's cached
+S = sum_j T_j^2, so a point costs one ``eigh`` and nothing else of order
+dim^3: ``linalg.ground_eigenpair`` verifies only the lowest pair, the
+energy is summed as sum_j ||(T_j - lambda_j) v||^2 so the pencil's
+cancellation never reaches it, and the state's global phase is fixed
+(largest-magnitude entry real and positive) rather than left to LAPACK.
+The secondary route runs a
 Jacobi-style approximate joint diagonalization and draws candidate states
 from the clustered near-eigenvector subspaces; whichever candidate
 achieves the smaller worst-case sd wins.
@@ -20,7 +27,7 @@ import numpy as np
 
 from .constants import TOL
 from .errors import DimensionMismatch, HullDistanceError, NumericalError
-from .linalg import HermitianMatrix, eig_hermitian, gram_schmidt
+from .linalg import HermitianMatrix, gram_schmidt, ground_eigenpair
 from .observables import (
     AmuCertificate,
     MeasurementReport,
@@ -57,30 +64,62 @@ class LocalizationOperator:
 
 
 def localization_operator(tup: OperatorTuple, lam) -> LocalizationOperator:
+    """Q(lambda) as the pencil S - 2 sum_j lambda_j T_j + |lambda|^2 I.
+
+    S = sum_j T_j^2 is built once per tuple (``OperatorTuple.square_sum``).
+    S and every T_j are exactly Hermitian, and so is each step of the sum,
+    so Q is exactly Hermitian by construction.
+    """
     lam = as_point(lam, tup.n)
-    dim = tup.dim
-    q = np.zeros((dim, dim), dtype=np.complex128)
-    eye = np.eye(dim)
+    q = tup.square_sum.array.copy()
     for op, l in zip(tup.ops, lam):
-        shifted = op.array - l * eye
-        q += shifted @ shifted
+        q -= (2.0 * l) * op.array
+    q.flat[:: tup.dim + 1] += sum(l * l for l in lam)
     return LocalizationOperator(lam, HermitianMatrix(q))
+
+
+def _canonical_phase(v: np.ndarray) -> np.ndarray:
+    """``v`` rotated so that its largest-magnitude entry is real and positive.
+
+    Ties go to the lowest index. The rotation is done in real arithmetic, so
+    inputs that differ by a factor of -1 or +-i give bit-identical outputs.
+    """
+    k = int(np.argmax(np.abs(v)))
+    r = float(abs(v[k]))
+    c, s = v[k].real / r, -v[k].imag / r
+    out = np.empty_like(v)
+    out.real = v.real * c - v.imag * s
+    out.imag = v.real * s + v.imag * c
+    out[k] = r
+    return out
+
+
+def _ground_state(
+    tup: OperatorTuple, loc: LocalizationOperator
+) -> tuple[VectorState, float]:
+    """``ground_state`` on an already built Q, so ``amu_at`` can reuse it."""
+    lowest, v = ground_eigenpair(loc.matrix)
+    if lowest < TOL.psd_floor:
+        raise NumericalError(f"localization operator has eigenvalue {lowest:.3e} < 0")
+    state = VectorState.normalized(_canonical_phase(v))
+    energy = 0.0
+    for op, l in zip(tup.ops, loc.lam):
+        r = op.array @ state.vector - l * state.vector
+        energy += float(np.vdot(r, r).real)
+    return state, energy
 
 
 def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
     """Lowest eigenpair of the localization operator at ``lam``.
 
-    Returns (state, energy). The energy bounds the total variance of the
-    state from above and the squared distance from lam to the joint
-    numerical range from below.
+    Returns (state, energy). The eigenvector comes from
+    ``linalg.ground_eigenpair`` with its global phase fixed so that its
+    largest-magnitude entry is real and positive. The energy is
+    sum_j ||(T_j - lambda_j) v||^2, a sum of squares. It bounds the total
+    variance of the state from above and the squared distance from lam to
+    the joint numerical range from below.
     """
-    loc = localization_operator(tup, lam)
-    dec = eig_hermitian(loc.matrix)
-    energy = float(dec.eigenvalues[0])
-    if energy < TOL.psd_floor:
-        raise NumericalError(f"localization operator has eigenvalue {energy:.3e} < 0")
-    state = VectorState.normalized(dec.eigenvectors[:, 0])
-    return state, max(energy, 0.0)
+    return _ground_state(tup, localization_operator(tup, lam))
 
 
 @dataclass(frozen=True)
@@ -241,18 +280,19 @@ def amu_at(
     minimal-energy vector from its rotated subspace, and the certificate
     with the smallest worst-case sd is returned.
     """
-    state, _ = ground_state(tup, lam)
+    loc = localization_operator(tup, lam)
+    state, _ = _ground_state(tup, loc)
     best = amu_check(tup, state, lam, sigma, eps)
     if decomposition is not None:
         if decomposition.u.shape[0] != tup.dim:
             raise DimensionMismatch("decomposition dim does not match tuple dim")
-        qarr = localization_operator(tup, lam).matrix.array
+        qarr = loc.matrix.array
         for cluster in decomposition.clusters:
             basis = decomposition.u[:, list(cluster)]
             small = basis.conj().T @ qarr @ basis
             small = (small + small.conj().T) / 2.0
             coeffs = np.linalg.eigh(small)[1][:, 0]
-            candidate = VectorState.normalized(basis @ coeffs)
+            candidate = VectorState.normalized(_canonical_phase(basis @ coeffs))
             cert = amu_check(tup, candidate, lam, sigma, eps)
             if cert.max_sd < best.max_sd:
                 best = cert

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from amu_spectra import (
     HermitianMatrix,
     NearDependence,
+    NumericalError,
     eig_hermitian,
     gram_schmidt,
+    ground_eigenpair,
     operator_norm,
 )
 from conftest import random_hermitian
@@ -22,6 +24,21 @@ def test_hermitian_matrix_symmetrizes_tiny_asymmetry():
     h = HermitianMatrix(a)
     assert np.array_equal(h.array, h.array.conj().T)
     assert not h.array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        random_hermitian(9, seed=4),
+        random_hermitian(9, seed=4) + 1e-13 * np.triu(np.ones((9, 9)), 1),
+        # Purely imaginary with signed zeros, like the shift pair's A_2.
+        -(np.eye(6, k=-1, dtype=complex) - np.eye(6, k=1, dtype=complex)) / 2.0j,
+    ],
+)
+def test_hermitian_matrix_stores_exact_symmetrization(a):
+    # Bit for bit, signs of zeros included: stored tuples and every artifact
+    # computed from them depend on these bytes.
+    assert HermitianMatrix(a).array.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
 
 
 def test_hermitian_matrix_rejects_gross_asymmetry():
@@ -47,6 +64,50 @@ def test_eig_known_spectrum():
     h = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     dec = eig_hermitian(h)
     assert dec.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-14)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=50))
+def test_ground_eigenpair_is_lowest_unit_eigenpair(dim, seed):
+    h = random_hermitian(dim, seed=seed, scale=3.0)
+    energy, v = ground_eigenpair(h)
+    assert energy == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(h @ v - energy * v) <= 1e-12
+
+
+def _patch_eigh(monkeypatch, transform):
+    """Make np.linalg.eigh return transform(w, u) instead of (w, u)."""
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: transform(*real_eigh(a)))
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda w, u: (w[::-1], u[:, ::-1]),  # columns (and values) in reverse order
+        lambda w, u: (w[1:], u[:, 1:]),  # the second-lowest pair in first place
+    ],
+)
+def test_ground_eigenpair_rejects_non_minimal_pair(monkeypatch, transform):
+    # The returned pair is a true eigenpair, so the residual passes: only the
+    # Cholesky certificate can tell that it is not the lowest one.
+    h = random_hermitian(8, seed=3)
+    _patch_eigh(monkeypatch, transform)
+    with pytest.raises(NumericalError, match="not the smallest"):
+        ground_eigenpair(h)
+
+
+def test_ground_eigenpair_rejects_perturbed_vector(monkeypatch):
+    h = random_hermitian(8, seed=3)
+
+    def perturb(w, u):
+        u = u.copy()
+        u[:, 0] += 1e-3 * u[:, 1]
+        return w, u
+
+    _patch_eigh(monkeypatch, perturb)
+    with pytest.raises(NumericalError, match="residual"):
+        ground_eigenpair(h)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=50))

@@ -97,6 +97,36 @@ def test_measure_reports_all_axes():
     assert rep.max_sd == pytest.approx(0.5, abs=1e-15)
 
 
+class _CountingArray(np.ndarray):
+    """Matrix that counts its products with a vector."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingArray.products += 1
+        return np.asarray(self) @ other
+
+
+def test_measure_matches_functionals_with_two_products_per_observable():
+    tup = OperatorTuple(
+        tuple(random_hermitian(9, seed=s) for s in (4, 5, 6)), bound=1.0
+    )
+    rng = np.random.default_rng(8)
+    x = VectorState.normalized(rng.normal(size=9) + 1j * rng.normal(size=9))
+    rep = measure(tup, x)
+    for j, op in enumerate(tup.ops):
+        assert rep.exp[j] == expectation(op, x)
+        assert (rep.var[j], rep.sd[j]) == variance_sd(op, x)
+
+    counted = HermitianMatrix(tup.ops[0].array)
+    object.__setattr__(counted, "array", tup.ops[0].array.view(_CountingArray))
+    single_tup = OperatorTuple((counted,), bound=1.0)
+    _CountingArray.products = 0
+    single = measure(single_tup, x)
+    assert _CountingArray.products == 2
+    assert single.exp[0] == rep.exp[0] and single.var[0] == rep.var[0]
+
+
 def test_amu_check_strict_inequalities():
     # Thresholds equal to the measured values must fail (strict <); the
     # next representable floats above them must pass.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +27,8 @@ from amu_spectra import (
     solve_simplex_lsq,
     superpose,
 )
+from amu_spectra import search
+from amu_spectra.search import _canonical_phase
 from conftest import random_hermitian
 
 
@@ -40,6 +45,119 @@ def test_localization_operator_diagonal_oracle():
         [(0.0 - 0.25) ** 2 + (0.5 - 0.25) ** 2, (1.0 - 0.25) ** 2 + (-0.5 - 0.25) ** 2]
     )
     assert np.allclose(q.matrix.array, expected, atol=1e-15)
+
+
+def dense_localization(tup: OperatorTuple, lam) -> np.ndarray:
+    """Reference Q(lambda) = sum_j (T_j - lambda_j)^2 from dense products."""
+    eye = np.eye(tup.dim)
+    return sum((op.array - l * eye) @ (op.array - l * eye) for op, l in zip(tup.ops, lam))
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3, max_size=3),
+)
+def test_localization_pencil_matches_dense_squares(n, dim, seed, coords):
+    tup = OperatorTuple(
+        tuple(random_hermitian(dim, seed=seed + 7919 * j) for j in range(n)), bound=1.0
+    )
+    lam = coords[:n]
+    q = localization_operator(tup, lam).matrix.array
+    assert np.array_equal(q, q.conj().T)
+    s_norm = float(np.linalg.norm(tup.square_sum.array, 2))
+    assert np.max(np.abs(q - dense_localization(tup, lam))) <= 1e-13 * (1.0 + s_norm)
+
+
+def test_square_sum_is_cached_and_thread_independent():
+    # Many threads race for the first build on fresh tuples; whichever one
+    # stores S, every reader must see the same bytes.
+    ops = tuple(random_hermitian(24, seed=s) for s in (1, 2, 3))
+    reference = OperatorTuple(ops, bound=1.0).square_sum
+    assert np.allclose(reference.array, sum(a @ a for a in ops), atol=1e-14)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                tup = OperatorTuple(ops, bound=1.0)
+                got = list(pool.map(lambda _: tup.square_sum, range(16), timeout=60))
+                assert all(np.array_equal(g.array, reference.array) for g in got)
+                assert tup.square_sum is tup.square_sum
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "spec, lam",
+    [
+        (ModelSpec("shift_pair", 96), (0.6, -0.55)),
+        (ModelSpec("clock_shift_triple", 32, n=3), (-0.625, -0.75, 19.0 / 24.0)),
+        (ModelSpec("perturbed_commuting", 40, n=3, seed=5,
+                   params={"perturbation": 0.2}), (0.1, -0.3, 0.4)),
+    ],
+)
+def test_ground_energy_equals_lowest_eigenvalue(spec, lam):
+    tup = generate(spec)
+    v, energy = ground_state(tup, lam)
+    q = dense_localization(tup, lam)
+    assert energy == pytest.approx(float(np.linalg.eigvalsh(q)[0]), abs=1e-12)
+    assert energy == pytest.approx(float(np.vdot(v.vector, q @ v.vector).real), abs=1e-12)
+
+
+def _rotate_eigh(monkeypatch, phase):
+    """Make np.linalg.eigh return its eigenvectors multiplied by ``phase``."""
+    real_eigh = np.linalg.eigh
+
+    def rotated(a):
+        w, u = real_eigh(a)
+        return w, u * phase
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+
+
+@pytest.mark.parametrize("phase", [1j, -1.0, -1j])
+def test_ground_state_phase_is_canonical(monkeypatch, clock_32, phase):
+    # Multiplying by -1 or +-i is exact, so the canonical state must come
+    # back bit for bit whatever phase the eigensolver picked.
+    lam = (0.3, -0.2, 0.1)
+    v0, e0 = ground_state(clock_32, lam)
+    k = int(np.argmax(np.abs(v0.vector)))
+    assert v0.vector[k].imag == 0.0 and v0.vector[k].real > 0.0
+    _rotate_eigh(monkeypatch, phase)
+    v1, e1 = ground_state(clock_32, lam)
+    assert v1.vector.tobytes() == v0.vector.tobytes()
+    assert e1 == e0
+
+
+def test_ground_state_phase_generic_rotation(monkeypatch, shift_pair_64):
+    lam = (0.8, 0.3)
+    v0, _ = ground_state(shift_pair_64, lam)
+    _rotate_eigh(monkeypatch, np.exp(0.7j))
+    v1, _ = ground_state(shift_pair_64, lam)
+    assert np.max(np.abs(v1.vector - v0.vector)) <= 1e-14
+
+
+def test_canonical_phase_ties_go_to_lowest_index():
+    v = np.array([0.5j, -0.5, 0.25 + 0.25j]) / np.sqrt(0.5625)
+    got = _canonical_phase(v)
+    assert got[0] == abs(v[0]) and got[0].imag == 0.0
+    assert np.allclose(got, v * -1j, atol=1e-15)
+
+
+def test_amu_at_builds_one_localization_operator(monkeypatch, clock_32):
+    dec = joint_diagonalize(clock_32, max_sweeps=2, cluster_radius=0.15)
+    calls = []
+    real = search.localization_operator
+
+    def counting(tup, lam):
+        calls.append(lam)
+        return real(tup, lam)
+
+    monkeypatch.setattr(search, "localization_operator", counting)
+    amu_at(clock_32, (1.0, 0.0, 0.0), sigma=0.5, eps=0.5, decomposition=dec)
+    assert len(calls) == 1
 
 
 def test_ground_state_picks_minimal_entry():
