@@ -19,8 +19,13 @@ bracketed core. D_j vanishes off the support S_j, the eigenvalues within
 the width of the center, so the core only needs rows S_1, columns S_n and
 the blocks W_{j,j+1}[S_j, S_{j+1}]: an |S_1|×|S_n| matrix instead of a
 dim×dim product. ``BumpFactorCache`` holds the eigen-data, the couplings
-W_{j,j+1} and the supports; ``theta_product`` and ``spectrum.scan`` build
-the core with the same ``BumpFactorCache.core_step``, so their norms agree
+W_{j,j+1} and the supports. ``BumpFactorCache.couple`` multiplies a core by
+the next coupling with every column kept, so one product serves every
+center on the next axis: the core at center c is the columns S(c) scaled
+by the bump values. ``theta_product`` takes those columns for its one
+center; ``spectrum.scan`` takes them for all centers of the last axis at
+once, stacks the cores and passes the stack to ``linalg.operator_norm``.
+The arithmetic per point is the same on both paths, so their norms agree
 bit for bit. No dense factor is formed on either path;
 ``BumpFactorCache.factor_matrix`` builds one only as the reference the core
 norms are tested against.
@@ -123,21 +128,23 @@ class BumpFactorCache:
         u = self._eig[axis].eigenvectors[:, sl]
         return (u * vals) @ u.conj().T
 
-    def core_step(
-        self, prefix: np.ndarray, axis: int, prev_center: float, center: float, width: float
+    def couple(
+        self, prefix: np.ndarray, axis: int, prev_center: float, width: float
     ) -> np.ndarray:
-        """Extend the core D_1 W_12 ⋯ D_{axis-1} by W_{axis-1,axis} D_axis.
+        """The core D_1 W_12 ⋯ D_{axis-1} times W_{axis-1,axis}, every column kept.
 
         ``prefix`` is the core so far, restricted to the supports; a 1-d
         prefix is the diagonal of D_1 (``support(0, ...)[1]``). Returns an
-        |S_1|×|S_axis| matrix. Both supports must be non-empty.
+        |S_1|×dim matrix whose columns ``support(axis, c, width)[0]``, times
+        the bump values there, are the core extended to center c. One call
+        therefore serves every center on ``axis``. The previous support must
+        be non-empty.
         """
         prev = self.support(axis - 1, prev_center, width)[0]
-        sl, vals = self.support(axis, center, width)
-        block = self.couplings[axis - 1][prev, sl]
+        rows = self.couplings[axis - 1][prev]
         if prefix.ndim == 1:
-            return (prefix[:, None] * block) * vals
-        return (prefix @ block) * vals
+            return prefix[:, None] * rows
+        return prefix @ rows
 
 
 def theta_product(
@@ -161,7 +168,8 @@ def theta_product(
     else:
         core = cache.support(0, centers[0], eta)[1]
         for j in range(1, tup.n):
-            core = cache.core_step(core, j, centers[j - 1], centers[j], eta)
+            sl, vals = cache.support(j, centers[j], eta)
+            core = cache.couple(core, j, centers[j - 1], eta)[:, sl] * vals
         norm = operator_norm(np.diag(core) if core.ndim == 1 else core)
     return ThetaProduct(centers, eta, fnorms, norm)
 

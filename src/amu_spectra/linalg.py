@@ -5,8 +5,9 @@ exactly symmetrized array, a full eigensolver with residual and unitarity
 verification, a lowest-eigenpair solver that verifies only the pair it
 returns (its residual, and a Cholesky factorization showing that no
 eigenvalue lies below it), the operator norm of a square or rectangular
-matrix via the top eigenvalue of its Gram matrix, and a modified
-Gram-Schmidt.
+matrix via the top eigenvalue of its Gram matrix (also for a stack of
+equal-shaped matrices in one call, which is how the scan takes its norms),
+and a modified Gram-Schmidt.
 """
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ def as_matrix(a, *, square: bool = True) -> np.ndarray:
     if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
         kind = "square matrix" if square else "matrix"
         raise ValueError(f"expected a {kind}, got shape {arr.shape}")
+    return _finite_nonempty(arr)
+
+
+def _finite_nonempty(arr: np.ndarray) -> np.ndarray:
     if arr.size == 0:
         raise ValueError("empty matrices are not supported")
     if not np.all(np.isfinite(arr)):
@@ -147,19 +152,27 @@ def ground_eigenpair(a) -> tuple[float, np.ndarray]:
     return energy, v
 
 
-def operator_norm(a) -> float:
-    """Largest singular value of a finite, non-empty m×k matrix.
+def operator_norm(a):
+    """Largest singular value of a finite, non-empty m×k matrix, or of each in a p×m×k stack.
 
     Computed as the square root of the top eigenvalue of the Gram matrix on
-    the smaller side: A†A (k×k) when m >= k, otherwise AA† (m×m).
+    the smaller side: A†A (k×k) when m >= k, otherwise AA† (m×m). A matrix
+    gives a float. A stack gives a float64 array of p norms from one
+    ``eigvalsh`` call; each equals bit for bit the norm of its matrix passed
+    alone, so the stack size never changes an answer.
     """
-    arr = as_matrix(a, square=False)
-    if arr.shape[0] >= arr.shape[1]:
-        gram = arr.conj().T @ arr
+    if np.ndim(a) == 3:
+        return _stack_norms(_finite_nonempty(np.asarray(a, dtype=np.complex128)))
+    return float(_stack_norms(as_matrix(a, square=False)[None])[0])
+
+
+def _stack_norms(stack: np.ndarray) -> np.ndarray:
+    if stack.shape[1] >= stack.shape[2]:
+        gram = stack.conj().swapaxes(1, 2) @ stack
     else:
-        gram = arr @ arr.conj().T
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+        gram = stack @ stack.conj().swapaxes(1, 2)
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def gram_schmidt(vectors) -> list[np.ndarray]:

@@ -14,12 +14,15 @@ the lexicographic order ``scan`` reports.
 The scan never forms a dim×dim factor. Writing each factor as
 U_j D_j U_j† gives ||F_1 ⋯ F_n|| = ||D_1 W_12 D_2 ⋯ W_{n-1,n} D_n|| with
 W_ij = U_i† U_j, and the right-hand core only has rows and columns on the
-bump supports. ``scan`` walks the grid axis by axis, extends the
-rectangular core by one coupling block per axis, and takes one operator
-norm per evaluated point.
+bump supports. ``scan`` walks the grid axis by axis and extends the
+rectangular core by one coupling per axis. For each block of points that
+share the first coordinate, it stacks the cores of the whole last axis,
+grouped by support size and capped at ``CORE_STACK_BYTES`` per stack, and
+takes their norms with one ``operator_norm`` call per stack.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +38,10 @@ from .observables import OperatorTuple
 
 # Largest |rows|×|B|×n float64 difference tensor ``hausdorff`` forms at once.
 HAUSDORFF_BLOCK_BYTES = 32 * 2**20
+# Largest stack of complex128 cores ``scan`` passes to one operator_norm call.
+# The call also holds the conjugate and the Gram stack, so a few times this
+# is in flight per worker; at 1 MiB the spectrum CLI's peak RSS rose 1.3 MB.
+CORE_STACK_BYTES = 2**18
 
 __all__ = [
     "GridSpec",
@@ -212,9 +219,16 @@ def scan(
     ``calculus``), built axis by axis so every prefix is shared by the
     points below it; supports are computed once per (axis, coordinate).
 
-    ``threads`` parallelizes over slices of the first coordinate; results
-    are assembled in grid order, so the output is identical for any thread
-    count.
+    The grid is evaluated one block of points with the same first
+    coordinate at a time. Within a block, each prefix core is multiplied
+    once by the last coupling; the cores of all last-axis centers with the
+    same support size are sliced out of those products and stacked, and
+    each stack of at most ``CORE_STACK_BYTES`` goes to one
+    ``operator_norm`` call. The stacking changes no norm: every point gets
+    the arithmetic ``theta_product`` performs for it alone.
+
+    ``threads`` parallelizes over the blocks; results are assembled in grid
+    order, so the output is identical for any thread count.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -235,29 +249,53 @@ def scan(
     if any(not vals for vals in alive):
         return SyntheticSpectrumResult(eta, grid, (), TOL.accept_slack)
 
-    def scan_block(first: float) -> list[tuple[tuple[float, ...], float]]:
+    supports = [[cache.support(axis, x, eta) for x in xs] for axis, xs in enumerate(alive)]
+    last = alive[-1]
+    # Last-axis centers by support size: (position in ``last``, slice, bump values).
+    groups: dict[int, list[tuple[int, slice, np.ndarray]]] = {}
+    for pos, (sl, vals) in enumerate(supports[-1]):
+        groups.setdefault(vals.size, []).append((pos, sl, vals))
+
+    def prefixes(axis: int, coords: tuple[float, ...], core: np.ndarray):
+        """(coordinates, core) for every alive point of axes < n - 1, in grid order."""
+        if axis == n - 1:
+            yield coords, core
+            return
+        wide = cache.couple(core, axis, coords[-1], eta)
+        for x, (sl, vals) in zip(alive[axis], supports[axis]):
+            yield from prefixes(axis + 1, coords + (x,), wide[:, sl] * vals)
+
+    def scan_block(first: float, support: tuple[slice, np.ndarray]) -> list:
+        head = support[1]
+        if n == 1:
+            nrm = operator_norm(np.diag(head))
+            return [((first,), nrm)] if nrm >= threshold else []
+        rows = head.size
         out: list[tuple[tuple[float, ...], float]] = []
-        point = [first] + [0.0] * (n - 1)
-
-        def descend(axis: int, core: np.ndarray) -> None:
-            if axis == n:
-                nrm = operator_norm(np.diag(core) if core.ndim == 1 else core)
-                if nrm >= threshold:
-                    out.append((tuple(point), float(nrm)))
-                return
-            prev = point[axis - 1]
-            for x in alive[axis]:
-                point[axis] = x
-                descend(axis + 1, cache.core_step(core, axis, prev, x, eta))
-
-        descend(1, cache.support(0, first, eta)[1])
+        walk = prefixes(1, (first,), head)
+        per_chunk = max(1, CORE_STACK_BYTES // (16 * rows * tup.dim))
+        while chunk := list(itertools.islice(walk, per_chunk)):
+            wides = np.stack([cache.couple(core, n - 1, c[-1], eta) for c, core in chunk])
+            norms = np.empty((len(last), len(chunk)))
+            for size, members in groups.items():
+                step = max(1, CORE_STACK_BYTES // (16 * rows * size * len(chunk)))
+                for lo in range(0, len(members), step):
+                    part = members[lo:lo + step]
+                    stack = np.empty((len(part), len(chunk), rows, size), dtype=np.complex128)
+                    for cores, (_, sl, vals) in zip(stack, part):
+                        np.multiply(wides[:, :, sl], vals, out=cores)
+                    got = operator_norm(stack.reshape(-1, rows, size))
+                    norms[[pos for pos, _, _ in part]] = got.reshape(len(part), len(chunk))
+            for (coords, _), col in zip(chunk, norms.T):
+                for pos in np.flatnonzero(col >= threshold):
+                    out.append((coords + (last[pos],), float(col[pos])))
         return out
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(scan_block, alive[0]))
+            blocks = list(pool.map(scan_block, alive[0], supports[0]))
     else:
-        blocks = [scan_block(x) for x in alive[0]]
+        blocks = [scan_block(x, sup) for x, sup in zip(alive[0], supports[0])]
     accepted = tuple(entry for block in blocks for entry in block)
     return SyntheticSpectrumResult(eta, grid, accepted, TOL.accept_slack)
 
@@ -267,10 +305,13 @@ def hausdorff(x, y) -> float:
 
     Points are rows; one-dimensional inputs are treated as points on the
     line. Raises ValueError when either set is empty, where the distance
-    is undefined. Squared distances are formed a block of rows of ``x`` at
-    a time, each block at most ``HAUSDORFF_BLOCK_BYTES``, so memory stays
-    bounded for large sets; min and max are exact, so the result does not
-    depend on the block size.
+    is undefined. A point common to both sets is at distance exactly 0
+    from the other set, so only the points of A not in B and of B not in A
+    are searched, each against the whole other set. Squared distances are
+    formed a block of rows at a time, each block at most
+    ``HAUSDORFF_BLOCK_BYTES``, so memory stays bounded for large sets; min
+    and max are exact, so the result depends neither on the block size nor
+    on the pruning.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -282,11 +323,22 @@ def hausdorff(x, y) -> float:
         raise ValueError("Hausdorff distance is undefined for empty sets")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    rows = max(1, HAUSDORFF_BLOCK_BYTES // (8 * b.shape[0] * max(1, b.shape[1])))
-    forward = -math.inf
-    col_min = np.full(b.shape[0], np.inf)
-    for start in range(0, a.shape[0], rows):
-        d2 = ((a[start:start + rows, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        forward = max(forward, float(d2.min(axis=1).max()))
-        np.minimum(col_min, d2.min(axis=0), out=col_min)
-    return float(np.sqrt(max(forward, col_min.max())))
+    forward = _farthest(_unshared(a, b), b)
+    backward = _farthest(_unshared(b, a), a)
+    return float(np.sqrt(max(0.0, forward, backward)))
+
+
+def _unshared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` that are not also rows of ``b``."""
+    common = set(map(tuple, b.tolist()))
+    return a[[i for i, row in enumerate(a.tolist()) if tuple(row) not in common]]
+
+
+def _farthest(rows: np.ndarray, other: np.ndarray) -> float:
+    """Largest squared distance from a row of ``rows`` to ``other``; -inf for no rows."""
+    step = max(1, HAUSDORFF_BLOCK_BYTES // (8 * other.shape[0] * max(1, other.shape[1])))
+    worst = -math.inf
+    for start in range(0, rows.shape[0], step):
+        d2 = ((rows[start:start + step, None, :] - other[None, :, :]) ** 2).sum(axis=2)
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return worst

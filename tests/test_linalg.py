@@ -129,10 +129,22 @@ def test_operator_norm_rectangular(shape):
     assert abs(operator_norm(a) - np.linalg.norm(a, ord=2)) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(5, 9, 4), (5, 4, 9), (3, 7, 7), (1, 6, 6), (4, 1, 6), (4, 6, 1)])
+def test_operator_norm_stack_matches_each_matrix(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    norms = operator_norm(stack)
+    assert norms.shape == (shape[0],) and norms.dtype == np.float64
+    for matrix, nrm in zip(stack, norms):
+        assert nrm == operator_norm(matrix)
+        assert abs(nrm - np.linalg.norm(matrix, ord=2)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "bad",
     [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4), np.array([[1.0, np.nan]]),
-     np.array([[np.inf], [0.0]])],
+     np.array([[np.inf], [0.0]]), np.zeros((0, 2, 2)), np.zeros((2, 0, 3)),
+     np.zeros((2, 3, 0)), np.full((2, 2, 2), np.nan), np.zeros((2, 2, 2, 2))],
 )
 def test_operator_norm_rejects_empty_and_nonfinite(bad):
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from amu_spectra import (
     grid_step_count,
     hausdorff,
     is_refinement,
+    operator_norm,
     scan,
     theta_product,
 )
@@ -124,6 +125,18 @@ def test_scan_matches_bruteforce_noncommuting():
     assert res.accepted == tuple(expected)
 
 
+def perturbed_triple():
+    return generate(ModelSpec("perturbed_commuting", 8, n=3, seed=4, params={"perturbation": 0.2}))
+
+
+def test_scan_matches_bruteforce_perturbed_triple():
+    tup = perturbed_triple()
+    res = scan(tup, 0.9)
+    expected = brute_scan(tup, 0.9)
+    assert len(expected) > 100
+    assert res.accepted == tuple(expected)
+
+
 def dense_reference_norm(eig, point, eta) -> float:
     """Plain-numpy norm of the ordered bump product at ``point``."""
     prod = None
@@ -181,6 +194,34 @@ def test_scan_thread_counts_agree(shift_pair_64):
     one = scan(shift_pair_64, 0.5, threads=1)
     four = scan(shift_pair_64, 0.5, threads=4)
     assert one.accepted == four.accepted
+
+
+def test_scan_thread_counts_agree_triple():
+    tup = perturbed_triple()
+    one = scan(tup, 0.9, threads=1)
+    two = scan(tup, 0.9, threads=2)
+    assert one.accepted and one.accepted == two.accepted
+
+
+def test_scan_small_stack_budget_matches_default(monkeypatch):
+    tup = perturbed_triple()
+    stacks = []
+
+    def recording_norm(a):
+        stacks.append(np.shape(a))
+        return operator_norm(a)
+
+    monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
+    default = scan(tup, 0.9)
+    default_calls = len(stacks)
+    stacks.clear()
+    budget = 4096
+    monkeypatch.setattr(spectrum, "CORE_STACK_BYTES", budget)
+    small = scan(tup, 0.9)
+    assert small.accepted == default.accepted
+    # Every block now spans several prefix chunks; no stack exceeds the budget.
+    assert len(stacks) > 3 * default_calls
+    assert max(16 * int(np.prod(shape)) for shape in stacks) <= budget
 
 
 def test_scan_covers_joint_eigenvalues(commuting_16):
@@ -257,6 +298,28 @@ def test_hausdorff_blocks_match_one_shot(monkeypatch):
     d2t = d2.T
     swapped = float(np.sqrt(max(d2t.min(axis=1).max(), d2t.min(axis=0).max())))
     assert hausdorff(b, a) == swapped
+
+
+def unpruned_hausdorff(a, b) -> float:
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+
+
+@given(
+    st.integers(min_value=0, max_value=500),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=20),
+)
+def test_hausdorff_pruning_matches_unpruned(seed, only_a, only_b, shared):
+    # Grid points, like accepted sets: some in both sets, some in one only.
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-12, 13, size=(only_a + only_b + shared, 3)) / 12.0
+    a = pts[: only_a + shared]
+    b = rng.permutation(pts[only_a:])
+    assert hausdorff(a, b) == unpruned_hausdorff(a, b)
+    assert hausdorff(b, a) == unpruned_hausdorff(b, a)
+    assert hausdorff(a, rng.permutation(a)) == 0.0
 
 
 def finite_sets(seed: int, count: int, n: int = 2) -> np.ndarray:
