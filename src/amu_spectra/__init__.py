@@ -1,9 +1,9 @@
 """Synthetic spectra and approximately macroscopically unique states.
 
 Numerics for n-tuples of Hermitian matrices: ordered bump products and
-their acceptance scans, AMU state search via localization operators and
-approximate joint diagonalization, superpositions aimed at convex targets,
-and essential-spectrum estimates through tail compressions.
+their acceptance scans, AMU state search via the ground states of
+localization operators, superpositions aimed at convex targets, and
+essential-spectrum estimates through tail compressions.
 """
 from .constants import GRID_POINT_CAP, TOL, Tolerances
 from .errors import (
@@ -50,12 +50,10 @@ from .spectrum import (
     scan,
 )
 from .search import (
-    DigitalDecomposition,
     LocalizationOperator,
     SuperpositionPlan,
     amu_at,
     ground_state,
-    joint_diagonalize,
     localization_operator,
     project_simplex,
     solve_simplex_lsq,

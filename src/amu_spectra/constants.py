@@ -22,9 +22,6 @@ class Tolerances:
     gram_independence: float = 1e-8
     """Smallest Gram eigenvalue below which vectors count as dependent."""
 
-    orthonormal: float = 1e-10
-    """Pairwise inner products allowed after Gram-Schmidt."""
-
     imag_expectation: float = 1e-10
     """|Im <Tv, v>| allowed before an expectation is rejected."""
 

@@ -178,11 +178,15 @@ def _stack_norms(stack: np.ndarray) -> np.ndarray:
 def gram_schmidt(vectors) -> list[np.ndarray]:
     """Orthonormalize ``vectors`` (modified Gram-Schmidt, two passes).
 
-    The span is preserved and the output is orthonormal with pairwise inner
-    products below ``TOL.orthonormal``. Inputs must be linearly independent:
-    the smallest eigenvalue of the Gram matrix of the normalized inputs must
-    be at least ``TOL.gram_independence``, otherwise NearDependence is raised
-    naming the first vector whose orthogonal residual collapses.
+    Inputs must be linearly independent: the smallest eigenvalue of the
+    Gram matrix of the normalized inputs must be at least
+    ``TOL.gram_independence``, otherwise NearDependence is raised naming the
+    first vector whose orthogonal residual collapses. Past that check, each
+    vector is orthogonalized against its predecessors by two passes of
+    modified Gram-Schmidt and scaled to unit norm, so the span is preserved.
+    The pairwise inner products are not checked here;
+    ``test_gram_schmidt_orthonormalizes_and_preserves_span`` checks that
+    they reach the 1e-10 level.
     """
     vs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not vs:

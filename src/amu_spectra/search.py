@@ -1,19 +1,15 @@
-"""Searching for AMU states: localization, joint diagonalization, superposition.
+"""Searching for AMU states: localization, ground states, superposition.
 
-The primary search route at a target point lambda is the ground state of
-the localization operator Q(lambda) = sum_j (T_j - lambda_j I)^2: its
-energy dominates the total variance of the state, so a small ground
-energy certifies small standard deviations. Q is built as the pencil
+A target point lambda is certified through the ground state of the
+localization operator Q(lambda) = sum_j (T_j - lambda_j I)^2: its energy
+dominates the total variance of the state, so a small ground energy
+certifies small standard deviations. Q is built as the pencil
 S - 2 sum_j lambda_j T_j + |lambda|^2 I from the tuple's cached
 S = sum_j T_j^2, so a point costs one ``eigh`` and nothing else of order
 dim^3: ``linalg.ground_eigenpair`` verifies only the lowest pair, the
 energy is summed as sum_j ||(T_j - lambda_j) v||^2 so the pencil's
 cancellation never reaches it, and the state's global phase is fixed
 (largest-magnitude entry real and positive) rather than left to LAPACK.
-The secondary route runs a
-Jacobi-style approximate joint diagonalization and draws candidate states
-from the clustered near-eigenvector subspaces; whichever candidate
-achieves the smaller worst-case sd wins.
 
 Superposition builds a state whose joint expectations hit a convex
 combination of previously certified expectation points, with the weights
@@ -43,12 +39,10 @@ SIMPLEX_MAX_ITER = 20000
 
 __all__ = [
     "LocalizationOperator",
-    "DigitalDecomposition",
     "SuperpositionPlan",
     "localization_operator",
     "ground_state",
     "amu_at",
-    "joint_diagonalize",
     "project_simplex",
     "solve_simplex_lsq",
     "superpose",
@@ -94,10 +88,17 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ground_state(
-    tup: OperatorTuple, loc: LocalizationOperator
-) -> tuple[VectorState, float]:
-    """``ground_state`` on an already built Q, so ``amu_at`` can reuse it."""
+def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
+    """Lowest eigenpair of the localization operator at ``lam``.
+
+    Returns (state, energy). The eigenvector comes from
+    ``linalg.ground_eigenpair`` with its global phase fixed so that its
+    largest-magnitude entry is real and positive. The energy is
+    sum_j ||(T_j - lambda_j) v||^2, a sum of squares. It bounds the total
+    variance of the state from above and the squared distance from lam to
+    the joint numerical range from below.
+    """
+    loc = localization_operator(tup, lam)
     lowest, v = ground_eigenpair(loc.matrix)
     if lowest < TOL.psd_floor:
         raise NumericalError(f"localization operator has eigenvalue {lowest:.3e} < 0")
@@ -109,198 +110,24 @@ def _ground_state(
     return state, energy
 
 
-def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
-    """Lowest eigenpair of the localization operator at ``lam``.
+def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
+    """AMU certificate of the ground state of the localization operator at ``lam``.
 
-    Returns (state, energy). The eigenvector comes from
-    ``linalg.ground_eigenpair`` with its global phase fixed so that its
-    largest-magnitude entry is real and positive. The energy is
-    sum_j ||(T_j - lambda_j) v||^2, a sum of squares. It bounds the total
-    variance of the state from above and the squared distance from lam to
-    the joint numerical range from below.
+    One Q(lambda), one verified lowest eigenpair, then ``amu_check`` of that
+    state at (lam, sigma, eps).
     """
-    return _ground_state(tup, localization_operator(tup, lam))
-
-
-@dataclass(frozen=True)
-class DigitalDecomposition:
-    """Result of an approximate joint diagonalization.
-
-    ``u`` is the accumulated unitary; ``diag_vectors`` stacks the rotated
-    diagonals (row i is the n-vector of diagonal entries at index i);
-    ``clusters`` partitions the indices by single linkage at the cluster
-    radius, ordered by smallest member; ``cluster_points`` are the
-    per-cluster means of the diagonal vectors; ``residual`` is the square
-    root of the remaining off-diagonal energy.
-    """
-
-    u: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
-    cluster_points: np.ndarray
-    diag_vectors: np.ndarray
-    residual: float
-    off_energy_history: tuple[float, ...]
-    sweeps: int
-
-
-def _off_energy(mats: list[np.ndarray]) -> float:
-    """Sum of |a_pq|^2 over p != q and all observables, summed directly (exactly 0 if diagonal)."""
-    total = 0.0
-    for a in mats:
-        off = a - np.diag(np.diagonal(a))
-        total += float(np.vdot(off, off).real)
-    return total
-
-
-def _single_linkage(points: np.ndarray, radius: float) -> tuple[tuple[int, ...], ...]:
-    m = points.shape[0]
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    r2 = radius * radius
-    for i in range(m):
-        for j in range(i + 1, m):
-            if d2[i, j] <= r2:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    # Tie-break toward the lowest index root.
-                    if rj < ri:
-                        ri, rj = rj, ri
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-    return tuple(tuple(g) for g in ordered)
-
-
-def joint_diagonalize(
-    tup: OperatorTuple,
-    max_sweeps: int = 60,
-    tol: float = 1e-12,
-    cluster_radius: float = 0.1,
-) -> DigitalDecomposition:
-    """Jacobi sweeps of joint complex rotations over index pairs.
-
-    Each pair (p, q) gets the single unitary rotation that maximizes the
-    combined diagonal energy of all observables at once (the rotation
-    angles come from the top eigenvector of a 3x3 moment matrix of the
-    pair entries). Sweeps stop when the off-diagonal energy improves by
-    less than ``tol`` or ``max_sweeps`` is reached; the off-diagonal
-    energy never increases.
-
-    ``cluster_radius`` is the single-linkage radius for grouping the
-    rotated diagonal n-vectors; callers working at resolution eta
-    conventionally pass eta / 2.
-    """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dim = tup.dim
-    mats = [op.array.copy() for op in tup.ops]
-    u = np.eye(dim, dtype=np.complex128)
-    history = [_off_energy(mats)]
-    sweeps_done = 0
-    for _ in range(max_sweeps):
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                g3 = np.zeros((3, 3))
-                for a in mats:
-                    z = a[p, q]
-                    h = np.array([a[p, p].real - a[q, q].real, 2.0 * z.real, 2.0 * z.imag])
-                    g3 += np.outer(h, h)
-                vec = np.linalg.eigh(g3)[1][:, -1]
-                if vec[0] < 0:
-                    vec = -vec
-                x, y, zc = float(vec[0]), float(vec[1]), float(vec[2])
-                denom = np.sqrt(2.0 * (x + 1.0))
-                if denom < 1e-12:
-                    continue
-                c = float(np.sqrt((x + 1.0) / 2.0))
-                s = complex(y, -zc) / denom
-                if abs(s) < 1e-14:
-                    continue
-                cs = np.conj(s)
-                for a in mats:
-                    rp = a[p, :].copy()
-                    rq = a[q, :].copy()
-                    a[p, :] = c * rp + cs * rq
-                    a[q, :] = -s * rp + c * rq
-                    cp = a[:, p].copy()
-                    cq = a[:, q].copy()
-                    a[:, p] = c * cp + s * cq
-                    a[:, q] = -cs * cp + c * cq
-                up = u[:, p].copy()
-                uq = u[:, q].copy()
-                u[:, p] = c * up + s * uq
-                u[:, q] = -cs * up + c * uq
-        sweeps_done += 1
-        current = _off_energy(mats)
-        previous = history[-1]
-        if current > previous * (1.0 + 1e-6) + 1e-9:
-            raise NumericalError(
-                f"off-diagonal energy increased across a sweep: "
-                f"{previous:.6e} -> {current:.6e}"
-            )
-        history.append(current)
-        if previous - current < tol:
-            break
-    diag_vectors = np.stack([np.diagonal(a).real for a in mats], axis=1)
-    clusters = _single_linkage(diag_vectors, float(cluster_radius))
-    cluster_points = np.array([diag_vectors[list(c)].mean(axis=0) for c in clusters])
-    return DigitalDecomposition(
-        u=u,
-        clusters=clusters,
-        cluster_points=cluster_points,
-        diag_vectors=diag_vectors,
-        residual=float(np.sqrt(max(history[-1], 0.0))),
-        off_energy_history=tuple(history),
-        sweeps=sweeps_done,
-    )
-
-
-def amu_at(
-    tup: OperatorTuple,
-    lam,
-    sigma: float,
-    eps: float,
-    decomposition: DigitalDecomposition | None = None,
-) -> AmuCertificate:
-    """Best AMU certificate at ``lam``: ground state vs cluster candidates.
-
-    The ground state of the localization operator is always evaluated.
-    When a digital decomposition is supplied, each cluster contributes the
-    minimal-energy vector from its rotated subspace, and the certificate
-    with the smallest worst-case sd is returned.
-    """
-    loc = localization_operator(tup, lam)
-    state, _ = _ground_state(tup, loc)
-    best = amu_check(tup, state, lam, sigma, eps)
-    if decomposition is not None:
-        if decomposition.u.shape[0] != tup.dim:
-            raise DimensionMismatch("decomposition dim does not match tuple dim")
-        qarr = loc.matrix.array
-        for cluster in decomposition.clusters:
-            basis = decomposition.u[:, list(cluster)]
-            small = basis.conj().T @ qarr @ basis
-            small = (small + small.conj().T) / 2.0
-            coeffs = np.linalg.eigh(small)[1][:, 0]
-            candidate = VectorState.normalized(_canonical_phase(basis @ coeffs))
-            cert = amu_check(tup, candidate, lam, sigma, eps)
-            if cert.max_sd < best.max_sd:
-                best = cert
-    return best
+    state, _ = ground_state(tup, lam)
+    return amu_check(tup, state, lam, sigma, eps)
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based, exact)."""
+    """Euclidean projection onto the probability simplex (sort-based, exact).
+
+    Raises ValueError unless ``y`` is a non-empty finite vector.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
+        raise ValueError("project_simplex needs a non-empty finite vector")
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, y.shape[0] + 1)
@@ -320,6 +147,9 @@ def solve_simplex_lsq(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarra
     negative weight until the solution is feasible, and keeps it when it
     does not raise the objective by more than 1e-15. No optimality gap is
     certified. Returns (alpha, residual).
+
+    Raises DimensionMismatch when the target's coordinate count differs from
+    the points', and ValueError for zero points or non-finite input.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
@@ -330,6 +160,10 @@ def solve_simplex_lsq(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarra
             f"points have {p.shape[1]} coordinates, target has {t.shape[0]}"
         )
     m = p.shape[0]
+    if m == 0:
+        raise ValueError("need at least one point")
+    if not (np.isfinite(p).all() and np.isfinite(t).all()):
+        raise ValueError("points and target must be finite")
     if m == 1:
         return np.array([1.0]), float(np.linalg.norm(p[0] - t))
 

@@ -1,4 +1,4 @@
-"""Localization, AMU search, joint diagonalization, superpositions."""
+"""Localization operators, ground states, AMU certificates, simplex weights, superpositions."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amu_spectra import (
+    DimensionMismatch,
     HullDistanceError,
     ModelSpec,
     NearDependence,
@@ -20,7 +21,6 @@ from amu_spectra import (
     amu_check,
     generate,
     ground_state,
-    joint_diagonalize,
     localization_operator,
     measure,
     project_simplex,
@@ -146,8 +146,15 @@ def test_canonical_phase_ties_go_to_lowest_index():
     assert np.allclose(got, v * -1j, atol=1e-15)
 
 
-def test_amu_at_builds_one_localization_operator(monkeypatch, clock_32):
-    dec = joint_diagonalize(clock_32, max_sweeps=2, cluster_radius=0.15)
+def test_amu_at_builds_one_localization_operator(monkeypatch, shift_pair_64, clock_32):
+    # amu_at is exactly amu_check of the ground state: same state bytes and
+    # report, from a single Q(lambda) per point.
+    perturbed = generate(ModelSpec("perturbed_commuting", 40, n=3, seed=5,
+                                   params={"perturbation": 0.2}))
+    cases = [(shift_pair_64, (0.8, 0.3)), (clock_32, (1.0, 0.0, 0.0)),
+             (perturbed, (0.1, -0.3, 0.4))]
+    expected = [amu_check(tup, ground_state(tup, lam)[0], lam, 0.5, 0.5)
+                for tup, lam in cases]
     calls = []
     real = search.localization_operator
 
@@ -156,8 +163,14 @@ def test_amu_at_builds_one_localization_operator(monkeypatch, clock_32):
         return real(tup, lam)
 
     monkeypatch.setattr(search, "localization_operator", counting)
-    amu_at(clock_32, (1.0, 0.0, 0.0), sigma=0.5, eps=0.5, decomposition=dec)
-    assert len(calls) == 1
+    for (tup, lam), want in zip(cases, expected):
+        calls.clear()
+        cert = amu_at(tup, lam, sigma=0.5, eps=0.5)
+        assert len(calls) == 1
+        assert cert.state.vector.tobytes() == want.state.vector.tobytes()
+        assert cert.report == want.report
+        assert (cert.lam, cert.amu_member, cert.expectation_close) == (
+            want.lam, want.amu_member, want.expectation_close)
 
 
 def test_ground_state_picks_minimal_entry():
@@ -180,69 +193,11 @@ def test_ground_energy_dominates_total_variance(seed):
     assert energy >= 0.0
 
 
-def test_joint_diagonalize_commuting_exact(commuting_16):
-    dec = joint_diagonalize(commuting_16, cluster_radius=0.01)
-    assert dec.residual <= 1e-10
-    # Exactly diagonal input has exactly zero off-diagonal energy, with no
-    # round-off left over from cancellation.
-    assert all(e == 0.0 for e in dec.off_energy_history)
-    u = dec.u
-    assert np.linalg.norm(u.conj().T @ u - np.eye(16)) <= 1e-10
-    for op, col in zip(commuting_16.ops, dec.diag_vectors.T):
-        rotated = u.conj().T @ op.array @ u
-        assert np.linalg.norm(rotated - np.diag(np.diagonal(rotated))) <= 1e-9
-        assert np.allclose(np.diagonal(rotated).real, col, atol=1e-12)
-
-
-def test_joint_diagonalize_monotone_history(clock_32):
-    dec = joint_diagonalize(clock_32, max_sweeps=25, cluster_radius=0.15)
-    hist = np.array(dec.off_energy_history)
-    assert np.all(np.diff(hist) <= 1e-9)
-    assert dec.residual == pytest.approx(np.sqrt(hist[-1]), abs=1e-12)
-    # T1 and T2 are diagonal; T3 = (V + V^dagger)/2 has 2 * 32 off-diagonal
-    # entries of modulus 1/2, so the starting off-diagonal energy is 16.
-    assert hist[0] == pytest.approx(16.0, rel=1e-12)
-
-
-def test_joint_diagonalize_preserves_invariants(clock_32):
-    dec = joint_diagonalize(clock_32, max_sweeps=10, cluster_radius=0.15)
-    u = dec.u
-    assert np.linalg.norm(u.conj().T @ u - np.eye(32)) <= 1e-9
-    for op in clock_32.ops:
-        rotated = u.conj().T @ op.array @ u
-        assert np.trace(rotated).real == pytest.approx(np.trace(op.array).real, abs=1e-9)
-        assert np.linalg.norm(rotated, "fro") == pytest.approx(
-            np.linalg.norm(op.array, "fro"), abs=1e-9
-        )
-
-
-def test_joint_diagonalize_clusters_cover_all_indices(commuting_16):
-    dec = joint_diagonalize(commuting_16, cluster_radius=0.2)
-    seen = sorted(i for c in dec.clusters for i in c)
-    assert seen == list(range(16))
-    assert len(dec.cluster_points) == len(dec.clusters)
-
-
-def test_single_linkage_radius_extremes(commuting_16):
-    tight = joint_diagonalize(commuting_16, cluster_radius=1e-9)
-    assert len(tight.clusters) == 16
-    loose = joint_diagonalize(commuting_16, cluster_radius=10.0)
-    assert len(loose.clusters) == 1
-
-
 def test_amu_at_certifies_diagonal_eigenvalue():
     tup = diag_tuple([0.0, 1.0], [0.5, -0.5])
     cert = amu_at(tup, (0.0, 0.5), sigma=0.05, eps=0.05)
     assert cert.amu_member and cert.expectation_close
     assert cert.max_sd == pytest.approx(0.0, abs=1e-12)
-
-
-def test_amu_at_uses_decomposition_candidates(clock_32):
-    dec = joint_diagonalize(clock_32, cluster_radius=0.15)
-    lam = (1.0, 0.0, 0.0)
-    with_dec = amu_at(clock_32, lam, sigma=0.5, eps=0.5, decomposition=dec)
-    without = amu_at(clock_32, lam, sigma=0.5, eps=0.5)
-    assert with_dec.max_sd <= without.max_sd + 1e-12
 
 
 def test_project_simplex_known_points():
@@ -288,6 +243,30 @@ def test_solve_simplex_lsq_beats_vertices(seed):
     assert float(alpha.sum()) == pytest.approx(1.0, abs=1e-8)
     vertex_best = min(np.linalg.norm(pts[i] - target) for i in range(len(pts)))
     assert residual <= vertex_best + 1e-8
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: solve_simplex_lsq(np.zeros((0, 2)), [0.0, 0.0]), ValueError),
+        (lambda: solve_simplex_lsq(np.zeros(0), [0.0]), ValueError),
+        (lambda: solve_simplex_lsq([[0.0, 0.0], [1.0, 1.0]], [np.nan, 0.0]), ValueError),
+        (lambda: solve_simplex_lsq([[0.0, 0.0], [1.0, np.nan]], [0.5, 0.5]), ValueError),
+        (lambda: solve_simplex_lsq([[np.inf, 0.0]], [0.0, 0.0]), ValueError),
+        (lambda: solve_simplex_lsq([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5, 0.5]),
+         DimensionMismatch),
+        (lambda: project_simplex(np.array([])), ValueError),
+        (lambda: project_simplex(np.array([np.nan, 0.5])), ValueError),
+        (lambda: project_simplex(np.array([np.inf, 0.0])), ValueError),
+    ],
+    ids=["lsq-no-points", "lsq-no-points-1d", "lsq-nan-target", "lsq-nan-point",
+         "lsq-inf-single-point", "lsq-wrong-count", "project-empty", "project-nan",
+         "project-inf"],
+)
+def test_simplex_solvers_reject_bad_input(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_superpose_diagonal_pair_exact():
