@@ -1,9 +1,10 @@
 """Desk study: AMU quality of the truncated shift pair along the circle.
 
 For each dimension the script certifies localized states at equispaced
-circle points, reports the worst standard deviation and localization
-energy, and finishes with a cat-state superposition aimed at the center
-of the hull (a point far from the spectrum of either observable).
+circle points, reports how many were certified with the worst standard
+deviation and the worst expectation error, and finishes with a cat-state
+superposition aimed at the center of the hull (a point far from the
+spectrum of either observable).
 
 Usage: python3 scripts/shift_circle_study.py [--dims 128,256,512] [--points 16]
 """

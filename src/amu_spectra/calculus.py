@@ -18,13 +18,15 @@ and since U_1 and U_n are unitary, ||F_1 ⋯ F_n|| equals the norm of the
 bracketed core. D_j vanishes off the support S_j, the eigenvalues within
 the width of the center, so the core only needs rows S_1, columns S_n and
 the blocks W_{j,j+1}[S_j, S_{j+1}]: an |S_1|×|S_n| matrix instead of a
-dim×dim product. ``BumpFactorCache`` holds the eigen-data, the couplings
-W_{j,j+1} and the supports. ``BumpFactorCache.couple`` multiplies a core by
-the next coupling with every column kept, so one product serves every
-center on the next axis: the core at center c is the columns S(c) scaled
-by the bump values. ``theta_product`` takes those columns for its one
-center; ``spectrum.scan`` takes them for all centers of the last axis at
-once, stacks the cores and passes the stack to ``linalg.operator_norm``.
+dim×dim product. ``BumpFactorCache`` holds the eigen-data and the couplings
+W_{j,j+1}, and is read-only once built. ``BumpFactorCache.couple`` multiplies
+a core by the rows S_{j-1} of the next coupling with every column kept, so
+one product serves every center on the next axis: the core at center c is
+the columns S(c) scaled by the bump values. Callers keep the supports they
+walk and hand the previous one back to ``couple``. ``theta_product`` takes
+those columns for its one center; ``spectrum.scan`` takes them for all
+centers of the last axis at once, stacks the cores and passes the stack to
+``linalg.operator_norm``.
 The arithmetic per point is the same on both paths, so their norms agree
 bit for bit. No dense factor is formed on either path;
 ``BumpFactorCache.factor_matrix`` builds one only as the reference the core
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL
 from .linalg import eig_hermitian, operator_norm
 from .observables import OperatorTuple, as_point
 
@@ -71,14 +72,12 @@ class ThetaProduct:
 
 
 class BumpFactorCache:
-    """Per-tuple spectral data for bump factors, keyed by (axis, center, width).
+    """Per-tuple spectral data for bump factors.
 
-    Holds the checked eigendecomposition of every observable, the couplings
-    ``couplings[j] = U_j† U_{j+1}`` between neighbouring eigenbases, and per
-    key the bump's support with its non-zero values. Keys compare by exact
-    float equality; grid scans re-use the same coordinate floats so hits are
-    exact. Safe for concurrent readers with single-writer insertion: values
-    for a key are identical no matter which thread computes them first.
+    Holds the checked eigendecomposition of every observable and the
+    couplings ``couplings[j] = U_j† U_{j+1}`` between neighbouring
+    eigenbases. Nothing is written after ``__init__`` and the couplings are
+    read-only arrays, so any number of threads may share one cache.
     """
 
     def __init__(self, tup: OperatorTuple):
@@ -90,7 +89,6 @@ class BumpFactorCache:
             w.setflags(write=False)
             couplings.append(w)
         self.couplings = tuple(couplings)
-        self._supports: dict[tuple[int, float, float], tuple[slice, np.ndarray]] = {}
 
     def support(self, axis: int, center: float, width: float) -> tuple[slice, np.ndarray]:
         """Eigenvalue indices where the bump is non-zero, and its values there.
@@ -98,20 +96,15 @@ class BumpFactorCache:
         The eigenvalues are ascending and the bump is positive exactly within
         ``width`` of the center, so the support is one slice of indices.
         """
-        key = (axis, float(center), float(width))
-        got = self._supports.get(key)
-        if got is None:
-            vals = bump_values(key[1], key[2], self._eig[axis].eigenvalues)
-            nonzero = np.flatnonzero(vals)
-            if nonzero.size:
-                sl = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
-            else:
-                sl = slice(0, 0)
-            kept = vals[sl].copy()
-            kept.setflags(write=False)
-            got = (sl, kept)
-            self._supports[key] = got
-        return got
+        vals = bump_values(center, width, self._eig[axis].eigenvalues)
+        nonzero = np.flatnonzero(vals)
+        if nonzero.size:
+            sl = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+        else:
+            sl = slice(0, 0)
+        kept = vals[sl]
+        kept.setflags(write=False)
+        return sl, kept
 
     def factor_norm(self, axis: int, center: float, width: float) -> float:
         """Operator norm of the bump factor: max of the bump over the spectrum."""
@@ -128,19 +121,17 @@ class BumpFactorCache:
         u = self._eig[axis].eigenvectors[:, sl]
         return (u * vals) @ u.conj().T
 
-    def couple(
-        self, prefix: np.ndarray, axis: int, prev_center: float, width: float
-    ) -> np.ndarray:
+    def couple(self, prefix: np.ndarray, axis: int, prev: slice) -> np.ndarray:
         """The core D_1 W_12 ⋯ D_{axis-1} times W_{axis-1,axis}, every column kept.
 
         ``prefix`` is the core so far, restricted to the supports; a 1-d
-        prefix is the diagonal of D_1 (``support(0, ...)[1]``). Returns an
-        |S_1|×dim matrix whose columns ``support(axis, c, width)[0]``, times
-        the bump values there, are the core extended to center c. One call
-        therefore serves every center on ``axis``. The previous support must
-        be non-empty.
+        prefix is the diagonal of D_1 (``support(0, ...)[1]``). ``prev`` is
+        the non-empty support slice of the previous axis, the one ``prefix``
+        ends on. Returns an |S_1|×dim matrix whose columns
+        ``support(axis, c, width)[0]``, times the bump values there, are the
+        core extended to center c. One call therefore serves every center on
+        ``axis``.
         """
-        prev = self.support(axis - 1, prev_center, width)[0]
         rows = self.couplings[axis - 1][prev]
         if prefix.ndim == 1:
             return prefix[:, None] * rows
@@ -166,10 +157,11 @@ def theta_product(
     if min(fnorms) == 0.0:
         norm = 0.0  # some support is empty, so the product is zero
     else:
-        core = cache.support(0, centers[0], eta)[1]
+        prev, core = cache.support(0, centers[0], eta)
         for j in range(1, tup.n):
             sl, vals = cache.support(j, centers[j], eta)
-            core = cache.couple(core, j, centers[j - 1], eta)[:, sl] * vals
+            core = cache.couple(core, j, prev)[:, sl] * vals
+            prev = sl
         norm = operator_norm(np.diag(core) if core.ndim == 1 else core)
     return ThetaProduct(centers, eta, fnorms, norm)
 

@@ -12,9 +12,9 @@ timestamps or environment data, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import __version__
 from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
-from .models import FAMILIES, ModelSpec, generate, load_tuple, save_tuple, write_accepted_csv
+from .models import ModelSpec, generate, load_tuple, save_tuple, write_accepted_csv, write_json
 from .observables import as_point, commutator_profile
 from .search import amu_at
 from .spectrum import scan
@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     models_sub = p_models.add_subparsers(dest="models_command", required=True)
     p_gen = models_sub.add_parser("gen", help="generate a model family")
     p_gen.add_argument("family", help="family name (shift, diag, perturbed, clock, file)")
-    p_gen.add_argument("--dim", type=int, required=True)
+    p_gen.add_argument("--dim", type=int, default=None,
+                       help="matrix dimension; required for every family but file")
     p_gen.add_argument("--n", type=int, default=None,
                        help="observables per tuple (defaults to the family arity)")
     p_gen.add_argument("--seed", type=int, default=0)
@@ -77,17 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.add_argument("--format", choices=["json", "npz"], default="json")
 
-    p_spec = sub.add_parser("spectrum", help="scan a synthetic spectrum")
-    p_spec.add_argument("--input", required=True, help="tuple file")
+    # Options of every command that scans a tuple file.
+    scanning = argparse.ArgumentParser(add_help=False)
+    scanning.add_argument("--input", required=True, help="tuple file")
+    scanning.add_argument("--k", type=int, default=None, help="override the grid step count")
+    scanning.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
+    scanning.add_argument("--threads", type=int, default=None)
+    scanning.add_argument("-o", "--output", required=True, help="JSON result path")
+
+    p_spec = sub.add_parser("spectrum", parents=[scanning], help="scan a synthetic spectrum")
     p_spec.add_argument("--eta", type=float, required=True)
-    p_spec.add_argument("--k", type=int, default=None, help="override the grid step count")
-    p_spec.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
-    p_spec.add_argument("--threads", type=int, default=None)
-    p_spec.add_argument("-o", "--output", required=True, help="JSON result path")
     p_spec.add_argument("--csv", default=None, help="also write accepted points as CSV")
 
-    p_amu = sub.add_parser("amu", help="certify AMU states at target points")
-    p_amu.add_argument("--input", required=True)
+    p_amu = sub.add_parser("amu", parents=[scanning], help="certify AMU states at target points")
     p_amu.add_argument("--lambda", dest="lambdas", action="append", required=True,
                        metavar="COORDS",
                        help="comma-separated point, repeatable; or 'all-accepted'")
@@ -95,26 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scan resolution for --lambda all-accepted")
     p_amu.add_argument("--sigma", type=float, required=True)
     p_amu.add_argument("--eps", type=float, required=True)
-    p_amu.add_argument("--k", type=int, default=None)
-    p_amu.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
-    p_amu.add_argument("--threads", type=int, default=None)
-    p_amu.add_argument("-o", "--output", required=True)
 
-    p_ess = sub.add_parser("essential", help="essential-spectrum estimate via compressions")
-    p_ess.add_argument("--input", required=True)
+    p_ess = sub.add_parser("essential", parents=[scanning],
+                           help="essential-spectrum estimate via compressions")
     p_ess.add_argument("--eta", type=float, required=True)
     p_ess.add_argument("--cuts", required=True, help="comma-separated strictly increasing cuts")
     p_ess.add_argument("--one-sided", action="store_true",
                        help="use one-sided tails instead of interior windows")
-    p_ess.add_argument("--k", type=int, default=None)
-    p_ess.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
-    p_ess.add_argument("--threads", type=int, default=None)
-    p_ess.add_argument("-o", "--output", required=True)
     return parser
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
         return args.threads
@@ -142,13 +137,6 @@ def _parse_point(raw: str, n: int) -> tuple[float, ...]:
     return as_point(coords, n, f"point {raw!r}")
 
 
-def _write_json(path: str, obj) -> None:
-    """Write ``obj`` as indented JSON with a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def _cmd_models(args) -> int:
     family = _FAMILY_ALIASES.get(args.family)
     if family is None:
@@ -156,6 +144,8 @@ def _cmd_models(args) -> int:
             f"unknown family {args.family!r}; available: "
             + ", ".join(sorted(set(_FAMILY_ALIASES)))
         )
+    if args.dim is None and family != "custom_file":
+        raise ValueError(f"models gen {args.family} needs --dim")
     n = args.n
     if n is None:
         n = {"shift_pair": 2, "clock_shift_triple": 3}.get(family, 2)
@@ -177,7 +167,7 @@ def _cmd_models(args) -> int:
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
     result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=_threads(args))
-    _write_json(args.output, result.to_json_dict())
+    write_json(result.to_json_dict(), args.output)
     if args.csv:
         write_accepted_csv(result, args.csv)
     print(
@@ -204,13 +194,8 @@ def _cmd_amu(args) -> int:
     def certify(point):
         return amu_at(tup, point, args.sigma, args.eps)
 
-    if threads > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            certs = list(pool.map(certify, points))
-    else:
-        certs = [certify(point) for point in points]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        certs = list(pool.map(certify, points))
 
     certified = 0
     for cert in certs:
@@ -229,7 +214,7 @@ def _cmd_amu(args) -> int:
     }
     if scan_meta is not None:
         payload["scan"] = scan_meta
-    _write_json(args.output, payload)
+    write_json(payload, args.output)
     print(f"certified {certified}/{len(certs)} points")
     return 0
 
@@ -244,7 +229,7 @@ def _cmd_essential(args) -> int:
         tup, args.eta, cuts, interior=not args.one_sided,
         k=args.k, cap=args.grid_cap, threads=_threads(args),
     )
-    _write_json(args.output, estimate.to_json_dict())
+    write_json(estimate.to_json_dict(), args.output)
     for lvl in estimate.levels:
         print(f"cut={lvl.cut} window={lvl.window} accepted={len(lvl.result.accepted)}")
     stability = "n/a" if estimate.stability is None else f"{estimate.stability:.6f}"

@@ -49,13 +49,27 @@ class TailCompression:
     tuple_tail: OperatorTuple
 
 
-def _validate_cut(dim: int, m: int) -> int:
+def _window(dim: int, m: int, interior: bool) -> tuple[int, int]:
+    """The window [m, hi) left by the cut at ``m``, at least two indices wide.
+
+    One-sided tails keep hi = dim; interior windows trim as much from the
+    far end, hi = dim - m.
+    """
     m = int(m)
     if m < 0:
         raise ValueError(f"cut {m} is negative")
     if m >= dim:
         raise ValueError(f"cut {m} must be below dim {dim}")
-    return m
+    hi = dim - m if interior else dim
+    if hi - m < 2:
+        raise ValueError(f"cut {m} leaves a window of size {hi - m}; need at least 2")
+    return m, hi
+
+
+def _compress(tup: OperatorTuple, window: tuple[int, int]) -> OperatorTuple:
+    """Every observable compressed to the index window [lo, hi); the bound carries over."""
+    lo, hi = window
+    return OperatorTuple([op.array[lo:hi, lo:hi] for op in tup.ops], bound=tup.bound)
 
 
 def tail_compression(tup: OperatorTuple, m: int, interior: bool = False) -> TailCompression:
@@ -66,15 +80,8 @@ def tail_compression(tup: OperatorTuple, m: int, interior: bool = False) -> Tail
     two dimensions. Compression cannot grow operator norms, so the bound
     carries over and grids for compressed scans match the full-space ones.
     """
-    m = _validate_cut(tup.dim, m)
-    lo = m
-    hi = tup.dim - m if interior else tup.dim
-    if hi - lo < 2:
-        raise ValueError(
-            f"cut {m} leaves a window of size {hi - lo}; need at least 2"
-        )
-    ops = [op.array[lo:hi, lo:hi] for op in tup.ops]
-    return TailCompression(m, (lo, hi), OperatorTuple(ops, bound=tup.bound))
+    window = _window(tup.dim, m, interior)
+    return TailCompression(window[0], window, _compress(tup, window))
 
 
 def tail_commutator_decay(
@@ -87,27 +94,22 @@ def tail_commutator_decay(
     One-sided (default): max over pairs of ||[T_i, T_j] (1 - p_m)||, the
     commutator with its first m columns removed. Interior: the commutator
     compressed to the window from both sides, which also removes
-    far-boundary terms of truncated models. Values are reported per cut;
-    a nonincreasing trend is expected but not enforced.
+    far-boundary terms of truncated models. Each cut must leave the window
+    ``tail_compression`` accepts. Values are reported per cut; a
+    nonincreasing trend is expected but not enforced.
     """
-    cuts = [(_validate_cut(tup.dim, m)) for m in cuts]
+    windows = [_window(tup.dim, m, interior) for m in cuts]
     arrs = tup.arrays()
-    dim = tup.dim
     commutators = []
     for i in range(tup.n):
         for j in range(i + 1, tup.n):
             commutators.append(arrs[i] @ arrs[j] - arrs[j] @ arrs[i])
     out: list[tuple[int, float]] = []
-    for m in cuts:
+    for lo, hi in windows:
         worst = 0.0
         for k in commutators:
-            if interior:
-                hi = dim - m
-                piece = k[m:hi, m:hi] if hi - m > 0 else np.zeros((1, 1))
-            else:
-                piece = k[:, m:]
-            worst = max(worst, operator_norm(piece))
-        out.append((m, worst))
+            worst = max(worst, operator_norm(k[lo:hi, lo:hi] if interior else k[:, lo:]))
+        out.append((lo, worst))
     return out
 
 
@@ -259,10 +261,7 @@ def amu_sequence(
     certs: list[AmuCertificate] = []
     for m, sg, ep in zip(cuts, sigmas, epss):
         lo, hi = escape_window(tup.dim, m)
-        windowed = OperatorTuple(
-            [op.array[lo:hi, lo:hi] for op in tup.ops], bound=tup.bound
-        )
-        inner_state, _ = ground_state(windowed, lam_arr)
+        inner_state, _ = ground_state(_compress(tup, (lo, hi)), lam_arr)
         full = np.zeros(tup.dim, dtype=np.complex128)
         full[lo:hi] = inner_state.vector
         certs.append(amu_check(tup, VectorState(full), lam_arr, sg, ep))

@@ -41,6 +41,7 @@ __all__ = [
     "load_tuple",
     "tuple_to_json_dict",
     "write_accepted_csv",
+    "write_json",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -207,9 +208,7 @@ def save_tuple(tup: OperatorTuple, path, fmt: str = "json",
     """
     path = os.fspath(path)
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(tuple_to_json_dict(tup, meta), fh, indent=2)
-            fh.write("\n")
+        write_json(tuple_to_json_dict(tup, meta), path)
     elif fmt == "npz":
         payload = {
             "n": np.array(tup.n),
@@ -318,6 +317,17 @@ def load_tuple(path) -> tuple[OperatorTuple, dict]:
     if magic == b"PK":
         return _load_npz_tuple(path)
     return _load_json_tuple(path)
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON with a trailing newline.
+
+    Tuple files and every CLI artifact go through here, so they share one
+    layout: floats in their shortest round-trip form, no timestamps.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def write_accepted_csv(result, path: str) -> None:

@@ -123,11 +123,15 @@ def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
 def project_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based, exact).
 
+    Works on ``y - max(y)``: the simplex has sum 1, so shifting every entry
+    by one constant leaves the projection unchanged, and after the shift the
+    largest entry always passes the threshold test, however large ``y`` is.
     Raises ValueError unless ``y`` is a non-empty finite vector.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
         raise ValueError("project_simplex needs a non-empty finite vector")
+    y = y - y.max()
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, y.shape[0] + 1)

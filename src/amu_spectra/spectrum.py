@@ -217,7 +217,8 @@ def scan(
     smallest factor norm, so the skipped points cannot be accepted. The
     norm is taken from the support-restricted core D_1 W_12 D_2 ⋯ D_n (see
     ``calculus``), built axis by axis so every prefix is shared by the
-    points below it; supports are computed once per (axis, coordinate).
+    points below it; the supports of the surviving coordinates are computed
+    once per axis, before any block runs, and only read afterwards.
 
     The grid is evaluated one block of points with the same first
     coordinate at a time. Within a block, each prefix core is multiplied
@@ -227,8 +228,9 @@ def scan(
     ``operator_norm`` call. The stacking changes no norm: every point gets
     the arithmetic ``theta_product`` performs for it alone.
 
-    ``threads`` parallelizes over the blocks; results are assembled in grid
-    order, so the output is identical for any thread count.
+    The blocks are mapped through a pool of ``threads`` workers, also when
+    ``threads`` is 1; results are assembled in grid order, so the output is
+    identical for any thread count.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -237,7 +239,6 @@ def scan(
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n
 
-    # factor_norm fills the support cache, so the threaded phase only reads it.
     alive: list[list[float]] = []
     for axis in range(n):
         vals = [
@@ -256,14 +257,14 @@ def scan(
     for pos, (sl, vals) in enumerate(supports[-1]):
         groups.setdefault(vals.size, []).append((pos, sl, vals))
 
-    def prefixes(axis: int, coords: tuple[float, ...], core: np.ndarray):
-        """(coordinates, core) for every alive point of axes < n - 1, in grid order."""
+    def prefixes(axis: int, coords: tuple[float, ...], prev: slice, core: np.ndarray):
+        """(coordinates, last support, core) for every alive point of axes < n - 1."""
         if axis == n - 1:
-            yield coords, core
+            yield coords, prev, core
             return
-        wide = cache.couple(core, axis, coords[-1], eta)
+        wide = cache.couple(core, axis, prev)
         for x, (sl, vals) in zip(alive[axis], supports[axis]):
-            yield from prefixes(axis + 1, coords + (x,), wide[:, sl] * vals)
+            yield from prefixes(axis + 1, coords + (x,), sl, wide[:, sl] * vals)
 
     def scan_block(first: float, support: tuple[slice, np.ndarray]) -> list:
         head = support[1]
@@ -272,10 +273,10 @@ def scan(
             return [((first,), nrm)] if nrm >= threshold else []
         rows = head.size
         out: list[tuple[tuple[float, ...], float]] = []
-        walk = prefixes(1, (first,), head)
+        walk = prefixes(1, (first,), *support)
         per_chunk = max(1, CORE_STACK_BYTES // (16 * rows * tup.dim))
         while chunk := list(itertools.islice(walk, per_chunk)):
-            wides = np.stack([cache.couple(core, n - 1, c[-1], eta) for c, core in chunk])
+            wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
             norms = np.empty((len(last), len(chunk)))
             for size, members in groups.items():
                 step = max(1, CORE_STACK_BYTES // (16 * rows * size * len(chunk)))
@@ -286,16 +287,13 @@ def scan(
                         np.multiply(wides[:, :, sl], vals, out=cores)
                     got = operator_norm(stack.reshape(-1, rows, size))
                     norms[[pos for pos, _, _ in part]] = got.reshape(len(part), len(chunk))
-            for (coords, _), col in zip(chunk, norms.T):
+            for (coords, _, _), col in zip(chunk, norms.T):
                 for pos in np.flatnonzero(col >= threshold):
                     out.append((coords + (last[pos],), float(col[pos])))
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(scan_block, alive[0], supports[0]))
-    else:
-        blocks = [scan_block(x, sup) for x, sup in zip(alive[0], supports[0])]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = list(pool.map(scan_block, alive[0], supports[0]))
     accepted = tuple(entry for block in blocks for entry in block)
     return SyntheticSpectrumResult(eta, grid, accepted, TOL.accept_slack)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,6 +104,23 @@ def test_factor_cache_reuses_and_guards_identity():
     assert a.norm == b.norm
     with pytest.raises(ValueError):
         theta_product(other, (0.5, 0.0), 0.5, cache=cache)
+
+
+def test_factor_cache_is_read_only_under_threads():
+    tup = generate(ModelSpec("perturbed_commuting", 12, n=3, seed=3, params={"perturbation": 0.2}))
+    cache = BumpFactorCache(tup)
+
+    def state():
+        return {name: (id(value), len(value) if hasattr(value, "__len__") else None)
+                for name, value in vars(cache).items()}
+
+    before = state()
+    points = [(a, b, c) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.5) for c in (0.0, 0.25)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        shared = list(pool.map(lambda p: theta_product(tup, p, 0.5, cache=cache).norm, points))
+    assert state() == before
+    assert all(not w.flags.writeable for w in cache.couplings)
+    assert shared == [theta_product(tup, p, 0.5).norm for p in points]
 
 
 def test_witness_ground_state_near_circle(shift_pair_64):

@@ -71,6 +71,22 @@ def test_models_gen_param_parsing(tmp_path):
         assert d.min() >= -0.5 and d.max() <= 0.5
 
 
+def test_models_gen_needs_dim_only_for_generated_families(tmp_path, shift_file):
+    path = tmp_path / "copy.npz"
+    proc = run_cli("models", "gen", "file", "--param", f"path={shift_file}",
+                   "--format", "npz", "-o", str(path))
+    assert proc.returncode == 0, proc.stderr
+    copy, meta = load_tuple(path)
+    tup, _ = load_tuple(shift_file)
+    assert meta["family"] == "custom_file"
+    assert all(np.array_equal(a, b) for a, b in zip(copy.arrays(), tup.arrays()))
+    for family in ("shift", "diag", "perturbed", "clock"):
+        proc = run_cli("models", "gen", family, "-o", str(tmp_path / "x.json"))
+        assert proc.returncode == 2
+        assert "--dim" in proc.stderr
+        assert not (tmp_path / "x.json").exists()
+
+
 def test_spectrum_json_and_csv(tmp_path, shift_file):
     out = tmp_path / "spec.json"
     csv = tmp_path / "spec.csv"
@@ -195,17 +211,19 @@ def test_amu_all_accepted_chains_scan(tmp_path):
 
 
 def test_amu_deterministic_across_threads(tmp_path, shift_file):
-    outputs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"amu_t{threads}.json"
-        proc = run_cli(
-            "amu", "--input", str(shift_file), "--lambda", "all-accepted",
-            "--eta", "0.5", "--sigma", "0.35", "--eps", "0.35",
-            "--threads", threads, "-o", str(out),
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    # Every accepted point, then one point handed to several workers.
+    for points in (["--eta", "0.5", "--lambda", "all-accepted"], ["--lambda", "0.5,0.5"]):
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"amu_t{threads}.json"
+            proc = run_cli(
+                "amu", "--input", str(shift_file), *points,
+                "--sigma", "0.35", "--eps", "0.35",
+                "--threads", threads, "-o", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_essential_command(tmp_path, shift_file):

@@ -45,6 +45,16 @@ def test_tail_compression_validates_window():
     with pytest.raises(ValueError):
         tail_compression(tup, 4, interior=True)  # interior window empty
     tail_compression(tup, 3, interior=True)  # size-2 window is the floor
+    # The decay uses the same window rule: empty interior windows raise.
+    with pytest.raises(ValueError, match="window of size 0"):
+        tail_commutator_decay(tup, (4,), interior=True)
+    tail_commutator_decay(tup, (3,), interior=True)
+    tup16 = generate(ModelSpec("shift_pair", 16))
+    for m in (8, 9, 15):
+        with pytest.raises(ValueError, match="window of size"):
+            tail_compression(tup16, m, interior=True)
+        with pytest.raises(ValueError, match="window of size"):
+            tail_commutator_decay(tup16, (2, m), interior=True)
 
 
 def test_tail_commutator_decay_commuting_is_zero(commuting_16):

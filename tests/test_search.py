@@ -205,6 +205,10 @@ def test_project_simplex_known_points():
     assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
     got = project_simplex(np.array([0.0, 0.0]))
     assert np.allclose(got, [0.5, 0.5])
+    # Large entries: the threshold test must not round away every index.
+    assert np.array_equal(project_simplex(np.array([1e17])), [1.0])
+    assert np.array_equal(project_simplex(np.array([1e17, 0.0])), [1.0, 0.0])
+    assert np.array_equal(project_simplex(np.array([1e16, 1e16])), [0.5, 0.5])
 
 
 @given(

@@ -194,6 +194,10 @@ def test_scan_thread_counts_agree(shift_pair_64):
     one = scan(shift_pair_64, 0.5, threads=1)
     four = scan(shift_pair_64, 0.5, threads=4)
     assert one.accepted == four.accepted
+    single = OperatorTuple((random_hermitian(12, seed=5),), bound=1.0)  # n = 1
+    one = scan(single, 0.5, threads=1)
+    four = scan(single, 0.5, threads=4)
+    assert one.accepted and one.accepted == four.accepted
 
 
 def test_scan_thread_counts_agree_triple():
