@@ -70,8 +70,15 @@ class HermitianMatrix:
                     f"matrix is not Hermitian: max asymmetry {asym:.3e} "
                     f"exceeds {TOL.hermitian_symmetry:.1e}"
                 )
-        sym = a + adj
-        sym /= 2.0
+        try:
+            with np.errstate(over="raise"):
+                sym = a + adj
+        except FloatingPointError:
+            # Halving first keeps entries near the float limit finite; only
+            # inputs whose sum overflows take this path, so no other bits move.
+            sym = a * 0.5 + adj * 0.5
+        else:
+            sym /= 2.0
         sym.setflags(write=False)
         self.array = sym
 

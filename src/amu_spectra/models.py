@@ -16,6 +16,13 @@ Tuple files are JSON with shape {n, dim, M, ops: [{re: [[...]], im:
 [[...]]}], meta?: {...}} (floats round-trip exactly through their
 shortest decimal representation) or NumPy .npz archives for a binary
 lossless alternative.
+
+Every JSON file, tuple files and CLI artifacts alike, goes through
+``write_json``. Its bytes are ``json.dumps(obj, indent=2) + "\n"``, the
+standard library's layout, but it streams: each dict and list is written
+piece by piece, and a list of finite floats is formatted in one
+``str.join`` over ``float.__repr__``, the function ``json`` itself uses for
+floats. Everything else is encoded by ``json``.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -188,8 +196,8 @@ def tuple_to_json_dict(tup: OperatorTuple, meta: dict | None = None) -> dict:
         "M": tup.bound,
         "ops": [
             {
-                "re": [[float(z.real) for z in row] for row in op.array],
-                "im": [[float(z.imag) for z in row] for row in op.array],
+                "re": op.array.real.tolist(),
+                "im": op.array.imag.tolist(),
             }
             for op in tup.ops
         ],
@@ -320,14 +328,76 @@ def load_tuple(path) -> tuple[OperatorTuple, dict]:
 
 
 def write_json(obj, path) -> None:
-    """Write ``obj`` as indented JSON with a trailing newline.
+    """Write ``obj`` as ``json.dumps(obj, indent=2) + "\n"``, streamed.
 
     Tuple files and every CLI artifact go through here, so they share one
-    layout: floats in their shortest round-trip form, no timestamps.
+    layout: the standard library's ``indent=2`` form, floats in their
+    shortest round-trip form, no timestamps. The file is written piece by
+    piece, so memory stays at one list chunk however large the output. Lists
+    of finite floats are formatted with ``float.__repr__`` in one join; keys
+    and strings go through ``json``'s own string encoder, and every other
+    value (ints, bools, None, NaN and ±Infinity, dicts with non-str keys)
+    through ``json`` itself, so a value of a type ``json`` cannot encode
+    raises its ``TypeError``.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        _write_value(fh.write, obj, "\n")
         fh.write("\n")
+
+
+# json.dumps(obj, indent=2) is this encoder's encode(obj); it is stateless.
+_JSON = json.JSONEncoder(indent=2)
+_INDENT = "  "
+# Items per join: bounds the string one list contributes at a time.
+_CHUNK = 1024
+
+
+def _write_value(write, obj, newline: str) -> None:
+    """Write ``obj`` at the depth whose line break plus indent is ``newline``."""
+    # A finite float's repr has no letter n, while "nan" and "inf" do; json
+    # spells those NaN and Infinity, so any text with an n is left to json.
+    if isinstance(obj, float) and "n" not in (text := float.__repr__(obj)):
+        write(text)
+    elif isinstance(obj, (list, tuple)):
+        _write_list(write, obj, newline)
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + _INDENT
+        sep = "{" + inner
+        for key, value in obj.items():
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_value(write, value, inner)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        # Scalars hold no line break; a dict with non-str keys is re-indented.
+        write(_JSON.encode(obj).replace("\n", newline))
+
+
+def _write_list(write, items, newline: str) -> None:
+    if not items:
+        write("[]")
+        return
+    inner = newline + _INDENT
+    join = ("," + inner).join
+    sep = "[" + inner
+    for lo in range(0, len(items), _CHUNK):
+        chunk = items[lo:lo + _CHUNK]
+        try:
+            body = join(map(float.__repr__, chunk))
+        except TypeError:  # an item that is not a float
+            body = "n"
+        if "n" in body:
+            for item in chunk:
+                write(sep)
+                _write_value(write, item, inner)
+                sep = "," + inner
+        else:
+            write(sep + body)
+            sep = "," + inner
+    write(newline + "]")
 
 
 def write_accepted_csv(result, path: str) -> None:

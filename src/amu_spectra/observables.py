@@ -111,9 +111,10 @@ class OperatorTuple:
             raise ValueError("bound must be positive")
         for j, op in enumerate(converted):
             nrm = operator_norm(op)
-            if nrm > bound + TOL.tuple_norm_slack:
+            # Written so that a NaN norm fails the check too.
+            if not nrm <= bound + TOL.tuple_norm_slack:
                 raise ValueError(
-                    f"observable {j} has norm {nrm:.9f}, above the bound {bound}"
+                    f"observable {j} has norm {nrm:.9f}, not within the bound {bound}"
                 )
         self.ops = converted
         self.bound = bound

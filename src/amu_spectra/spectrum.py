@@ -217,8 +217,10 @@ def scan(
     smallest factor norm, so the skipped points cannot be accepted. The
     norm is taken from the support-restricted core D_1 W_12 D_2 ⋯ D_n (see
     ``calculus``), built axis by axis so every prefix is shared by the
-    points below it; the supports of the surviving coordinates are computed
-    once per axis, before any block runs, and only read afterwards.
+    points below it. Each coordinate's support is computed once, before any
+    block runs: its largest bump value is the factor norm the skip test
+    reads, and the supports of the surviving coordinates are only read
+    afterwards.
 
     The grid is evaluated one block of points with the same first
     coordinate at a time. Within a block, each prefix core is multiplied
@@ -239,18 +241,17 @@ def scan(
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n
 
-    alive: list[list[float]] = []
+    alive: list[list[float]] = [[] for _ in range(n)]
+    supports: list[list[tuple[slice, np.ndarray]]] = [[] for _ in range(n)]
     for axis in range(n):
-        vals = [
-            float(x)
-            for x in grid.axis_values
-            if cache.factor_norm(axis, float(x), eta) >= threshold
-        ]
-        alive.append(vals)
+        for x in grid.axis_values:
+            sl, vals = cache.support(axis, float(x), eta)
+            if vals.size and vals.max() >= threshold:
+                alive[axis].append(float(x))
+                supports[axis].append((sl, vals))
     if any(not vals for vals in alive):
         return SyntheticSpectrumResult(eta, grid, (), TOL.accept_slack)
 
-    supports = [[cache.support(axis, x, eta) for x in xs] for axis, xs in enumerate(alive)]
     last = alive[-1]
     # Last-axis centers by support size: (position in ``last``, slice, bump values).
     groups: dict[int, list[tuple[int, slice, np.ndarray]]] = {}

@@ -41,6 +41,19 @@ def test_hermitian_matrix_stores_exact_symmetrization(a):
     assert HermitianMatrix(a).array.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1e308, 0.0], [0.0, 1.0]]),
+        np.array([[-1e308, 1e308 - 1e308j], [1e308 + 1e308j, 0.0]]),
+    ],
+)
+def test_hermitian_matrix_near_float_limit_stays_finite(a):
+    # a + a† overflows here; the stored matrix must still be the input.
+    h = HermitianMatrix(a)
+    assert np.array_equal(h.array, a)
+
+
 def test_hermitian_matrix_rejects_gross_asymmetry():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):

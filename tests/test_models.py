@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from amu_spectra import (
     ModelSpec,
@@ -16,7 +20,7 @@ from amu_spectra import (
     save_tuple,
     write_accepted_csv,
 )
-from amu_spectra.models import FAMILIES, splitmix64, uniform_doubles
+from amu_spectra.models import FAMILIES, splitmix64, uniform_doubles, write_json
 
 
 def test_splitmix64_reference_vector():
@@ -256,3 +260,85 @@ def test_csv_output_is_stable(tmp_path):
     assert text.splitlines()[1] == "0.5,-0.25,0.9375"
     write_accepted_csv(result, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == text
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.text(),
+    st.sampled_from(["\u00e9t\u00e9", "tab\there", 'quote " and \\', "\u2603\n"]),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(_FLOATS),  # float lists, finite or mixed with NaN and infinities
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+        st.dictionaries(_KEYS, inner),
+    ),
+    max_leaves=30,
+)
+
+
+@given(obj=_JSON_VALUES)
+@example(obj={"empty": [], "none": {}, "nested": [[], {}, ()]})
+@example(obj=[0.5] * 1500 + [math.nan] + [-0.0] * 600)
+@example(obj={"rows": [[1.0, 2.0], (3.0, np.float64(4.5))], 7: {"k": [True, None]}})
+def test_write_json_matches_stdlib_indent2(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    write_json(obj, path)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("obj", [{"a": [np.int64(1)]}, {"a": object()}, [1.0, {(1, 2): 0}]])
+def test_write_json_rejects_what_json_rejects(tmp_path, obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        write_json(obj, tmp_path / "out.json")
+
+
+def test_write_json_streams(tmp_path):
+    # A flat float list and a matrix, about 5 MB of text in all; the whole
+    # string in memory at once would be several times the bound below.
+    payload = {
+        "flat": [math.pi * i for i in range(100_000)],
+        "rows": [[math.e * (i + j) for j in range(256)] for i in range(600)],
+    }
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        write_json(payload, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= 4_000_000
+    assert peak < 1_000_000
+
+
+def test_tuple_file_bytes_match_per_element_layout(tmp_path):
+    tup = generate(ModelSpec("shift_pair", 8))
+    meta = {"family": "shift_pair", "seed": 0}
+    path = tmp_path / "shift8.json"
+    save_tuple(tup, path, meta=meta)
+    layout = {
+        "n": tup.n,
+        "dim": tup.dim,
+        "M": tup.bound,
+        "ops": [
+            {
+                "re": [[float(z.real) for z in row] for row in op.array],
+                "im": [[float(z.imag) for z in row] for row in op.array],
+            }
+            for op in tup.ops
+        ],
+        "meta": meta,
+    }
+    assert path.read_bytes() == (json.dumps(layout, indent=2) + "\n").encode("ascii")

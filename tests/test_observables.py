@@ -54,6 +54,14 @@ def test_operator_tuple_enforces_bound():
     OperatorTuple((np.eye(2),), bound=1.0)
 
 
+def test_operator_tuple_rejects_nan_norm(monkeypatch):
+    import amu_spectra.observables as observables
+
+    monkeypatch.setattr(observables, "operator_norm", lambda op: float("nan"))
+    with pytest.raises(ValueError, match="norm nan"):
+        OperatorTuple((np.eye(2),), bound=1.0)
+
+
 def test_expectation_hand_value():
     t = HermitianMatrix(np.diag([0.0, 1.0]))
     x = VectorState.normalized(np.array([1.0, 1.0]))
