@@ -22,36 +22,21 @@ from . import __version__
 from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
-from .models import ModelSpec, generate, load_tuple, save_tuple, write_accepted_csv, write_json
+from .models import (FAMILIES, ModelSpec, family_name, generate, load_tuple, save_tuple,
+                     write_accepted_csv, write_json)
 from .observables import as_point, commutator_profile
 from .search import amu_at
 from .spectrum import scan
 
 __all__ = ["main", "build_parser"]
 
-_FAMILY_ALIASES = {
-    "shift": "shift_pair",
-    "shift_pair": "shift_pair",
-    "diag": "commuting_diag",
-    "commuting_diag": "commuting_diag",
-    "perturbed": "perturbed_commuting",
-    "perturbed_commuting": "perturbed_commuting",
-    "clock": "clock_shift_triple",
-    "clock_shift_triple": "clock_shift_triple",
-    "file": "custom_file",
-    "custom_file": "custom_file",
-}
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("AMU_SPECTRA_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"AMU_SPECTRA_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise ValueError("AMU_SPECTRA_THREADS must be at least 1")
-    return value
+def _thread_count(raw: str) -> int:
+    """A positive worker count, from --threads or AMU_SPECTRA_THREADS."""
+    if raw.strip().isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise argparse.ArgumentTypeError(
+        f"{raw!r} is not a positive integer (from --threads or AMU_SPECTRA_THREADS)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_models = sub.add_parser("models", help="generate observable tuples")
     models_sub = p_models.add_subparsers(dest="models_command", required=True)
     p_gen = models_sub.add_parser("gen", help="generate a model family")
-    p_gen.add_argument("family", help="family name (shift, diag, perturbed, clock, file)")
+    p_gen.add_argument("family", help="family: " + ", ".join(
+        f"{short} ({full})" for full, (short, _) in FAMILIES.items()))
     p_gen.add_argument("--dim", type=int, default=None,
                        help="matrix dimension; required for every family but file")
     p_gen.add_argument("--n", type=int, default=None,
@@ -83,7 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     scanning.add_argument("--input", required=True, help="tuple file")
     scanning.add_argument("--k", type=int, default=None, help="override the grid step count")
     scanning.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
-    scanning.add_argument("--threads", type=int, default=None)
+    # A string default goes through ``type`` too, so one parse checks both.
+    scanning.add_argument("--threads", type=_thread_count,
+                          default=os.environ.get("AMU_SPECTRA_THREADS", "1"),
+                          help="worker threads (default: AMU_SPECTRA_THREADS, else 1)")
     scanning.add_argument("-o", "--output", required=True, help="JSON result path")
 
     p_spec = sub.add_parser("spectrum", parents=[scanning], help="scan a synthetic spectrum")
@@ -108,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        return args.threads
-    return _default_threads()
-
-
 def _parse_params(pairs: list[str]) -> dict:
     params: dict[str, object] = {}
     for pair in pairs:
@@ -138,17 +119,12 @@ def _parse_point(raw: str, n: int) -> tuple[float, ...]:
 
 
 def _cmd_models(args) -> int:
-    family = _FAMILY_ALIASES.get(args.family)
-    if family is None:
-        raise ValueError(
-            f"unknown family {args.family!r}; available: "
-            + ", ".join(sorted(set(_FAMILY_ALIASES)))
-        )
+    family = family_name(args.family)
     if args.dim is None and family != "custom_file":
         raise ValueError(f"models gen {args.family} needs --dim")
     n = args.n
     if n is None:
-        n = {"shift_pair": 2, "clock_shift_triple": 3}.get(family, 2)
+        n = FAMILIES[family][1] or 2
     spec = ModelSpec(family=family, dim=args.dim, n=n, seed=args.seed,
                      params=_parse_params(args.param))
     tup = generate(spec)
@@ -166,7 +142,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
-    result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=_threads(args))
+    result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=args.threads)
     write_json(result.to_json_dict(), args.output)
     if args.csv:
         write_accepted_csv(result, args.csv)
@@ -179,12 +155,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_amu(args) -> int:
     tup, _ = load_tuple(args.input)
-    threads = _threads(args)
     scan_meta = None
     if len(args.lambdas) == 1 and args.lambdas[0] == "all-accepted":
         if args.eta is None:
             raise ValueError("--lambda all-accepted requires --eta")
-        result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=threads)
+        result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=args.threads)
         points = [list(p) for p, _ in result.accepted]
         scan_meta = {"eta": args.eta, "k": result.grid.k,
                      "accepted_count": len(result.accepted)}
@@ -194,7 +169,7 @@ def _cmd_amu(args) -> int:
     def certify(point):
         return amu_at(tup, point, args.sigma, args.eps)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         certs = list(pool.map(certify, points))
 
     certified = 0
@@ -227,7 +202,7 @@ def _cmd_essential(args) -> int:
         raise ValueError(f"could not parse cuts {args.cuts!r}") from None
     estimate = essential_spectrum_estimate(
         tup, args.eta, cuts, interior=not args.one_sided,
-        k=args.k, cap=args.grid_cap, threads=_threads(args),
+        k=args.k, cap=args.grid_cap, threads=args.threads,
     )
     write_json(estimate.to_json_dict(), args.output)
     for lvl in estimate.levels:

@@ -166,7 +166,8 @@ def operator_norm(a):
     the smaller side: A†A (k×k) when m >= k, otherwise AA† (m×m). A matrix
     gives a float. A stack gives a float64 array of p norms from one
     ``eigvalsh`` call; each equals bit for bit the norm of its matrix passed
-    alone, so the stack size never changes an answer.
+    alone, so the stack size never changes an answer. A matrix whose Gram
+    matrix overflows (entries above about 1e154) is scaled by a power of two.
     """
     if np.ndim(a) == 3:
         return _stack_norms(_finite_nonempty(np.asarray(a, dtype=np.complex128)))
@@ -174,12 +175,20 @@ def operator_norm(a):
 
 
 def _stack_norms(stack: np.ndarray) -> np.ndarray:
-    if stack.shape[1] >= stack.shape[2]:
-        gram = stack.conj().swapaxes(1, 2) @ stack
-    else:
-        gram = stack @ stack.conj().swapaxes(1, 2)
-    top = np.linalg.eigvalsh(gram)[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stack.shape[1] >= stack.shape[2]:
+            gram = stack.conj().swapaxes(1, 2) @ stack
+        else:
+            gram = stack @ stack.conj().swapaxes(1, 2)
+    # |g_ij| <= sqrt(g_ii g_jj), so a finite trace means a finite Gram matrix.
+    # LAPACK may fail on the others: they are zeroed and redone scaled.
+    over = ~np.isfinite(np.trace(gram, axis1=1, axis2=2))
+    gram[over] = 0.0
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    for i in np.flatnonzero(over):
+        _, exp = np.frexp(max(np.abs(stack[i].real).max(), np.abs(stack[i].imag).max()))
+        norms[i] = np.ldexp(_stack_norms(stack[i:i + 1] * np.ldexp(1.0, -exp))[0], exp)
+    return norms
 
 
 def gram_schmidt(vectors) -> list[np.ndarray]:

@@ -15,7 +15,11 @@ Doubles take the top 53 bits: (out >> 11) * 2^-53 in [0, 1).
 Tuple files are JSON with shape {n, dim, M, ops: [{re: [[...]], im:
 [[...]]}], meta?: {...}} (floats round-trip exactly through their
 shortest decimal representation) or NumPy .npz archives for a binary
-lossless alternative.
+lossless alternative (arrays n, dim, M, ops stacked n x dim x dim, and
+meta_json as UTF-8 bytes). Both are decoded into the same five fields and
+validated once, in ``load_tuple``: n and dim are integers, there are n
+finite Hermitian dim x dim operators within M, which is positive and
+finite, and meta is an object. Any violation is a ``TupleFormatError``.
 
 Every JSON file, tuple files and CLI artifacts alike, goes through
 ``write_json``. Its bytes are ``json.dumps(obj, indent=2) + "\n"``, the
@@ -27,6 +31,7 @@ floats. Everything else is encoded by ``json``.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -42,6 +47,7 @@ from .observables import OperatorTuple
 __all__ = [
     "ModelSpec",
     "FAMILIES",
+    "family_name",
     "splitmix64",
     "uniform_doubles",
     "generate",
@@ -154,8 +160,25 @@ def _clock_shift_triple(dim: int) -> OperatorTuple:
     return OperatorTuple([t1, t2, t3], bound=1.0)
 
 
-FAMILIES = ("shift_pair", "commuting_diag", "perturbed_commuting",
-            "clock_shift_triple", "custom_file")
+# Each family's short CLI name and its fixed n (None: any n >= 1).
+FAMILIES = {
+    "shift_pair": ("shift", 2),
+    "commuting_diag": ("diag", None),
+    "perturbed_commuting": ("perturbed", None),
+    "clock_shift_triple": ("clock", 3),
+    "custom_file": ("file", None),
+}
+
+
+def family_name(name: str) -> str:
+    """The full family name for a full or short ``name``."""
+    for full, (short, _) in FAMILIES.items():
+        if name in (full, short):
+            return full
+    raise ValueError(
+        f"unknown family {name!r}; available: "
+        + ", ".join(f"{full} ({short})" for full, (short, _) in FAMILIES.items())
+    )
 
 
 def generate(spec: ModelSpec) -> OperatorTuple:
@@ -163,28 +186,24 @@ def generate(spec: ModelSpec) -> OperatorTuple:
 
     Deterministic: equal specs produce bit-identical matrices.
     """
-    if spec.family not in FAMILIES:
-        raise ValueError(
-            f"unknown family {spec.family!r}; available: {', '.join(FAMILIES)}"
-        )
-    if spec.family == "custom_file":
+    family = family_name(spec.family)
+    if family == "custom_file":
         path = spec.params.get("path")
         if not path:
             raise ValueError("custom_file needs a 'path' parameter")
         return load_tuple(str(path))[0]
     if spec.dim < 2:
         raise ValueError("dim must be at least 2")
-    if spec.family == "shift_pair":
-        if spec.n != 2:
-            raise ValueError("shift_pair is a pair; pass n=2")
-        return _shift_pair(spec.dim)
-    if spec.family == "clock_shift_triple":
-        if spec.n != 3:
-            raise ValueError("clock_shift_triple is a triple; pass n=3")
-        return _clock_shift_triple(spec.dim)
+    fixed_n = FAMILIES[family][1]
+    if fixed_n is not None and spec.n != fixed_n:
+        raise ValueError(f"{family} has n={fixed_n}; pass n={fixed_n}")
     if spec.n < 1:
         raise ValueError("n must be at least 1")
-    if spec.family == "commuting_diag":
+    if family == "shift_pair":
+        return _shift_pair(spec.dim)
+    if family == "clock_shift_triple":
+        return _clock_shift_triple(spec.dim)
+    if family == "commuting_diag":
         return _commuting_diag(spec)
     return _perturbed_commuting(spec)
 
@@ -234,11 +253,12 @@ def save_tuple(tup: OperatorTuple, path, fmt: str = "json",
         raise ValueError(f"unknown format {fmt!r}; use 'json' or 'npz'")
 
 
-def _load_json_tuple(path: str) -> tuple[OperatorTuple, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _json_fields(path: str, fh) -> tuple:
+    """Decode UTF-8 JSON into n, dim, M, ops and meta, left unchecked."""
     try:
-        d = json.loads(text)
+        d = json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TupleFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TupleFormatError(
             f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
@@ -248,83 +268,71 @@ def _load_json_tuple(path: str) -> tuple[OperatorTuple, dict]:
     for key in ("n", "dim", "M", "ops"):
         if key not in d:
             raise TupleFormatError(f"{path}: missing key {key!r}")
-    try:
-        n, dim, bound = int(d["n"]), int(d["dim"]), float(d["M"])
-    except (TypeError, ValueError) as exc:
-        raise TupleFormatError(f"{path}: n, dim and M must be numbers: {exc}") from exc
     if not isinstance(d["ops"], list):
         raise TupleFormatError(f"{path}: ops must be a list")
-    if len(d["ops"]) != n:
-        raise TupleFormatError(
-            f"{path}: declared n={n} but found {len(d['ops'])} operators"
-        )
     ops = []
     for j, entry in enumerate(d["ops"]):
         if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
             raise TupleFormatError(f"{path}: operator {j} needs 're' and 'im' arrays")
         try:
-            re = np.asarray(entry["re"], dtype=float)
-            im = np.asarray(entry["im"], dtype=float)
+            re, im = (np.asarray(entry[key], dtype=float) for key in ("re", "im"))
+            if re.shape != im.shape:  # adding would broadcast them
+                raise ValueError(f"re has shape {re.shape} but im has {im.shape}")
         except (TypeError, ValueError) as exc:
             raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise TupleFormatError(
-                f"{path}: operator {j} has shape {re.shape}/{im.shape}, "
-                f"expected ({dim}, {dim})"
-            )
-        try:
-            ops.append(HermitianMatrix(re + 1j * im))
-        except ValueError as exc:
-            raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
-    try:
-        tup = OperatorTuple(ops, bound=bound)
-    except ValueError as exc:
-        raise TupleFormatError(f"{path}: {exc}") from exc
-    meta = d.get("meta") or {}
-    if not isinstance(meta, dict):
-        raise TupleFormatError(f"{path}: meta must be an object")
-    return tup, meta
+        ops.append(re + 1j * im)
+    return d["n"], d["dim"], d["M"], ops, d.get("meta")
 
 
-def _load_npz_tuple(path: str) -> tuple[OperatorTuple, dict]:
+def _npz_fields(path: str, fh) -> tuple:
+    """Decode an npz archive into n, dim, M, ops and meta, left unchecked."""
     try:
-        archive = np.load(path)
-    except zipfile.BadZipFile as exc:
-        raise TupleFormatError(f"{path}: not a valid npz archive: {exc}") from exc
-    with archive:
-        for key in ("n", "dim", "M", "ops"):
-            if key not in archive:
-                raise TupleFormatError(f"{path}: missing array {key!r}")
-        ops = archive["ops"]
-        bound = float(archive["M"])
-        declared_n = int(archive["n"])
-        declared_dim = int(archive["dim"])
-        meta = {}
-        if "meta_json" in archive:
-            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-    if ops.ndim != 3 or ops.shape[0] != declared_n or ops.shape[1] != declared_dim:
-        raise TupleFormatError(f"{path}: inconsistent array shapes {ops.shape}")
-    try:
-        return OperatorTuple([HermitianMatrix(op) for op in ops], bound=bound), meta
-    except ValueError as exc:
-        raise TupleFormatError(f"{path}: {exc}") from exc
+        with np.load(fh) as archive:
+            n, dim, bound, stack = [archive[key] for key in ("n", "dim", "M", "ops")]
+            meta = bytes(archive["meta_json"]) if "meta_json" in archive else b"null"
+        return n, dim, bound, list(stack), json.loads(meta.decode("utf-8"))
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise TupleFormatError(f"{path}: not a valid tuple archive: {exc}") from exc
 
 
 def load_tuple(path) -> tuple[OperatorTuple, dict]:
     """Read a tuple file; returns the tuple and its metadata mapping.
 
-    Shape, Hermitian symmetry, and the norm bound are all validated.
-    Files missing a meta block yield an empty mapping.
+    The file is opened once; zip magic picks the npz decoder, anything else
+    is decoded as UTF-8 JSON. The decoded fields are validated here, the same
+    for both: see the module docstring for the rules. Every failure is a
+    ``TupleFormatError`` naming the path. A missing meta block yields an
+    empty mapping.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
         raise TupleFormatError(f"{path}: no such file")
-    # Zip magic identifies npz archives regardless of extension.
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"PK":
-        return _load_npz_tuple(path)
-    return _load_json_tuple(path)
+        # Zip magic identifies npz archives regardless of extension.
+        decode = _npz_fields if fh.read(2) == b"PK" else _json_fields
+        fh.seek(0)
+        n, dim, bound, ops, meta = decode(path, fh)
+    try:
+        n, dim, bound = operator.index(n), operator.index(dim), float(bound)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TupleFormatError(f"{path}: n and dim must be integers, M a number: {exc}") from exc
+    if len(ops) != n:
+        raise TupleFormatError(f"{path}: declared n={n} but found {len(ops)} operators")
+    matrices = []
+    for j, op in enumerate(ops):
+        try:
+            if op.shape != (dim, dim):
+                raise ValueError(f"shape {op.shape}, expected ({dim}, {dim})")
+            matrices.append(HermitianMatrix(op))
+        except ValueError as exc:
+            raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
+    meta = meta or {}
+    if not isinstance(meta, dict):
+        raise TupleFormatError(f"{path}: meta must be an object")
+    try:
+        return OperatorTuple(matrices, bound=bound), meta
+    except ValueError as exc:
+        raise TupleFormatError(f"{path}: {exc}") from exc
 
 
 def write_json(obj, path) -> None:

@@ -90,7 +90,8 @@ class OperatorTuple:
     """Hermitian observables on a common space with a norm bound.
 
     ``bound`` is the constant M with ||T_j|| <= M (checked with slack
-    ``TOL.tuple_norm_slack``). It controls the grid range in scans.
+    ``TOL.tuple_norm_slack``); it must be positive and finite. It controls
+    the grid range in scans.
     """
 
     __slots__ = ("ops", "bound", "_square_sum")
@@ -107,8 +108,8 @@ class OperatorTuple:
                 f"observables have mixed dimensions {sorted(dims)}"
             )
         bound = float(bound)
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0.0 < bound < np.inf:
+            raise ValueError(f"bound must be positive and finite, got {bound}")
         for j, op in enumerate(converted):
             nrm = operator_norm(op)
             # Written so that a NaN norm fails the check too.

@@ -111,22 +111,28 @@ def build_grid(
 
     Exactly one of ``eta`` and ``k`` drives the step count; passing ``k``
     overrides the resolution rule. The point count is checked against
-    ``cap`` before anything is materialized.
+    ``cap`` before anything is materialized. A step count or half-width
+    beyond float range exceeds any cap; with ``cap=None`` it is a ValueError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     bound = float(bound)
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    if k is None:
-        if eta is None:
-            raise ValueError("pass eta or an explicit k")
-        k = grid_step_count(n, bound, eta)
-    else:
-        k = int(k)
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-    half = int(math.floor(bound * k))
+    try:
+        if k is None:
+            if eta is None:
+                raise ValueError("pass eta or an explicit k")
+            k = grid_step_count(n, bound, eta)
+        else:
+            k = int(k)
+            if k < 1:
+                raise ValueError("k must be a positive integer")
+        half = int(math.floor(bound * k))
+    except OverflowError:  # raised only by a step count or half-width past float range
+        if cap is None:
+            raise ValueError("grid step count or half-width is beyond float range") from None
+        raise GridCapExceeded(math.inf, cap) from None
     count = (2 * half + 1) ** n
     if cap is not None and count > cap:
         raise GridCapExceeded(count, cap)

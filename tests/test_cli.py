@@ -131,6 +131,16 @@ def test_spectrum_thread_env_default(tmp_path, shift_file):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_thread_count_must_be_positive_integer(tmp_path, shift_file):
+    args = ("spectrum", "--input", str(shift_file), "--eta", "0.5", "-o", str(tmp_path / "x.json"))
+    for proc in (run_cli(*args, env_extra={"AMU_SPECTRA_THREADS": "abc"}),
+                 run_cli(*args, "--threads", "0")):
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr and "AMU_SPECTRA_THREADS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_spectrum_grid_cap_exit_code(tmp_path, shift_file):
     proc = run_cli(
         "spectrum", "--input", str(shift_file), "--eta", "0.01",
@@ -138,6 +148,16 @@ def test_spectrum_grid_cap_exit_code(tmp_path, shift_file):
     )
     assert proc.returncode == 3
     assert "cap" in proc.stderr.lower()
+    # Grids whose step count or half-width is beyond float range.
+    huge_m = tmp_path / "huge_m.json"
+    huge_m.write_text(shift_file.read_text().replace('"M": 1.0', '"M": 1e300'))
+    for args in (["spectrum", "--input", str(shift_file), "--eta", "1e-320"],
+                 ["spectrum", "--input", str(huge_m), "--eta", "0.5"],
+                 ["essential", "--input", str(huge_m), "--eta", "0.5", "--cuts", "8,16"]):
+        proc = run_cli(*args, "-o", str(tmp_path / "never.json"))
+        assert proc.returncode == 3, proc.stderr
+        assert "cap" in proc.stderr.lower() and "Traceback" not in proc.stderr
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_spectrum_missing_input_exit_code(tmp_path):
@@ -182,14 +202,22 @@ def test_amu_rejects_nonfinite_lambda(tmp_path, shift_file):
 
 
 def test_malformed_tuple_file_exit_code(tmp_path):
-    path = tmp_path / "no_im.json"
-    path.write_text(json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": [[0.0]]}]}))
-    proc = run_cli(
-        "spectrum", "--input", str(path), "--eta", "0.5", "-o", str(tmp_path / "out.json"),
-    )
-    assert proc.returncode == 2
-    assert "operator 0" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    no_im = tmp_path / "no_im.json"
+    no_im.write_text(json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": [[0.0]]}]}))
+    vector_n = tmp_path / "vector_n.npz"
+    np.savez(vector_n, n=np.array([1, 2]), dim=np.array(2), M=np.array(1.0),
+             ops=np.zeros((1, 2, 2)))
+    infinite_m = tmp_path / "infinite_m.json"
+    save_tuple(generate(ModelSpec("shift_pair", 4)), infinite_m)
+    infinite_m.write_text(infinite_m.read_text().replace('"M": 1.0', '"M": Infinity'))
+    for path, message in ((no_im, "operator 0"), (vector_n, "n and dim must be integers"),
+                          (infinite_m, "positive and finite")):
+        proc = run_cli(
+            "spectrum", "--input", str(path), "--eta", "0.5", "-o", str(tmp_path / "out.json"),
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_amu_all_accepted_chains_scan(tmp_path):

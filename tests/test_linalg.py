@@ -153,6 +153,15 @@ def test_operator_norm_stack_matches_each_matrix(shape):
         assert abs(nrm - np.linalg.norm(matrix, ord=2)) <= 1e-12
 
 
+def test_operator_norm_scales_matrices_whose_gram_overflows():
+    big = operator_norm([[1e308, 0.0], [0.0, 1.0]])
+    assert abs(big - 1e308) <= 1e-15 * 1e308
+    assert abs(operator_norm([[1e200]]) - 1e200) <= 1e-15 * 1e200
+    # Only the overflowing member is recomputed; the other keeps its bits.
+    norms = operator_norm(np.array([[[1e200]], [[2.0]]]))
+    assert abs(norms[0] - 1e200) <= 1e-15 * 1e200 and norms[1] == 2.0
+
+
 @pytest.mark.parametrize(
     "bad",
     [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4), np.array([[1.0, np.nan]]),

@@ -20,7 +20,7 @@ from amu_spectra import (
     save_tuple,
     write_accepted_csv,
 )
-from amu_spectra.models import FAMILIES, splitmix64, uniform_doubles, write_json
+from amu_spectra.models import FAMILIES, family_name, splitmix64, uniform_doubles, write_json
 
 
 def test_splitmix64_reference_vector():
@@ -53,8 +53,16 @@ def test_family_registry():
         "clock_shift_triple",
         "custom_file",
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family"):
         generate(ModelSpec("no_such_family", 8))
+    assert family_name("clock") == family_name("clock_shift_triple") == "clock_shift_triple"
+    with pytest.raises(ValueError, match="unknown family"):
+        family_name("shift_pairs")
+    # Families with a fixed n reject any other.
+    for name, (_, fixed_n) in FAMILIES.items():
+        if fixed_n is not None:
+            with pytest.raises(ValueError, match=f"pass n={fixed_n}"):
+                generate(ModelSpec(name, 4, n=fixed_n + 1))
 
 
 def test_shift_pair_dim2_exact():
@@ -216,6 +224,7 @@ def test_load_rejects_shape_mismatch(tmp_path):
 
 
 _SQUARE = [[0.0, 0.0], [0.0, 0.0]]
+_NPZ = {"n": np.array(1), "dim": np.array(2), "M": np.array(1.0), "ops": np.zeros((1, 2, 2))}
 
 
 @pytest.mark.parametrize(
@@ -227,20 +236,45 @@ _SQUARE = [[0.0, 0.0], [0.0, 0.0]]
             json.dumps({"n": None, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE, "im": _SQUARE}]}),
         ),
         ("scalar.json", "7"),
-        ("no_ops.npz", None),
+        ("no_ops.npz", {key: _NPZ[key] for key in ("n", "dim", "M")}),
         ("truncated.npz", "PK\x03\x04garbage"),
+        ("huge_n.json", '{"n": 1e400, "dim": 2, "M": 1.0, "ops": []}'),
+        (
+            "fractional_dim.json",
+            json.dumps({"n": 1, "dim": 2.5, "M": 1.0, "ops": [{"re": _SQUARE, "im": _SQUARE}]}),
+        ),
+        ("huge_int_m.json", '{"n": 0, "dim": 2, "M": 1' + "0" * 400 + ', "ops": []}'),
+        ("latin1.json", b'{"n": 1, "meta": {"name": "\xe9t\xe9"}}'),
+        (
+            "infinite_m.json",
+            json.dumps({"n": 1, "dim": 2, "M": math.inf, "ops": [{"re": _SQUARE, "im": _SQUARE}]}),
+        ),
+        ("re_im_shapes.json", json.dumps(
+            {"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE, "im": [[0.0, 0.0]]}]})),
+        ("vector_n.npz", {**_NPZ, "n": np.array([1, 2])}),
+        ("string_m.npz", {**_NPZ, "M": np.array("big")}),
+        ("object_ops.npz", {**_NPZ, "ops": np.array([None, 1], dtype=object)}),
+        ("scalar_ops.npz", {**_NPZ, "ops": np.array(0.0)}),
+        ("list_meta.npz", {**_NPZ, "meta_json": np.frombuffer(b"[1, 2]", dtype=np.uint8)}),
     ],
-    ids=["op-without-im", "null-n", "top-level-scalar", "npz-without-ops", "npz-not-a-zip"],
+    ids=["op-without-im", "null-n", "top-level-scalar", "npz-without-ops", "npz-not-a-zip",
+         "n-overflows-int", "fractional-dim", "m-overflows-float", "not-utf8", "infinite-m",
+         "re-im-shapes-differ", "npz-vector-n", "npz-string-m", "npz-object-ops",
+         "npz-scalar-ops", "npz-meta-not-object"],
 )
 def test_load_rejects_malformed_files(tmp_path, name, content):
     path = tmp_path / name
-    if content is None:
-        np.savez(path, n=np.array(1), dim=np.array(2), M=np.array(1.0))
+    if isinstance(content, dict):
+        np.savez(path, **content)
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     else:
         path.write_text(content)
     with pytest.raises(TupleFormatError) as info:
         load_tuple(path)
     assert str(path) in str(info.value)
+    if name == "list_meta.npz":
+        assert "meta must be an object" in str(info.value)
 
 
 def test_csv_output_is_stable(tmp_path):

@@ -50,8 +50,12 @@ def test_operator_tuple_validates_dimensions():
 def test_operator_tuple_enforces_bound():
     with pytest.raises(ValueError):
         OperatorTuple((2.0 * np.eye(2),), bound=1.0)
-    # At the bound is fine.
+    # At the bound is fine, also near the float limit.
     OperatorTuple((np.eye(2),), bound=1.0)
+    OperatorTuple([[[1e308, 0.0], [0.0, 1.0]]], bound=1e308)
+    for bound in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OperatorTuple((np.eye(2),), bound=bound)
 
 
 def test_operator_tuple_rejects_nan_norm(monkeypatch):

@@ -73,6 +73,15 @@ def test_build_grid_respects_cap():
     assert info.value.cap == 1000
 
 
+def test_build_grid_beyond_float_range():
+    # Step count (eta near 0) or half-width (huge bound) past float range.
+    for bound, eta in ((1.0, 1e-320), (1e300, 0.5)):
+        with pytest.raises(GridCapExceeded):
+            build_grid(2, bound, eta)
+        with pytest.raises(ValueError, match="beyond float range"):
+            build_grid(2, bound, eta, cap=None)
+
+
 def test_default_cap_value():
     assert GRID_POINT_CAP == 2_000_000
 
