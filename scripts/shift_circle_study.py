@@ -4,7 +4,9 @@ For each dimension the script certifies localized states at equispaced
 circle points, reports how many were certified with the worst standard
 deviation and the worst expectation error, and finishes with a cat-state
 superposition aimed at the center of the hull (a point far from the
-spectrum of either observable).
+spectrum of either observable). It prints the plan's phase-free cross-term
+bound and exits 1 if some |exp_j - target_j| exceeds that bound plus the
+distance from the weighted source points to the target.
 
 Usage: python3 scripts/shift_circle_study.py [--dims 128,256,512] [--points 16]
 """
@@ -64,12 +66,21 @@ def main() -> int:
         f"{np.round(plan.weights, 4).tolist()}, exp "
         f"{np.round(plan.report.exp, 6).tolist()}, distance to target "
         f"{plan.achieved_distance:.2e}, per-axis sd "
-        f"{np.round(plan.report.sd, 4).tolist()}"
+        f"{np.round(plan.report.sd, 4).tolist()}, cross bound "
+        f"[{', '.join(f'{c:.2e}' for c in plan.cross_bound)}]"
     )
     print(
         "note: the mixed state has large sd by design; it measures the "
         "convex combination of the source points, not a joint eigenvalue"
     )
+    # Each |exp_j - target_j| is at most the cross-term bound plus the
+    # distance from the weighted source points to the target.
+    residual = float(np.linalg.norm(plan.weights @ plan.source_points - plan.target))
+    miss = np.abs(np.subtract(plan.report.exp, plan.target))
+    if np.any(miss > np.add(plan.cross_bound, residual)):
+        print(f"FAIL: |exp - target| {miss.tolist()} exceeds the cross bound "
+              f"+ {residual:.2e}")
+        return 1
     return 0
 
 

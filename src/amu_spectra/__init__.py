@@ -30,9 +30,7 @@ from .observables import (
     VectorState,
     amu_check,
     commutator_profile,
-    expectation,
     measure,
-    variance_sd,
 )
 from .calculus import (
     BumpFactorCache,
@@ -55,7 +53,6 @@ from .search import (
     amu_at,
     ground_state,
     localization_operator,
-    project_simplex,
     solve_simplex_lsq,
     superpose,
 )
@@ -75,8 +72,6 @@ from .models import (
     generate,
     load_tuple,
     save_tuple,
-    splitmix64,
-    uniform_doubles,
     write_accepted_csv,
 )
 

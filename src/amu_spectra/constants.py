@@ -43,9 +43,6 @@ class Tolerances:
     psd_floor: float = -1e-9
     """Smallest eigenvalue accepted from a nominally PSD matrix."""
 
-    superpose_orthogonality: float = 1e-8
-    """Pairwise overlap above which superposition sources are reorthogonalized."""
-
     hull_membership: float = 1e-6
     """Distance to the convex hull accepted when superposing toward a target."""
 

@@ -27,8 +27,6 @@ __all__ = [
     "MeasurementReport",
     "AmuCertificate",
     "as_point",
-    "expectation",
-    "variance_sd",
     "measure",
     "amu_check",
     "commutator_profile",
@@ -219,13 +217,13 @@ def _expect(op: HermitianMatrix, state: VectorState) -> tuple[float, np.ndarray]
     return float(val.real), tv
 
 
-def expectation(op: HermitianMatrix, state: VectorState) -> float:
-    """<T v, v> for Hermitian T; the imaginary part must be noise-level."""
-    return _expect(op, state)[0]
-
-
 def _moments(op: HermitianMatrix, state: VectorState) -> tuple[float, float, float]:
-    """Expectation, variance and sd, from two products with T (see ``variance_sd``)."""
+    """Expectation, variance and sd about the expectation, from two products with T.
+
+    The variance is computed along two algebraically equal paths,
+    ||(T - e)v||^2 and <(T - e)^2 v, v>, which must agree within
+    ``TOL.cross_check``.
+    """
     e, tv = _expect(op, state)
     shifted = tv - e * state.vector
     var_direct = float(np.vdot(shifted, shifted).real)
@@ -240,15 +238,6 @@ def _moments(op: HermitianMatrix, state: VectorState) -> tuple[float, float, flo
             raise NumericalError(f"variance {var:.3e} is negative beyond clamp")
         var = 0.0
     return e, var, float(np.sqrt(var))
-
-
-def variance_sd(op: HermitianMatrix, state: VectorState) -> tuple[float, float]:
-    """Variance and standard deviation about the expectation.
-
-    Computed along two algebraically equal paths, ||(T - e)v||^2 and
-    <(T - e)^2 v, v>, which must agree within ``TOL.cross_check``.
-    """
-    return _moments(op, state)[1:]
 
 
 def measure(tup: OperatorTuple, state: VectorState) -> MeasurementReport:

@@ -11,12 +11,17 @@ energy is summed as sum_j ||(T_j - lambda_j) v||^2 so the pencil's
 cancellation never reaches it, and the state's global phase is fixed
 (largest-magnitude entry real and positive) rather than left to LAPACK.
 
-Superposition builds a state whose joint expectations hit a convex
-combination of previously certified expectation points, with the weights
-found by least squares over the probability simplex.
+Superposition mixes orthonormalized certified states toward a convex
+combination of their expectation points. The weights are the nearest point
+of the points' convex hull to the target, found exactly by Wolfe's
+algorithm, whose stopping test is a certificate of optimality; they sit on
+at most n+1 points. The plan also bounds, for any phases of the sources,
+how far the cross terms of the mix move its expectations.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +39,13 @@ from .observables import (
     measure,
 )
 
-# Iteration cap of the projected-gradient phase of ``solve_simplex_lsq``.
-SIMPLEX_MAX_ITER = 20000
+# Wolfe's tolerances for ``solve_simplex_lsq``.
+# The optimal corral's gap computes to ~1e-15 max_k |q_k|^2; 1e-13 is rounding.
+_WOLFE_OPTIMALITY = 1e-13
+# Edges conditioned worse than 1e12 are dependent: the n+1 bounds need full rank.
+_WOLFE_INDEPENDENCE = 1e-12
+# A line step leaves ~eps |affine weight| where a weight should reach exactly 0.
+_WOLFE_ZERO = 1e-12
 
 __all__ = [
     "LocalizationOperator",
@@ -43,7 +53,6 @@ __all__ = [
     "localization_operator",
     "ground_state",
     "amu_at",
-    "project_simplex",
     "solve_simplex_lsq",
     "superpose",
 ]
@@ -120,40 +129,24 @@ def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
     return amu_check(tup, state, lam, sigma, eps)
 
 
-def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based, exact).
-
-    Works on ``y - max(y)``: the simplex has sum 1, so shifting every entry
-    by one constant leaves the projection unchanged, and after the shift the
-    largest entry always passes the threshold test, however large ``y`` is.
-    Raises ValueError unless ``y`` is a non-empty finite vector.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0 or not np.isfinite(y).all():
-        raise ValueError("project_simplex needs a non-empty finite vector")
-    y = y - y.max()
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, y.shape[0] + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(y - theta, 0.0)
-
-
 def solve_simplex_lsq(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ||target - alpha @ points|| over the probability simplex.
 
-    Accelerated projected gradient, stopped when a step past iteration 50
-    moves every weight by less than 1e-14, or after ``SIMPLEX_MAX_ITER``
-    iterations. An active-set polish then solves the equality-constrained
-    problem on the support (weights above 1e-10), dropping the most
-    negative weight until the solution is feasible, and keeps it when it
-    does not raise the objective by more than 1e-15. No optimality gap is
-    certified. Returns (alpha, residual).
+    Wolfe's nearest-point algorithm (P. Wolfe, "Finding the nearest point in
+    a polytope", Math. Programming 11, 1976) on q_k = points_k - target. Its
+    corral is an affinely independent set of at most n+1 points holding x.
+    Each major cycle adds the point minimizing <q_k, x> (lowest index on
+    ties); minor cycles step toward the corral's affine least-norm point,
+    dropping points whose weight reaches 0. It returns only when Wolfe's
+    test holds, |x|^2 - min_k <q_k, x> <= 1e-13 max_k |q_k|^2, a certificate:
+    x is within the square root of that gap of the true nearest point. At
+    most n+1 weights are nonzero. Returns (alpha, residual = |x|).
 
     Raises DimensionMismatch when the target's coordinate count differs from
-    the points', and ValueError for zero points or non-finite input.
+    the points', ValueError for zero points or non-finite input, and
+    NumericalError if the corral turns affinely dependent or the major
+    cycles outnumber the corrals of at most n+1 points (|x| falls strictly
+    each cycle, so in exact arithmetic no corral comes back).
     """
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
@@ -163,74 +156,60 @@ def solve_simplex_lsq(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarra
         raise DimensionMismatch(
             f"points have {p.shape[1]} coordinates, target has {t.shape[0]}"
         )
-    m = p.shape[0]
+    m, n = p.shape
     if m == 0:
         raise ValueError("need at least one point")
     if not (np.isfinite(p).all() and np.isfinite(t).all()):
         raise ValueError("points and target must be finite")
-    if m == 1:
-        return np.array([1.0]), float(np.linalg.norm(p[0] - t))
 
-    gram = p @ p.T
-    lin = p @ t
-    lipschitz = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-30)
-
-    def objective(alpha: np.ndarray) -> float:
-        return float(np.linalg.norm(p.T @ alpha - t) ** 2)
-
-    x = np.full(m, 1.0 / m)
-    y = x.copy()
-    momentum = 1.0
-    for it in range(SIMPLEX_MAX_ITER):
-        grad = gram @ y - lin
-        x_new = project_simplex(y - grad / lipschitz)
-        momentum_new = (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
-        y = x_new + ((momentum - 1.0) / momentum_new) * (x_new - x)
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        momentum = momentum_new
-        if it > 50 and step < 1e-14:
-            break
-
-    best = x
-    best_obj = objective(best)
-    support = best > 1e-10
-    for _ in range(m):
-        idxs = np.flatnonzero(support)
-        if idxs.size == 0:
-            break
-        s = idxs.size
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = gram[np.ix_(idxs, idxs)]
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.concatenate([lin[idxs], [1.0]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        a = sol[:s]
-        if a.min() < -1e-12:
-            support = support.copy()
-            support[idxs[int(np.argmin(a))]] = False
-            continue
-        candidate = np.zeros(m)
-        candidate[idxs] = np.maximum(a, 0.0)
-        total = candidate.sum()
-        if total <= 0:
-            break
-        candidate /= total
-        if objective(candidate) <= best_obj + 1e-15:
-            best = candidate
-            best_obj = objective(candidate)
-        break
-
-    return best, float(np.sqrt(max(best_obj, 0.0)))
+    q = p - t
+    sq = (q * q).sum(axis=1)
+    scale = float(sq.max())
+    corral = np.array([int(np.argmin(sq))])
+    lam = np.ones(1)
+    x = q[corral[0]]
+    for _ in range(sum(math.comb(m, k) for k in range(1, min(m, n + 1) + 1))):
+        dots = q @ x
+        j = int(np.argmin(dots))
+        if float(x @ x) - dots[j] <= _WOLFE_OPTIMALITY * scale:
+            alpha = np.zeros(m)
+            alpha[corral] = lam
+            return alpha, float(np.sqrt(x @ x))
+        corral = np.append(corral, j)
+        lam = np.append(lam, 0.0)
+        while True:
+            # Affine least-norm weights, by least squares over the edges from
+            # the first corral point, so no Gram matrix squares their condition.
+            edges = (q[corral[1:]] - q[corral[0]]).T
+            a, _, rank, _ = np.linalg.lstsq(edges, -q[corral[0]], rcond=_WOLFE_INDEPENDENCE)
+            if rank < edges.shape[1]:
+                raise NumericalError(f"{corral.size} corral points are affinely dependent")
+            affine = np.append(1.0 - a.sum(), a)
+            if affine.min() >= 0.0:
+                lam = affine
+                break
+            neg = np.flatnonzero(affine < 0.0)
+            ratios = lam[neg] / (lam[neg] - affine[neg])
+            theta = float(ratios.min())
+            lam = (1.0 - theta) * lam + theta * affine
+            lam[neg[np.argmin(ratios)]] = 0.0  # the blocking point leaves: minor cycles end
+            keep = lam > _WOLFE_ZERO
+            corral, lam = corral[keep], lam[keep] / lam[keep].sum()
+        x = lam @ q[corral]
+    raise NumericalError("Wolfe's algorithm revisited a corral; no certified weights")
 
 
 @dataclass(frozen=True)
 class SuperpositionPlan:
     """Weighted superposition of certified states aimed at a target point.
 
-    ``state`` is sum_k sqrt(weights_k) v_k over the (orthonormalized)
-    source states; ``achieved_distance`` is ||target - exp(state)||_2.
+    ``state`` is sum_k sqrt(weights_k) v_k over the orthonormalized source
+    states ``states``, whose expectation points are ``source_points``;
+    ``achieved_distance`` is ||target - exp(state)||_2. ``cross_bound`` is,
+    per axis j, 2 sum_{k<l} sqrt(w_k w_l) min(sd_j(v_k), sd_j(v_l)): a bound
+    on |exp_j(state) - sum_k w_k source_points_kj| that holds whatever global
+    phase each source carries, since |<v_k, T_j v_l>| <= sd_j(v_l) for
+    orthonormal v_k, v_l.
     """
 
     target: tuple[float, ...]
@@ -240,6 +219,7 @@ class SuperpositionPlan:
     state: VectorState
     report: MeasurementReport
     achieved_distance: float
+    cross_bound: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,6 +229,7 @@ class SuperpositionPlan:
             "exp": list(self.report.exp),
             "sd": list(self.report.sd),
             "achieved_distance": self.achieved_distance,
+            "cross_bound": list(self.cross_bound),
             "state": self.state.to_json_list(),
         }
 
@@ -256,49 +237,41 @@ class SuperpositionPlan:
 def superpose(tup: OperatorTuple, certs, mu) -> SuperpositionPlan:
     """Aim a superposition of certified states at the expectation point ``mu``.
 
-    The weights solve the simplex least-squares problem over the source
-    expectation points; mu must lie within ``TOL.hull_membership`` of
-    their convex hull, otherwise HullDistanceError reports the distance.
-    Source states are reorthogonalized (and re-measured) when any pairwise
-    overlap exceeds ``TOL.superpose_orthogonality``.
+    The sources are orthonormalized by ``gram_schmidt`` (duplicates raise
+    NearDependence) and measured again. The weights, nonzero on at most n+1
+    sources, are the certified nearest-point weights of ``solve_simplex_lsq``
+    over their expectation points; mu must lie within ``TOL.hull_membership``
+    of their hull, otherwise HullDistanceError reports the distance.
     """
     certs = list(certs)
-    if not certs:
-        raise ValueError("need at least one certificate")
     mu_arr = np.array(as_point(mu, tup.n, "target"))
     for c in certs:
         if c.state.dim != tup.dim:
             raise DimensionMismatch("certificate state dim does not match tuple dim")
 
-    vectors = [c.state.vector for c in certs]
-    xi = np.array([c.report.exp for c in certs], dtype=float)
-    if len(vectors) > 1:
-        basis = np.stack(vectors, axis=1)
-        gram = basis.conj().T @ basis
-        off = gram - np.diag(np.diagonal(gram))
-        if float(np.max(np.abs(off))) > TOL.superpose_orthogonality:
-            vectors = gram_schmidt(vectors)
-            xi = np.array(
-                [measure(tup, VectorState(v)).exp for v in vectors], dtype=float
-            )
+    vectors = gram_schmidt([c.state.vector for c in certs])
+    reports = [measure(tup, VectorState(v)) for v in vectors]
+    xi = np.array([r.exp for r in reports], dtype=float)
+    sd = np.array([r.sd for r in reports], dtype=float)
 
     weights, residual = solve_simplex_lsq(xi, mu_arr)
     if residual > TOL.hull_membership:
         raise HullDistanceError(residual, TOL.hull_membership)
 
-    combo = np.zeros(tup.dim, dtype=np.complex128)
-    for w, v in zip(weights, vectors):
-        if w > 0:
-            combo += np.sqrt(w) * v
-    state = VectorState.normalized(combo)
+    basis = np.stack(vectors, axis=1)
+    cross = np.zeros(tup.n)
+    for k, l in itertools.combinations(range(len(vectors)), 2):
+        cross += 2.0 * np.sqrt(weights[k] * weights[l]) * np.minimum(sd[k], sd[l])
+    state = VectorState.normalized(basis @ np.sqrt(weights))
     report = measure(tup, state)
     achieved = float(np.linalg.norm(mu_arr - np.asarray(report.exp)))
     return SuperpositionPlan(
         target=tuple(float(x) for x in mu_arr),
         weights=weights,
         source_points=xi,
-        states=np.stack(vectors, axis=1),
+        states=basis,
         state=state,
         report=report,
         achieved_distance=achieved,
+        cross_bound=tuple(float(c) for c in cross),
     )

@@ -196,16 +196,6 @@ class SyntheticSpectrumResult:
             },
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "SyntheticSpectrumResult":
-        grid = build_grid(int(d["n"]), float(d["M"]), k=int(d["k"]), cap=None)
-        accepted = tuple(
-            (tuple(float(x) for x in entry["point"]), float(entry["norm"]))
-            for entry in d["accepted"]
-        )
-        slack = float(d.get("meta", {}).get("slack", TOL.accept_slack))
-        return SyntheticSpectrumResult(float(d["eta"]), grid, accepted, slack)
-
 
 def scan(
     tup: OperatorTuple,

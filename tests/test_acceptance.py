@@ -28,7 +28,6 @@ from amu_spectra import (
     amu_check,
     build_grid,
     commutator_profile,
-    expectation,
     generate,
     grid_step_count,
     ground_state,
@@ -39,7 +38,6 @@ from amu_spectra import (
     scan,
     superpose,
     theta_product,
-    variance_sd,
 )
 from conftest import random_hermitian
 

@@ -15,12 +15,10 @@ from amu_spectra import (
     amu_check,
     amu_sequence,
     commutator_profile,
-    expectation,
     ground_state,
     measure,
     superpose,
     theta_product,
-    variance_sd,
 )
 from amu_spectra.observables import as_point
 from conftest import random_hermitian
@@ -66,26 +64,31 @@ def test_operator_tuple_rejects_nan_norm(monkeypatch):
         OperatorTuple((np.eye(2),), bound=1.0)
 
 
+def one_observable(op) -> OperatorTuple:
+    """One-observable tuple, so ``measure`` reports that observable alone."""
+    return OperatorTuple((op,), bound=2.0)
+
+
 def test_expectation_hand_value():
     t = HermitianMatrix(np.diag([0.0, 1.0]))
     x = VectorState.normalized(np.array([1.0, 1.0]))
-    assert expectation(t, x) == pytest.approx(0.5, abs=1e-15)
+    assert measure(one_observable(t), x).exp[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_variance_hand_value():
     # Half-half mixture of eigenvalues 0 and 1: var 1/4, sd 1/2.
     t = HermitianMatrix(np.diag([0.0, 1.0]))
     x = VectorState.normalized(np.array([1.0, 1.0]))
-    var, sd = variance_sd(t, x)
-    assert var == pytest.approx(0.25, abs=1e-14)
-    assert sd == pytest.approx(0.5, abs=1e-14)
+    rep = measure(one_observable(t), x)
+    assert rep.var[0] == pytest.approx(0.25, abs=1e-14)
+    assert rep.sd[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_variance_zero_on_eigenvector():
     t = HermitianMatrix(np.diag([2.0, -1.0]))
     x = VectorState(np.array([1.0, 0.0]))
-    var, sd = variance_sd(t, x)
-    assert var == 0.0 and sd == 0.0
+    rep = measure(one_observable(t), x)
+    assert rep.var[0] == 0.0 and rep.sd[0] == 0.0
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40))
@@ -93,11 +96,12 @@ def test_variance_paths_agree(dim, seed):
     t = HermitianMatrix(random_hermitian(dim, seed=seed))
     rng = np.random.default_rng(seed + 999)
     x = VectorState.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-    e = expectation(t, x)
+    rep = measure(one_observable(t), x)
+    e = float(np.vdot(x.vector, t.array @ x.vector).real)
+    assert rep.exp[0] == pytest.approx(e, abs=1e-12)
     direct = float(np.linalg.norm((t.array - e * np.eye(dim)) @ x.vector) ** 2)
-    var, sd = variance_sd(t, x)
-    assert var == pytest.approx(direct, abs=1e-10)
-    assert sd == pytest.approx(np.sqrt(max(direct, 0.0)), abs=1e-10)
+    assert rep.var[0] == pytest.approx(direct, abs=1e-10)
+    assert rep.sd[0] == pytest.approx(np.sqrt(max(direct, 0.0)), abs=1e-10)
 
 
 def test_measure_reports_all_axes():
@@ -127,8 +131,10 @@ def test_measure_matches_functionals_with_two_products_per_observable():
     x = VectorState.normalized(rng.normal(size=9) + 1j * rng.normal(size=9))
     rep = measure(tup, x)
     for j, op in enumerate(tup.ops):
-        assert rep.exp[j] == expectation(op, x)
-        assert (rep.var[j], rep.sd[j]) == variance_sd(op, x)
+        alone = measure(one_observable(op), x)
+        assert (rep.exp[j], rep.var[j], rep.sd[j]) == (
+            alone.exp[0], alone.var[0], alone.sd[0]
+        )
 
     counted = HermitianMatrix(tup.ops[0].array)
     object.__setattr__(counted, "array", tup.ops[0].array.view(_CountingArray))

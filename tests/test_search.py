@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from amu_spectra import (
     HullDistanceError,
     ModelSpec,
     NearDependence,
+    NumericalError,
     OperatorTuple,
     VectorState,
     amu_at,
@@ -23,7 +25,6 @@ from amu_spectra import (
     ground_state,
     localization_operator,
     measure,
-    project_simplex,
     solve_simplex_lsq,
     superpose,
 )
@@ -200,29 +201,6 @@ def test_amu_at_certifies_diagonal_eigenvalue():
     assert cert.max_sd == pytest.approx(0.0, abs=1e-12)
 
 
-def test_project_simplex_known_points():
-    assert np.allclose(project_simplex(np.array([0.3, 0.7])), [0.3, 0.7])
-    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-    got = project_simplex(np.array([0.0, 0.0]))
-    assert np.allclose(got, [0.5, 0.5])
-    # Large entries: the threshold test must not round away every index.
-    assert np.array_equal(project_simplex(np.array([1e17])), [1.0])
-    assert np.array_equal(project_simplex(np.array([1e17, 0.0])), [1.0, 0.0])
-    assert np.array_equal(project_simplex(np.array([1e16, 1e16])), [0.5, 0.5])
-
-
-@given(
-    st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=9)
-)
-def test_project_simplex_feasible(values):
-    y = np.array(values)
-    p = project_simplex(y)
-    assert np.all(p >= -1e-12)
-    assert float(p.sum()) == pytest.approx(1.0, abs=1e-9)
-    # Projection is idempotent.
-    assert np.allclose(project_simplex(p), p, atol=1e-9)
-
-
 def test_solve_simplex_lsq_interior_target():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     alpha, residual = solve_simplex_lsq(pts, np.array([0.25, 0.25]))
@@ -249,6 +227,82 @@ def test_solve_simplex_lsq_beats_vertices(seed):
     assert residual <= vertex_best + 1e-8
 
 
+def assert_certified(points, target, alpha, residual):
+    """Wolfe's certificate: x* = alpha @ points is the point of the hull
+    nearest t exactly when min_k <p_k - x*, x* - t> >= 0."""
+    p = np.asarray(points, dtype=float).reshape(len(alpha), -1)
+    t = np.asarray(target, dtype=float)
+    x = alpha @ p
+    scale = float(((p - t) ** 2).sum(axis=1).max())
+    assert float(((p - x) @ (x - t)).min()) >= -1e-12 * scale
+    assert np.all(alpha >= 0.0) and float(alpha.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(alpha) <= p.shape[1] + 1
+    assert residual == pytest.approx(np.linalg.norm(x - t), abs=1e-12 * (1 + np.abs(p).max()))
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_solve_simplex_lsq_certifies_optimality(n, m, seed, size):
+    rng = np.random.default_rng(seed)
+    pts = size * rng.uniform(-1, 1, size=(m, n))
+    target = size * rng.uniform(-1.5, 1.5, size=n)
+    alpha, residual = solve_simplex_lsq(pts, target)
+    assert_certified(pts, target, alpha, residual)
+
+
+@pytest.mark.parametrize(
+    "points, target",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.8, 0.8]),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [2.5, 1.0]),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [-1.0, 0.5]),
+        ([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], [2.0, 0.0]),
+        ([[1e8, 0.0], [-1e8, 3e8], [2e8, 1e8], [0.0, -1e8]], [1.5e8, -2e8]),
+        ([[1e8 + 1.0, 1e8], [1e8, 1e8 + 1.0], [1e8, 1e8]], [1e8 + 0.25, 1e8 + 0.25]),
+        ([[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 2 * np.pi, 9)[:-1]], [0.1, -0.2]),
+        ([[1.0, 2.0, 3.0]], [0.0, 0.0, 0.0]),
+    ],
+    ids=["duplicates", "collinear", "collinear-beyond-end", "target-on-vertex",
+         "scale-1e8", "offset-1e8", "octagon-m-above-n-plus-1", "single-point"],
+)
+def test_solve_simplex_lsq_fixed_cases(points, target):
+    alpha, residual = solve_simplex_lsq(points, target)
+    assert_certified(points, target, alpha, residual)
+
+
+def test_solve_simplex_lsq_fixed_case_answers():
+    # Ties go to the lowest index: the duplicate pairs keep their first copy.
+    alpha, residual = solve_simplex_lsq(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.8, 0.8]
+    )
+    assert alpha == pytest.approx([0.0, 0.5, 0.0, 0.5, 0.0], abs=1e-15)
+    assert residual == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
+    alpha, residual = solve_simplex_lsq([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], [2.0, 0.0])
+    assert list(alpha) == [0.0, 1.0, 0.0] and residual == 0.0
+    alpha, residual = solve_simplex_lsq([[1.0, 2.0, 3.0]], [0.0, 0.0, 0.0])
+    assert list(alpha) == [1.0] and residual == float(np.sqrt(14.0))
+    alpha, residual = solve_simplex_lsq(
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [-1.0, 0.5]
+    )
+    assert list(alpha) == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "points, target",
+    [([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.25, 0.25]), ([[1.0]], [0.0])],
+    ids=["interior-target", "single-point"],
+)
+def test_solve_simplex_lsq_never_returns_uncertified_weights(monkeypatch, points, target):
+    # With a test that cannot hold, the solver must raise rather than return.
+    monkeypatch.setattr(search, "_WOLFE_OPTIMALITY", -1.0)
+    with pytest.raises(NumericalError):
+        solve_simplex_lsq(points, target)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -259,13 +313,9 @@ def test_solve_simplex_lsq_beats_vertices(seed):
         (lambda: solve_simplex_lsq([[np.inf, 0.0]], [0.0, 0.0]), ValueError),
         (lambda: solve_simplex_lsq([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5, 0.5]),
          DimensionMismatch),
-        (lambda: project_simplex(np.array([])), ValueError),
-        (lambda: project_simplex(np.array([np.nan, 0.5])), ValueError),
-        (lambda: project_simplex(np.array([np.inf, 0.0])), ValueError),
     ],
     ids=["lsq-no-points", "lsq-no-points-1d", "lsq-nan-target", "lsq-nan-point",
-         "lsq-inf-single-point", "lsq-wrong-count", "project-empty", "project-nan",
-         "project-inf"],
+         "lsq-inf-single-point", "lsq-wrong-count"],
 )
 def test_simplex_solvers_reject_bad_input(call, error):
     with pytest.raises(error) as info:
@@ -317,7 +367,52 @@ def test_superpose_shift_circle_centroid():
         certs.append(amu_check(tup, v, lam, 0.3, 0.3))
     plan = superpose(tup, certs, (0.0, 0.0))
     assert plan.achieved_distance <= 0.15
-    assert plan.weights == pytest.approx([0.25] * 4, abs=0.05)
+    # The nearest-point weights are not unique here (the four points are
+    # nearly a square around the target); check what is.
+    w = plan.weights
+    assert np.all(w >= 0.0) and float(w.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(w) <= 3
+    assert np.linalg.norm(w @ plan.source_points) <= 1e-12
+
+
+@functools.cache
+def shift_circle_certs(dim: int):
+    tup = generate(ModelSpec("shift_pair", dim))
+    certs = []
+    for th in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
+        lam = (float(np.cos(th)), float(np.sin(th)))
+        v, _ = ground_state(tup, lam)
+        certs.append(amu_check(tup, v, lam, 0.2, 0.2))
+    return tup, certs
+
+
+@given(
+    st.sampled_from([32, 256]),
+    st.lists(st.floats(min_value=0.0, max_value=2 * np.pi), min_size=4, max_size=4),
+    st.tuples(st.floats(min_value=-0.4, max_value=0.4),
+              st.floats(min_value=-0.4, max_value=0.4)),
+)
+def test_superpose_cross_bound_holds_for_any_phases(dim, phases, target):
+    tup, certs = shift_circle_certs(dim)
+    rotated = [
+        amu_check(tup, VectorState(np.exp(1j * ph) * c.state.vector), c.lam, 0.2, 0.2)
+        for c, ph in zip(certs, phases)
+    ]
+    plan = superpose(tup, rotated, target)
+    drift = np.abs(np.asarray(plan.report.exp) - plan.weights @ plan.source_points)
+    assert np.all(drift <= np.asarray(plan.cross_bound) + 1e-12)
+
+
+def test_superpose_orthonormalizes_slightly_overlapping_sources():
+    # An overlap of 1e-9 between the sources is removed too.
+    tup = diag_tuple([0.0, 1.0, 0.5], [0.0, 1.0, 0.5])
+    e0 = VectorState.normalized([1.0, 1e-9, 0.0])
+    e1 = VectorState(np.array([0.0, 1.0, 0.0]))
+    c0 = amu_check(tup, e0, (0.0, 0.0), 0.1, 0.1)
+    c1 = amu_check(tup, e1, (1.0, 1.0), 0.1, 0.1)
+    plan = superpose(tup, [c0, c1], (0.5, 0.5))
+    gram = plan.states.conj().T @ plan.states
+    assert np.abs(gram - np.eye(2)).max() <= 1e-15
 
 
 def test_superpose_plan_json_shape():
@@ -329,3 +424,5 @@ def test_superpose_plan_json_shape():
     assert len(d["weights"]) == 2
     assert len(d["state"]) == 2 * tup.dim
     assert d["achieved_distance"] <= 1e-10
+    # e0 and e1 are eigenvectors of both observables: no cross term.
+    assert d["cross_bound"] == [0.0, 0.0]
