@@ -24,8 +24,8 @@ a core by the rows S_{j-1} of the next coupling with every column kept, so
 one product serves every center on the next axis: the core at center c is
 the columns S(c) scaled by the bump values. Callers keep the supports they
 walk and hand the previous one back to ``couple``. ``theta_product`` takes
-those columns for its one center; ``spectrum.scan`` takes them for all
-centers of the last axis at once, stacks the cores and passes the stack to
+those columns for its one center; ``spectrum.scan`` takes them for one
+last-axis center across a chunk of prefix cores and passes that stack to
 ``linalg.operator_norm``.
 The arithmetic per point is the same on both paths, so their norms agree
 bit for bit. No dense factor is formed on either path;

@@ -154,6 +154,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_amu(args) -> int:
+    if not (args.sigma > 0 and args.eps > 0):  # before any scan or eigensolve
+        raise ValueError("sigma and eps must be positive")
     tup, _ = load_tuple(args.input)
     scan_meta = None
     if len(args.lambdas) == 1 and args.lambdas[0] == "all-accepted":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     hermitian_symmetry: float = 1e-12
-    """Max |A - A†| entry accepted when constructing a Hermitian matrix."""
+    """Max |A - A†| entry accepted for a Hermitian matrix, times max(1, largest |Re| or |Im|)."""
 
     eig_residual: float = 1e-10
     """Per-dim factor on the Frobenius residual ||A U - U diag(w)||."""
@@ -23,16 +23,16 @@ class Tolerances:
     """Smallest Gram eigenvalue below which vectors count as dependent."""
 
     imag_expectation: float = 1e-10
-    """|Im <Tv, v>| allowed before an expectation is rejected."""
+    """|Im <Tv, v>| allowed before an expectation is rejected, times max(1, M)."""
 
     variance_clamp: float = 1e-12
-    """Negative variance magnitude clamped to zero."""
+    """Negative variance magnitude clamped to zero, times max(1, M)^2."""
 
     unit_norm: float = 1e-12
     """Allowed deviation of a state norm from 1."""
 
     cross_check: float = 1e-10
-    """Required agreement between dual computation paths."""
+    """Required agreement between the two variance paths, times max(1, M)^2."""
 
     accept_slack: float = 1e-9
     """Subtracted from 1 - eta when thresholding a theta-product norm."""

@@ -177,6 +177,8 @@ def essential_spectrum_estimate(
         raise ValueError("need at least two cuts to report stability")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts must be strictly increasing, got {cuts}")
+    for m in cuts:  # every window is checked before the first scan runs
+        _window(tup.dim, m, interior)
     levels = []
     for m in cuts:
         comp = tail_compression(tup, m, interior=interior)

@@ -52,8 +52,9 @@ class HermitianMatrix:
     """Square complex matrix with A == A† enforced at construction.
 
     The input may deviate from exact symmetry by at most
-    ``TOL.hermitian_symmetry`` per entry; the stored array is the
-    symmetrization (A + A†)/2 and is read-only.
+    ``TOL.hermitian_symmetry`` times max(1, s) per entry, s the largest real
+    or imaginary part of an entry, since rounding grows with the entries;
+    the stored array is the symmetrization (A + A†)/2 and is read-only.
     """
 
     __slots__ = ("array",)
@@ -65,10 +66,13 @@ class HermitianMatrix:
         # One comparison settles an exactly Hermitian input (asymmetry 0).
         if not np.array_equal(a, adj):
             asym = float(np.max(np.abs(a - adj)))
-            if asym > TOL.hermitian_symmetry:
+            tol = TOL.hermitian_symmetry
+            # s is only read past the plain tolerance; real and imaginary
+            # parts, unlike |a_ij|, cannot overflow.
+            if asym > tol and asym > tol * max(np.abs(a.real).max(), np.abs(a.imag).max()):
                 raise ValueError(
                     f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-                    f"exceeds {TOL.hermitian_symmetry:.1e}"
+                    f"exceeds {tol:.1e} * max(1, largest |Re| or |Im| of an entry)"
                 )
         try:
             with np.errstate(over="raise"):

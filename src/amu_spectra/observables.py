@@ -205,36 +205,34 @@ def _check_dim(op: HermitianMatrix, state: VectorState) -> None:
         )
 
 
-def _expect(op: HermitianMatrix, state: VectorState) -> tuple[float, np.ndarray]:
-    """<T v, v> and T v; the imaginary part must be noise-level."""
+def _moments(op: HermitianMatrix, state: VectorState, bound: float) -> tuple[float, float, float]:
+    """Expectation, variance and sd about the expectation, from two products with T.
+
+    The imaginary part of <T v, v> must be noise-level, and the variance is
+    computed along two algebraically equal paths, ||(T - e)v||^2 and
+    <(T - e)^2 v, v>, which must agree. Rounding grows with the operator, so
+    with s = max(1, ``bound``) these checks allow ``TOL.imag_expectation`` * s,
+    ``TOL.cross_check`` * s^2 and a negative variance of ``TOL.variance_clamp`` * s^2.
+    """
     _check_dim(op, state)
+    scale = max(1.0, bound)
     tv = op.array @ state.vector
     val = complex(np.vdot(state.vector, tv))
-    if abs(val.imag) > TOL.imag_expectation:
+    if abs(val.imag) > TOL.imag_expectation * scale:
         raise NumericalError(
             f"expectation has imaginary part {val.imag:.3e} for a Hermitian operator"
         )
-    return float(val.real), tv
-
-
-def _moments(op: HermitianMatrix, state: VectorState) -> tuple[float, float, float]:
-    """Expectation, variance and sd about the expectation, from two products with T.
-
-    The variance is computed along two algebraically equal paths,
-    ||(T - e)v||^2 and <(T - e)^2 v, v>, which must agree within
-    ``TOL.cross_check``.
-    """
-    e, tv = _expect(op, state)
+    e = float(val.real)
     shifted = tv - e * state.vector
     var_direct = float(np.vdot(shifted, shifted).real)
     var_quad = float(np.vdot(state.vector, op.array @ shifted - e * shifted).real)
-    if abs(var_direct - var_quad) > TOL.cross_check:
+    if abs(var_direct - var_quad) > TOL.cross_check * scale**2:
         raise NumericalError(
             f"variance paths disagree: {var_direct:.15e} vs {var_quad:.15e}"
         )
     var = var_direct
     if var < 0.0:
-        if var < -TOL.variance_clamp:
+        if var < -TOL.variance_clamp * scale**2:
             raise NumericalError(f"variance {var:.3e} is negative beyond clamp")
         var = 0.0
     return e, var, float(np.sqrt(var))
@@ -246,7 +244,7 @@ def measure(tup: OperatorTuple, state: VectorState) -> MeasurementReport:
     Two products with each T_j: T v for the expectation, then T (T - e) v
     for the variance cross-check.
     """
-    exps, vars_, sds = zip(*(_moments(op, state) for op in tup.ops))
+    exps, vars_, sds = zip(*(_moments(op, state, tup.bound) for op in tup.ops))
     return MeasurementReport(exps, vars_, sds)
 
 

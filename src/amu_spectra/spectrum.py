@@ -15,10 +15,11 @@ The scan never forms a dim×dim factor. Writing each factor as
 U_j D_j U_j† gives ||F_1 ⋯ F_n|| = ||D_1 W_12 D_2 ⋯ W_{n-1,n} D_n|| with
 W_ij = U_i† U_j, and the right-hand core only has rows and columns on the
 bump supports. ``scan`` walks the grid axis by axis and extends the
-rectangular core by one coupling per axis. For each block of points that
-share the first coordinate, it stacks the cores of the whole last axis,
-grouped by support size and capped at ``CORE_STACK_BYTES`` per stack, and
-takes their norms with one ``operator_norm`` call per stack.
+rectangular core by one coupling per axis. Within each block of points
+that share the first coordinate, it multiplies a chunk of prefix cores, at
+most ``CORE_STACK_BYTES``, by the last coupling at once, and takes the
+norms of each last-axis center's cores across the chunk with one
+``operator_norm`` call.
 """
 from __future__ import annotations
 
@@ -38,9 +39,10 @@ from .observables import OperatorTuple
 
 # Largest |rows|×|B|×n float64 difference tensor ``hausdorff`` forms at once.
 HAUSDORFF_BLOCK_BYTES = 32 * 2**20
-# Largest stack of complex128 cores ``scan`` passes to one operator_norm call.
-# The call also holds the conjugate and the Gram stack, so a few times this
-# is in flight per worker; at 1 MiB the spectrum CLI's peak RSS rose 1.3 MB.
+# Largest chunk of complex128 prefix cores ``scan`` multiplies by the last
+# coupling at once; each operator_norm call takes a slice of that chunk. The
+# call also holds the conjugate and the Gram stack, so a few times this is
+# in flight per worker; at 1 MiB the spectrum CLI's peak RSS rose 1.3 MB.
 CORE_STACK_BYTES = 2**18
 
 __all__ = [
@@ -219,12 +221,13 @@ def scan(
     afterwards.
 
     The grid is evaluated one block of points with the same first
-    coordinate at a time. Within a block, each prefix core is multiplied
-    once by the last coupling; the cores of all last-axis centers with the
-    same support size are sliced out of those products and stacked, and
-    each stack of at most ``CORE_STACK_BYTES`` goes to one
-    ``operator_norm`` call. The stacking changes no norm: every point gets
-    the arithmetic ``theta_product`` performs for it alone.
+    coordinate at a time. Within a block, the prefix cores are multiplied
+    by the last coupling a chunk of at most ``CORE_STACK_BYTES`` at a time;
+    for each last-axis center, its cores across the chunk are sliced out of
+    those products and go to one ``operator_norm`` call. An
+    axis with no surviving center leaves nothing to walk, so no point is
+    accepted. The stacking changes no norm: every point gets the arithmetic
+    ``theta_product`` performs for it alone.
 
     The blocks are mapped through a pool of ``threads`` workers, also when
     ``threads`` is 1; results are assembled in grid order, so the output is
@@ -245,14 +248,7 @@ def scan(
             if vals.size and vals.max() >= threshold:
                 alive[axis].append(float(x))
                 supports[axis].append((sl, vals))
-    if any(not vals for vals in alive):
-        return SyntheticSpectrumResult(eta, grid, (), TOL.accept_slack)
-
     last = alive[-1]
-    # Last-axis centers by support size: (position in ``last``, slice, bump values).
-    groups: dict[int, list[tuple[int, slice, np.ndarray]]] = {}
-    for pos, (sl, vals) in enumerate(supports[-1]):
-        groups.setdefault(vals.size, []).append((pos, sl, vals))
 
     def prefixes(axis: int, coords: tuple[float, ...], prev: slice, core: np.ndarray):
         """(coordinates, last support, core) for every alive point of axes < n - 1."""
@@ -274,17 +270,8 @@ def scan(
         per_chunk = max(1, CORE_STACK_BYTES // (16 * rows * tup.dim))
         while chunk := list(itertools.islice(walk, per_chunk)):
             wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
-            norms = np.empty((len(last), len(chunk)))
-            for size, members in groups.items():
-                step = max(1, CORE_STACK_BYTES // (16 * rows * size * len(chunk)))
-                for lo in range(0, len(members), step):
-                    part = members[lo:lo + step]
-                    stack = np.empty((len(part), len(chunk), rows, size), dtype=np.complex128)
-                    for cores, (_, sl, vals) in zip(stack, part):
-                        np.multiply(wides[:, :, sl], vals, out=cores)
-                    got = operator_norm(stack.reshape(-1, rows, size))
-                    norms[[pos for pos, _, _ in part]] = got.reshape(len(part), len(chunk))
-            for (coords, _, _), col in zip(chunk, norms.T):
+            norms = [operator_norm(wides[:, :, sl] * vals) for sl, vals in supports[-1]]
+            for (coords, _, _), col in zip(chunk, np.array(norms).T):
                 for pos in np.flatnonzero(col >= threshold):
                     out.append((coords + (last[pos],), float(col[pos])))
         return out

@@ -1,4 +1,4 @@
-"""End-to-end command line runs in subprocesses."""
+"""End-to-end command line runs, in subprocesses or through ``cli.main``."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from amu_spectra import ModelSpec, generate, load_tuple, save_tuple
+from amu_spectra import ModelSpec, cli, essential, generate, load_tuple, save_tuple
 
 
 def run_cli(*args, env_extra=None):
@@ -148,12 +148,15 @@ def test_spectrum_grid_cap_exit_code(tmp_path, shift_file):
     )
     assert proc.returncode == 3
     assert "cap" in proc.stderr.lower()
-    # Grids whose step count or half-width is beyond float range.
+    # Grids whose step count or half-width is beyond float range, and the
+    # 625-point scan of ``amu --lambda all-accepted``, which bounds its eigensolves.
     huge_m = tmp_path / "huge_m.json"
     huge_m.write_text(shift_file.read_text().replace('"M": 1.0', '"M": 1e300'))
     for args in (["spectrum", "--input", str(shift_file), "--eta", "1e-320"],
                  ["spectrum", "--input", str(huge_m), "--eta", "0.5"],
-                 ["essential", "--input", str(huge_m), "--eta", "0.5", "--cuts", "8,16"]):
+                 ["essential", "--input", str(huge_m), "--eta", "0.5", "--cuts", "8,16"],
+                 ["amu", "--input", str(shift_file), "--lambda", "all-accepted", "--eta", "0.5",
+                  "--sigma", "0.35", "--eps", "0.35", "--grid-cap", "100"]):
         proc = run_cli(*args, "-o", str(tmp_path / "never.json"))
         assert proc.returncode == 3, proc.stderr
         assert "cap" in proc.stderr.lower() and "Traceback" not in proc.stderr
@@ -273,6 +276,46 @@ def test_essential_rejects_single_cut(tmp_path, shift_file):
         "--cuts", "8", "-o", str(tmp_path / "x.json"),
     )
     assert proc.returncode == 2
+
+
+def test_essential_checks_every_cut_before_scanning(tmp_path, shift_file, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran before every cut was checked")
+
+    monkeypatch.setattr(essential, "scan", no_scan)
+    code = cli.main(["essential", "--input", str(shift_file), "--eta", "0.5",
+                     "--cuts", "16,40", "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "cut 40" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("sigma, eps", [("0", "0.35"), ("0.35", "-1"), ("nan", "0.35")])
+def test_amu_checks_sigma_and_eps_before_scanning(tmp_path, shift_file, monkeypatch, capsys,
+                                                  sigma, eps):
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan or eigensolve ran before sigma and eps were checked")
+
+    monkeypatch.setattr(cli, "scan", no_work)
+    monkeypatch.setattr(cli, "amu_at", no_work)
+    code = cli.main(["amu", "--input", str(shift_file), "--lambda", "all-accepted",
+                     "--eta", "0.5", "--sigma", sigma, "--eps", eps,
+                     "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "sigma and eps must be positive" in capsys.readouterr().err
+
+
+def test_amu_large_bound_tuple(tmp_path):
+    # Spectra in [-1e4, 1e4]: the variance cross-check scales with M^2.
+    src = tmp_path / "big.json"
+    proc = run_cli("models", "gen", "perturbed", "--dim", "64", "--n", "2", "--seed", "3",
+                   "--param", "eigen_low=-1e4", "--param", "eigen_high=1e4",
+                   "--param", "perturbation=2000", "-o", str(src))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("amu", "--input", str(src), "--lambda", "1000,2000",
+                   "--sigma", "3500", "--eps", "3500", "-o", str(tmp_path / "amu.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert "certified 1/1 points" in proc.stdout
 
 
 def test_version_flag():

@@ -60,6 +60,22 @@ def test_hermitian_matrix_rejects_gross_asymmetry():
         HermitianMatrix(a)
 
 
+def test_hermitian_matrix_tolerance_scales_with_entries():
+    # U diag(w) U† with |w| up to 1e5 rounds to an asymmetry of a few 1e-12.
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)))
+    a = (u * rng.uniform(-1e5, 1e5, size=40)) @ u.conj().T
+    assert np.max(np.abs(a - a.conj().T)) > 1e-12
+    assert np.array_equal(HermitianMatrix(a).array, (a + a.conj().T) / 2.0)
+    # A real asymmetry at the same scale is still rejected.
+    a[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(a)
+    # Entries whose modulus overflows do not widen the tolerance to infinity.
+    with pytest.raises(ValueError, match="not Hermitian"), np.errstate(over="ignore"):
+        HermitianMatrix(np.array([[0.0, 1.5e308 + 1.5e308j], [-1.5e308 - 1.5e308j, 0.0]]))
+
+
 def test_hermitian_matrix_rejects_nonsquare():
     with pytest.raises(ValueError):
         HermitianMatrix(np.zeros((2, 3)))

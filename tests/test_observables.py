@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from amu_spectra import (
     DimensionMismatch,
     HermitianMatrix,
+    ModelSpec,
+    NumericalError,
     OperatorTuple,
     VectorState,
     amu_check,
     amu_sequence,
     commutator_profile,
+    generate,
     ground_state,
     measure,
     superpose,
@@ -143,6 +146,41 @@ def test_measure_matches_functionals_with_two_products_per_observable():
     single = measure(single_tup, x)
     assert _CountingArray.products == 2
     assert single.exp[0] == rep.exp[0] and single.var[0] == rep.var[0]
+
+
+def large_bound_pair() -> OperatorTuple:
+    """Spectra in [-1e4, 1e4]: rounding in the variance paths exceeds 1e-10."""
+    return generate(ModelSpec("perturbed_commuting", 64, n=2, seed=3, params={
+        "eigen_low": -1e4, "eigen_high": 1e4, "perturbation": 2000.0}))
+
+
+class _SkewedArray(np.ndarray):
+    """Matrix whose second product with a vector comes out ``skew`` too large."""
+
+    products = 0
+    skew = 0.0
+
+    def __matmul__(self, other):
+        _SkewedArray.products += 1
+        out = np.asarray(self) @ other
+        return out * (1.0 + _SkewedArray.skew) if _SkewedArray.products == 2 else out
+
+
+@pytest.mark.parametrize("skew, disagrees", [(1e-14, False), (1e-6, True)])
+def test_measure_variance_cross_check_at_large_bound(skew, disagrees):
+    tup = large_bound_pair()
+    state, _ = ground_state(tup, (1000.0, 2000.0))
+    skewed = HermitianMatrix(tup.ops[1].array)
+    object.__setattr__(skewed, "array", tup.ops[1].array.view(_SkewedArray))
+    single = OperatorTuple((skewed,), bound=tup.bound)
+    _SkewedArray.products, _SkewedArray.skew = 0, skew
+    # The paths then differ by about skew * 6.8e5: 7e-9 passes and 0.7 fails
+    # the scaled tolerance 1e-10 * M^2 ~ 1e-2 (the unscaled 1e-10 rejects both).
+    if disagrees:
+        with pytest.raises(NumericalError, match="variance paths disagree"):
+            measure(single, state)
+    else:
+        assert measure(single, state).var[0] == pytest.approx(6.8361866e5, rel=1e-6)
 
 
 def test_amu_check_strict_inequalities():

@@ -237,6 +237,17 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     assert max(16 * int(np.prod(shape)) for shape in stacks) <= budget
 
 
+@pytest.mark.parametrize("n, empty", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_scan_axis_without_surviving_center_accepts_nothing(n, empty):
+    # At k = 1 the centers are -1, 0 and 1. Eigenvalues 0.45 and 0.47 are at
+    # least 0.45 from each, so no bump of width 0.5 reaches 1 - eta there.
+    full = np.diag([0.0, 1.0])
+    ops = [full] * n
+    assert scan(OperatorTuple(ops, bound=1.0), 0.5, k=1).accepted
+    ops[empty] = np.diag([0.45, 0.47])
+    assert scan(OperatorTuple(ops, bound=1.0), 0.5, k=1).accepted == ()
+
+
 def test_scan_covers_joint_eigenvalues(commuting_16):
     res = scan(commuting_16, 0.35)
     evs = np.stack(
