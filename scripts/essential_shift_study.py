@@ -52,7 +52,7 @@ def main() -> int:
     print(f"stability {est.stability} (grid pitch {pitch:.4f})")
 
     lam = (1.0, 0.0)
-    certs = amu_sequence(tup, lam, cuts, 0.2)
+    certs = amu_sequence(tup, lam, cuts, 0.2, 0.2)
     print(f"AMU sequence at lambda={lam}:")
     for m, cert in zip(cuts, certs):
         print(

@@ -48,7 +48,6 @@ from .spectrum import (
     scan,
 )
 from .search import (
-    LocalizationOperator,
     SuperpositionPlan,
     amu_at,
     ground_state,

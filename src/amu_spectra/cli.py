@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Options of every command that scans a tuple file.
     scanning = argparse.ArgumentParser(add_help=False)
     scanning.add_argument("--input", required=True, help="tuple file")
-    scanning.add_argument("--k", type=int, default=None, help="override the grid step count")
     scanning.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
     # A string default goes through ``type`` too, so one parse checks both.
     scanning.add_argument("--threads", type=_thread_count,
@@ -142,7 +141,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
-    result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=args.threads)
+    result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
     write_json(result.to_json_dict(), args.output)
     if args.csv:
         write_accepted_csv(result, args.csv)
@@ -161,7 +160,7 @@ def _cmd_amu(args) -> int:
     if len(args.lambdas) == 1 and args.lambdas[0] == "all-accepted":
         if args.eta is None:
             raise ValueError("--lambda all-accepted requires --eta")
-        result = scan(tup, args.eta, k=args.k, cap=args.grid_cap, threads=args.threads)
+        result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
         points = [list(p) for p, _ in result.accepted]
         scan_meta = {"eta": args.eta, "k": result.grid.k,
                      "accepted_count": len(result.accepted)}
@@ -203,8 +202,8 @@ def _cmd_essential(args) -> int:
     except ValueError:
         raise ValueError(f"could not parse cuts {args.cuts!r}") from None
     estimate = essential_spectrum_estimate(
-        tup, args.eta, cuts, interior=not args.one_sided,
-        k=args.k, cap=args.grid_cap, threads=args.threads,
+        tup, args.eta, cuts, interior=not args.one_sided, cap=args.grid_cap,
+        threads=args.threads,
     )
     write_json(estimate.to_json_dict(), args.output)
     for lvl in estimate.levels:

@@ -11,13 +11,13 @@ between the last two accepted sets as the stability of the estimate. The
 estimate is reported as-is and never extrapolated.
 
 ``amu_sequence`` builds one state per cut, supported in the escaping
-window [m+1, min(2m, dim-m)]: each state is exactly orthogonal to the
-first m basis vectors while the window width grows with m, so the
-standard deviations shrink as the cuts increase.
+window [m+1, min(2m, dim-m)], and certifies each at the same sigma and
+eps: each state is exactly orthogonal to the first m basis vectors while
+the window width grows with m, so the standard deviations shrink as the
+cuts increase.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
 class TailCompression:
     """A tuple compressed to a contiguous index window (0-based, half-open)."""
 
-    m: int
     window: tuple[int, int]
     tuple_tail: OperatorTuple
 
@@ -81,7 +80,7 @@ def tail_compression(tup: OperatorTuple, m: int, interior: bool = False) -> Tail
     carries over and grids for compressed scans match the full-space ones.
     """
     window = _window(tup.dim, m, interior)
-    return TailCompression(window[0], window, _compress(tup, window))
+    return TailCompression(window, _compress(tup, window))
 
 
 def tail_commutator_decay(
@@ -160,7 +159,6 @@ def essential_spectrum_estimate(
     cuts,
     *,
     interior: bool = True,
-    k: int | None = None,
     cap: int | None = GRID_POINT_CAP,
     threads: int = 1,
 ) -> EssentialSpectrumEstimate:
@@ -169,8 +167,10 @@ def essential_spectrum_estimate(
     ``cuts`` must be strictly increasing and leave at least two dimensions
     at the deepest level. Interior windows are the default model of
     behavior away from the boundary. Empty accepted sets are recorded, not
-    fatal; stability is then None. Stop refining when stability reaches
-    the grid pitch 1/k; the estimate never extrapolates beyond its levels.
+    fatal; stability is then None. Every level scans at the step count k
+    the resolution rule fixes for its tuple; stop refining when stability
+    reaches the grid pitch 1/k. The estimate never extrapolates beyond its
+    levels.
     """
     cuts = [int(m) for m in cuts]
     if len(cuts) < 2:
@@ -182,7 +182,7 @@ def essential_spectrum_estimate(
     levels = []
     for m in cuts:
         comp = tail_compression(tup, m, interior=interior)
-        result = scan(comp.tuple_tail, eta, k=k, cap=cap, threads=threads)
+        result = scan(comp.tuple_tail, eta, cap=cap, threads=threads)
         levels.append(EssentialLevel(cut=m, window=comp.window, result=result))
     last = levels[-1].result.accepted_points()
     prev = levels[-2].result.accepted_points()
@@ -216,56 +216,18 @@ def escape_window(dim: int, m: int) -> tuple[int, int]:
     return m, stop
 
 
-def _broadcast_schedule(values, count: int, name: str) -> list[float]:
-    if np.isscalar(values):
-        return [float(values)] * count
-    out = [float(v) for v in values]
-    if len(out) != count:
-        raise ValueError(f"{name} has {len(out)} entries for {count} cuts")
-    return out
-
-
-def amu_sequence(
-    tup: OperatorTuple,
-    lam,
-    cuts,
-    sigma_schedule,
-    eps_schedule=None,
-    estimate: EssentialSpectrumEstimate | None = None,
-) -> list[AmuCertificate]:
-    """One AMU certificate per cut, measured against the full tuple.
+def amu_sequence(tup: OperatorTuple, lam, cuts, sigma: float, eps: float) -> list[AmuCertificate]:
+    """One AMU certificate at (lam, sigma, eps) per cut, measured against the full tuple.
 
     The state for cut m is the localization ground state computed inside
     the escaping window and embedded back with exact zeros elsewhere.
-    ``sigma_schedule`` (and optionally ``eps_schedule``) give the
-    certification levels per cut; scalars broadcast. When an estimate is
-    supplied, a target outside its stabilized set (beyond its eta) only
-    warns: the certificates still report what was measured.
     """
     lam_arr = np.array(as_point(lam, tup.n))
-    cuts = [int(m) for m in cuts]
-    sigmas = _broadcast_schedule(sigma_schedule, len(cuts), "sigma_schedule")
-    epss = (
-        sigmas
-        if eps_schedule is None
-        else _broadcast_schedule(eps_schedule, len(cuts), "eps_schedule")
-    )
-    if estimate is not None:
-        pts = estimate.stabilized
-        if pts.shape[0] == 0 or float(
-            np.sqrt(((pts - lam_arr) ** 2).sum(axis=1)).min()
-        ) > estimate.eta:
-            warnings.warn(
-                "target point lies outside the stabilized essential-spectrum "
-                "estimate; certificates may be weak",
-                stacklevel=2,
-            )
     certs: list[AmuCertificate] = []
-    for m, sg, ep in zip(cuts, sigmas, epss):
+    for m in cuts:
         lo, hi = escape_window(tup.dim, m)
         inner_state, _ = ground_state(_compress(tup, (lo, hi)), lam_arr)
         full = np.zeros(tup.dim, dtype=np.complex128)
         full[lo:hi] = inner_state.vector
-        certs.append(amu_check(tup, VectorState(full), lam_arr, sg, ep))
+        certs.append(amu_check(tup, VectorState(full), lam_arr, sigma, eps))
     return certs
-

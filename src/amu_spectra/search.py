@@ -48,7 +48,6 @@ _WOLFE_INDEPENDENCE = 1e-12
 _WOLFE_ZERO = 1e-12
 
 __all__ = [
-    "LocalizationOperator",
     "SuperpositionPlan",
     "localization_operator",
     "ground_state",
@@ -58,17 +57,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalizationOperator:
-    """Q(lambda) = sum_j (T_j - lambda_j I)^2, positive semidefinite."""
+def localization_operator(tup: OperatorTuple, lam) -> HermitianMatrix:
+    """Q(lambda) = sum_j (T_j - lambda_j I)^2, positive semidefinite.
 
-    lam: tuple[float, ...]
-    matrix: HermitianMatrix
-
-
-def localization_operator(tup: OperatorTuple, lam) -> LocalizationOperator:
-    """Q(lambda) as the pencil S - 2 sum_j lambda_j T_j + |lambda|^2 I.
-
+    Built as the pencil S - 2 sum_j lambda_j T_j + |lambda|^2 I, where
     S = sum_j T_j^2 is built once per tuple (``OperatorTuple.square_sum``).
     S and every T_j are exactly Hermitian, and so is each step of the sum,
     so Q is exactly Hermitian by construction.
@@ -78,7 +70,7 @@ def localization_operator(tup: OperatorTuple, lam) -> LocalizationOperator:
     for op, l in zip(tup.ops, lam):
         q -= (2.0 * l) * op.array
     q.flat[:: tup.dim + 1] += sum(l * l for l in lam)
-    return LocalizationOperator(lam, HermitianMatrix(q))
+    return HermitianMatrix(q)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -103,17 +95,19 @@ def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
     Returns (state, energy). The eigenvector comes from
     ``linalg.ground_eigenpair`` with its global phase fixed so that its
     largest-magnitude entry is real and positive. The energy is
-    sum_j ||(T_j - lambda_j) v||^2, a sum of squares. It bounds the total
-    variance of the state from above and the squared distance from lam to
-    the joint numerical range from below.
+    sum_j ||(T_j - lambda_j) v||^2 = sum_j var_j + |exp - lam|^2, a sum of
+    squares. It bounds from above the total variance of the state and,
+    since exp lies in the joint numerical range, the squared distance from
+    lam to that range.
     """
-    loc = localization_operator(tup, lam)
-    lowest, v = ground_eigenpair(loc.matrix)
+    lam = as_point(lam, tup.n)
+    q = localization_operator(tup, lam)
+    lowest, v = ground_eigenpair(q)
     if lowest < TOL.psd_floor:
         raise NumericalError(f"localization operator has eigenvalue {lowest:.3e} < 0")
     state = VectorState.normalized(_canonical_phase(v))
     energy = 0.0
-    for op, l in zip(tup.ops, loc.lam):
+    for op, l in zip(tup.ops, lam):
         r = op.array @ state.vector - l * state.vector
         energy += float(np.vdot(r, r).real)
     return state, energy

@@ -126,7 +126,7 @@ def test_essential_estimate_json_shape():
 
 def test_amu_sequence_sharpens_along_cuts():
     tup = generate(ModelSpec("shift_pair", 256))
-    certs = amu_sequence(tup, (1.0, 0.0), (16, 32, 64), 0.3)
+    certs = amu_sequence(tup, (1.0, 0.0), (16, 32, 64), 0.3, 0.3)
     sds = [c.max_sd for c in certs]
     assert sds == sorted(sds, reverse=True)
     assert sds[-1] <= 0.15
@@ -136,17 +136,7 @@ def test_amu_sequence_sharpens_along_cuts():
 
 def test_amu_sequence_states_escape_initial_block():
     tup = generate(ModelSpec("shift_pair", 256))
-    certs = amu_sequence(tup, (1.0, 0.0), (16, 32), 0.3)
+    certs = amu_sequence(tup, (1.0, 0.0), (16, 32), 0.3, 0.3)
     for cut, cert in zip((16, 32), certs):
         head = cert.state.vector[:cut]
         assert np.linalg.norm(head) <= 1e-12
-
-
-def test_amu_sequence_schedule_broadcast():
-    tup = generate(ModelSpec("shift_pair", 128))
-    per_cut = amu_sequence(tup, (1.0, 0.0), (8, 16), (0.4, 0.3), eps_schedule=(0.4, 0.3))
-    assert per_cut[0].sigma == 0.4
-    assert per_cut[1].sigma == 0.3
-    with pytest.raises(ValueError):
-        amu_sequence(tup, (1.0, 0.0), (8, 16), (0.4, 0.3, 0.2))
-

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -71,8 +73,10 @@ def test_hermitian_matrix_tolerance_scales_with_entries():
     a[0, 1] += 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianMatrix(a)
-    # Entries whose modulus overflows do not widen the tolerance to infinity.
-    with pytest.raises(ValueError, match="not Hermitian"), np.errstate(over="ignore"):
+    # Entries whose modulus overflows do not widen the tolerance to infinity,
+    # and the overflowing asymmetry raises without a warning first.
+    with pytest.raises(ValueError, match="not Hermitian"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         HermitianMatrix(np.array([[0.0, 1.5e308 + 1.5e308j], [-1.5e308 - 1.5e308j, 0.0]]))
 
 
@@ -203,11 +207,49 @@ def test_gram_schmidt_orthonormalizes_and_preserves_span():
     assert np.linalg.norm(p_old - p_new) <= 1e-9
 
 
+def _classical_gram_schmidt(vectors) -> list[np.ndarray]:
+    """Reference: two passes of classical Gram-Schmidt over the normalized inputs."""
+    out: list[np.ndarray] = []
+    for v in vectors:
+        u = v / np.linalg.norm(v)
+        for _ in range(2):
+            u = u - sum(q * np.vdot(q, u) for q in out)
+        out.append(u / np.linalg.norm(u))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gram_schmidt_is_classical_gram_schmidt(seed):
+    rng = np.random.default_rng(seed)
+    length, count = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    count = min(count, length)
+    vecs = [rng.normal(size=length) + 1j * rng.normal(size=length) for _ in range(count)]
+    if seed % 3 == 0:
+        vecs = [v.real * 3.0 for v in vecs]  # real inputs of any scale
+    basis = gram_schmidt(vecs)
+    assert len(basis) == count
+    for out, want, v in zip(basis, _classical_gram_schmidt(vecs), vecs):
+        assert np.max(np.abs(out - want)) <= 1e-13
+        # The phase is Gram-Schmidt's: <out_k, v_k> = R_kk |v_k| > 0.
+        overlap = np.vdot(out, v)
+        assert overlap.real > 0.0
+        assert abs(overlap.imag) <= 1e-13 * np.linalg.norm(v)
+
+
 def test_gram_schmidt_flags_dependent_family():
     v = np.array([1.0, 2.0, 0.0])
     with pytest.raises(NearDependence) as info:
         gram_schmidt([v, 2.0 * v])
     assert info.value.index == 1
+
+
+def test_gram_schmidt_names_first_vector_beyond_the_dimension():
+    # Five vectors in C^3: no residual collapses within R, and the fourth is
+    # the first that cannot be independent.
+    rng = np.random.default_rng(4)
+    with pytest.raises(NearDependence) as info:
+        gram_schmidt([rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(5)])
+    assert info.value.index == 3
 
 
 def test_gram_schmidt_flags_near_dependence():

@@ -260,7 +260,7 @@ def _point_entry_points():
         "amu_check": lambda p: amu_check(tup, state, p, 0.1, 0.1),
         "ground_state": lambda p: ground_state(tup, p),
         "superpose": lambda p: superpose(tup, [cert], p),
-        "amu_sequence": lambda p: amu_sequence(tup, p, (1,), 0.1),
+        "amu_sequence": lambda p: amu_sequence(tup, p, (1,), 0.1, 0.1),
         "theta_product": lambda p: theta_product(tup, p, 0.5),
     }
 

@@ -45,7 +45,7 @@ def test_localization_operator_diagonal_oracle():
     expected = np.diag(
         [(0.0 - 0.25) ** 2 + (0.5 - 0.25) ** 2, (1.0 - 0.25) ** 2 + (-0.5 - 0.25) ** 2]
     )
-    assert np.allclose(q.matrix.array, expected, atol=1e-15)
+    assert np.allclose(q.array, expected, atol=1e-15)
 
 
 def dense_localization(tup: OperatorTuple, lam) -> np.ndarray:
@@ -65,7 +65,7 @@ def test_localization_pencil_matches_dense_squares(n, dim, seed, coords):
         tuple(random_hermitian(dim, seed=seed + 7919 * j) for j in range(n)), bound=1.0
     )
     lam = coords[:n]
-    q = localization_operator(tup, lam).matrix.array
+    q = localization_operator(tup, lam).array
     assert np.array_equal(q, q.conj().T)
     s_norm = float(np.linalg.norm(tup.square_sum.array, 2))
     assert np.max(np.abs(q - dense_localization(tup, lam))) <= 1e-13 * (1.0 + s_norm)
@@ -191,6 +191,8 @@ def test_ground_energy_dominates_total_variance(seed):
     rep = measure(tup, v)
     # Total variance <= <Q v, v> with equality iff exp(v) == lam.
     assert sum(rep.var) <= energy + 1e-10
+    # <Q v, v> = sum_j var_j + |exp - lam|^2 also dominates the squared distance.
+    assert sum((e - l) ** 2 for e, l in zip(rep.exp, lam)) <= energy + 1e-10
     assert energy >= 0.0
 
 
