@@ -18,6 +18,7 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     HermitianMatrix,
+    band_ground_eigenpairs,
     eig_hermitian,
     gram_schmidt,
     ground_eigenpair,
@@ -50,10 +51,12 @@ from .spectrum import (
 from .search import (
     SuperpositionPlan,
     amu_at,
+    amu_batch,
     ground_state,
     localization_operator,
     solve_simplex_lsq,
     superpose,
+    uses_band_path,
 )
 from .essential import (
     EssentialLevel,

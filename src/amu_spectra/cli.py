@@ -25,7 +25,7 @@ from .essential import essential_spectrum_estimate
 from .models import (FAMILIES, ModelSpec, family_name, generate, load_tuple, save_tuple,
                      write_accepted_csv, write_json)
 from .observables import as_point, commutator_profile
-from .search import amu_at
+from .search import amu_at, amu_batch, uses_band_path
 from .spectrum import scan
 
 __all__ = ["main", "build_parser"]
@@ -167,11 +167,14 @@ def _cmd_amu(args) -> int:
     else:
         points = [_parse_point(raw, tup.n) for raw in args.lambdas]
 
-    def certify(point):
-        return amu_at(tup, point, args.sigma, args.eps)
+    if uses_band_path(tup):
+        certs = amu_batch(tup, points, args.sigma, args.eps)
+    else:
+        def certify(point):
+            return amu_at(tup, point, args.sigma, args.eps)
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        certs = list(pool.map(certify, points))
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            certs = list(pool.map(certify, points))
 
     certified = 0
     for cert in certs:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra used everywhere else.
+"""Dense and band complex linear algebra used everywhere else.
 
 Thin, contract-checked wrappers: a Hermitian matrix type that stores an
 exactly symmetrized array, a full eigensolver with residual and unitarity
@@ -8,6 +8,14 @@ eigenvalue lies below it), the operator norm of a square or rectangular
 matrix via the top eigenvalue of its Gram matrix (also for a stack of
 equal-shaped matrices in one call, which is how the scan takes its norms),
 and an orthonormalization by one Householder QR.
+
+For Hermitian band matrices, ``band_ground_eigenpairs`` finds and certifies
+the lowest eigenpairs of a whole stack without a dense matrix: a band
+Cholesky factorization vectorised over the stack (LAPACK xPBTRF's
+recurrence, O(dim w^2) per factor) decides whether a shift lies below the
+spectrum, multisection on that test brackets the lowest eigenvalue, inverse
+iteration with the factor at the bracket's lower end gives the vector, and
+each pair passes the same two certificates as ``ground_eigenpair``.
 """
 from __future__ import annotations
 
@@ -24,6 +32,9 @@ __all__ = [
     "as_matrix",
     "eig_hermitian",
     "ground_eigenpair",
+    "half_bandwidth",
+    "lower_band",
+    "band_ground_eigenpairs",
     "operator_norm",
     "gram_schmidt",
 ]
@@ -138,7 +149,8 @@ def ground_eigenpair(a) -> tuple[float, np.ndarray]:
     so some eigenvalue lies within delta of E, and A - (E - delta) I must
     have a Cholesky factorization, so every eigenvalue exceeds E - delta.
     Together they pin the smallest eigenvalue to within delta of E.
-    Raises NumericalError when either check fails.
+    Raises NumericalError when either check fails. ``band_ground_eigenpairs``
+    gives the same guarantee for a stack of band matrices without ``eigh``.
     """
     h = a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
     w, u = np.linalg.eigh(h.array)
@@ -163,6 +175,316 @@ def ground_eigenpair(a) -> tuple[float, np.ndarray]:
             f"{bound:.3e}) I is not positive definite"
         ) from None
     return energy, v
+
+
+def half_bandwidth(a) -> int:
+    """Largest |i - j| over the nonzero entries a_ij of a square matrix; 0 if it is diagonal."""
+    rows, cols = np.nonzero(as_matrix(a))
+    return int(np.abs(rows - cols).max()) if rows.size else 0
+
+
+def lower_band(a, width: int) -> np.ndarray:
+    """The (width+1)×dim lower band B[k, j] = a[j + k, j] of a square matrix, zero past its end."""
+    arr = as_matrix(a)
+    band = np.zeros((width + 1, arr.shape[0]), dtype=np.complex128)
+    for k in range(min(width + 1, arr.shape[0])):
+        band[k, : arr.shape[0] - k] = np.diagonal(arr, -k)
+    return band
+
+
+# Trial shifts per multisection pass: each pass narrows a bracket 8-fold.
+# Fewer shifts cost a single matrix more passes; more cost a large stack more data.
+_SHIFTS_PER_PASS = 7
+# A guard only: from a Gershgorin span down to delta / 4 takes about 13 passes.
+_MAX_PASSES = 64
+# Inverse iteration stops once the residual no longer halves in one step.
+_MAX_ITERATIONS = 32
+# Matrices in inverse iteration at once; each holds a factor of 16 * dim * (w + 1) bytes.
+_ITERATION_CHUNK = 256
+
+
+def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs (E_i, v_i) of a stack of Hermitian band matrices A_i.
+
+    ``bands`` is p×(w+1)×dim with bands[i, k, j] = A_i[j + k, j], the lower
+    band (entries past the matrix are ignored, the diagonal's imaginary part
+    too). Returns float64 energies (p,) and unit vectors (p, dim). No dense
+    matrix is formed: every step is a band Cholesky factorization of
+    A_i - s I (LAPACK xPBTRF's column recurrence, O(dim w^2)) or a pair of
+    band triangular solves, vectorised over the stack.
+
+    1. scale >= max(1, spectral radius) is certified by factorizations of
+       mu I - A_i and of A_i - s I; for positive semidefinite A_i it is
+       within 1% of max(1, lambda_max). delta = ``TOL.eig_residual * dim * scale``.
+    2. Multisection, seven shifts per pass, on "A_i - s I has a Cholesky
+       factor" brackets the lowest eigenvalue to delta / 4.
+    3. Inverse iteration with the factor at the bracket's lower end, from a
+       fixed start vector, runs until the residual stops halving.
+    4. Each pair must pass the two certificates of ``ground_eigenpair``:
+       ||A v - E v|| <= delta, and A - (E - delta) I has a band Cholesky
+       factor. NumericalError names the first pair that fails either.
+
+    Unlike an iterative eigensolver, none of this slows down when the low
+    end of the spectrum is crowded. Every operation acts element by element
+    along the stack and every sum over a vector runs row by row in a fixed
+    order, so a matrix gives the same bytes alone as inside any stack.
+    """
+    band = _stacked(bands)
+    dim = band.shape[0]
+
+    g_lo, g_hi = _gershgorin(band)
+    # The margin, above delta, keeps a factor at g_lo - margin within reach of rounding.
+    margin = TOL.eig_residual * dim * np.maximum(1.0, np.maximum(np.abs(g_lo), np.abs(g_hi)))
+    # lambda_max(A) = -lambda_min(-A) lies between the largest diagonal entry
+    # and g_hi; the lower end of the bracket for -A stays a certified bound.
+    top = band[:, 0, 0].max(axis=0)
+    neg_lo, _ = _bracket_lowest(band, -g_hi, -top, 0.01 * np.maximum(1.0, np.abs(top)),
+                                negate=True)
+    # lambda_min lies between g_lo and the smallest diagonal entry: bracketed
+    # first to 1% of its size, for the scale, then on to delta / 4.
+    lo, hi = g_lo - margin, band[:, 0, 0].min(axis=0)
+    lo, hi = _bracket_lowest(band, lo, hi, 0.01 * np.maximum(1.0, np.abs(lo)))
+    scale = np.maximum(1.0, np.maximum(-neg_lo, -lo))
+    delta = TOL.eig_residual * dim * scale
+    lo, _ = _bracket_lowest(band, lo, hi, delta / 4.0)
+    p = lo.size
+    energies, resid = np.empty(p), np.empty(p)
+    vectors = np.empty((p, dim), dtype=np.complex128)
+    for start in range(0, p, _ITERATION_CHUNK):
+        part = slice(start, start + _ITERATION_CHUNK)
+        energies[part], resid[part] = _inverse_iteration(band[..., part], lo[part],
+                                                         vectors[part])
+
+    for i in np.flatnonzero(~(resid <= delta)):
+        raise NumericalError(
+            f"lowest eigenpair residual {resid[i]:.3e} exceeds "
+            f"{TOL.eig_residual:.1e} * {dim} * {scale[i]:.3e}"
+        )
+    ok, _ = _band_cholesky(band, (energies - delta)[:, None])
+    for i in np.flatnonzero(~ok[:, 0]):
+        raise NumericalError(
+            f"eigenvalue {energies[i]:.6e} is not the smallest: A - ({energies[i]:.6e} - "
+            f"{delta[i]:.3e}) I is not positive definite"
+        )
+    return energies, vectors
+
+
+# In every kernel below a complex band or vector is a float array whose
+# axis 1 holds (real, imaginary) and whose last axis is the stack, so each
+# step of a recurrence is one call on both parts of every matrix. Complex
+# dtypes are avoided: numpy may fuse their products differently in vector
+# and scalar loops, which would tie a result to its neighbours in memory.
+
+
+def _stacked(bands) -> np.ndarray:
+    """Checked p×(w+1)×dim complex bands as the dim×2×(w+1)×p float view the kernels take."""
+    bands = np.ascontiguousarray(bands, dtype=np.complex128)
+    if bands.ndim != 3 or 0 in bands.shape or bands.shape[1] > bands.shape[2]:
+        raise ValueError(f"expected a p×(w+1)×dim band stack with w < dim, got {bands.shape}")
+    p, w1, dim = _finite_nonempty(bands).shape
+    return bands.view(np.float64).reshape(p, w1, dim, 2).transpose(2, 3, 1, 0)
+
+
+def _gershgorin(band):
+    """Per matrix, bounds below and above the union of its Gershgorin discs.
+
+    |Re| + |Im| stands in for each modulus: it bounds it, rounds exactly
+    element by element, and does not overflow where the square would.
+    """
+    dim, _, w1, p = band.shape
+    radius = np.zeros((dim, p))
+    for k in range(1, w1):
+        absb = np.abs(band[: dim - k, 0, k])
+        absb += np.abs(band[: dim - k, 1, k])
+        radius[k:] += absb
+        radius[: dim - k] += absb
+    diag = band[:, 0, 0]
+    return (diag - radius).min(axis=0), (diag + radius).max(axis=0)
+
+
+def _band_cholesky(band, shifts, keep: bool = False, negate: bool = False):
+    """Band Cholesky factors L L† = ±A_i - s I of a stack, for every shift s of each A_i.
+
+    ``band`` is dim×2×(w+1)×p; ``shifts`` is p×t; ``negate`` factors
+    -A_i - s I. Returns ok (p×t, True where the factor exists) and, when
+    ``keep``, the factor as dim×2×(w+1)×p×t with L[j + k, j] at [j, :, k].
+    Otherwise only the last w columns of each factor are held, which is all
+    the recurrence reads: column j of L is column j of the matrix minus,
+    over m = 1..w, L[j.., j - m] conj(L[j, j - m]), divided by the root of
+    its pivot.
+    """
+    dim, _, w1, p = band.shape
+    w = w1 - 1
+    t = shifts.shape[1]
+    sign = -1.0 if negate else 1.0
+    cols = dim if keep else max(w, 1)
+    fac = np.zeros((cols, 2, w1, p, t))
+    col = np.empty((2, w1, p, t))
+    # The smallest pivot so far; NaN, which the minimum keeps, once one is the root of a negative.
+    least = np.full((p, t), np.inf)
+    src = band[..., None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(dim):
+            np.multiply(src[j], sign, out=col)
+            col[0, 0] -= shifts
+            for m in range(1, min(w, j) + 1):
+                prev = fac[(j - m) % cols]
+                x = prev[:, m:]
+                # x conj(y), y = L[j, j - m]: (xr yr + xi yi, xi yr - xr yi).
+                prod = x * prev[0, m]
+                cross = x[::-1] * prev[1, m]
+                prod[0] += cross[0]
+                prod[1] -= cross[1]
+                col[:, : w1 - m] -= prod
+            out = fac[j % cols]
+            root = np.sqrt(col[0, 0], out=out[0, 0])
+            np.minimum(least, root, out=least)
+            np.divide(col[:, 1:], root, out=out[:, 1:])
+    return least > 0.0, (fac if keep else None)
+
+
+def _bracket_lowest(band, lo, hi, width, negate: bool = False):
+    """Multisection for the lowest eigenvalue of each matrix of a stack (of -A with ``negate``).
+
+    From lo <= lambda_min <= hi, returns (lo, hi) with hi - lo <= width:
+    lo only rises to shifts whose factor exists, hi only falls to shifts
+    whose factor does not. A matrix leaves the passes once its bracket is
+    narrow enough.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    steps = np.arange(1, _SHIFTS_PER_PASS + 1) / (_SHIFTS_PER_PASS + 1)
+    for _ in range(_MAX_PASSES):
+        active = np.flatnonzero(hi - lo > width)
+        if active.size == 0:
+            return lo, hi
+        part = band if active.size == lo.size else band[..., active]
+        grid = np.empty((active.size, _SHIFTS_PER_PASS + 2))
+        grid[:, 0] = lo[active]
+        grid[:, 1:-1] = lo[active, None] + (hi - lo)[active, None] * steps
+        grid[:, -1] = hi[active]
+        ok, _ = _band_cholesky(part, grid[:, 1:-1], negate=negate)
+        # The highest shift that factors; a fuzzy failure below it, within
+        # rounding of the eigenvalue, is ignored.
+        last = np.where(ok.any(axis=1), _SHIFTS_PER_PASS - np.argmax(ok[:, ::-1], axis=1), 0)
+        rows = np.arange(active.size)
+        lo[active] = grid[rows, last]
+        hi[active] = grid[rows, last + 1]
+    raise NumericalError(f"multisection left a bracket wider than {float(width.max()):.3e}")
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, one row after another, so each column's sum depends on that column alone."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """||x_i||^2 of each vector of a dim×2×p stack."""
+    sq = x[:, 0] * x[:, 0]
+    sq += x[:, 1] * x[:, 1]
+    return _column_sums(sq)
+
+
+def _start_vectors(dim: int, p: int) -> np.ndarray:
+    """p copies of a fixed unit vector with no symmetry (Weyl sequences in both parts)."""
+    j = np.arange(dim, dtype=np.float64)
+    x = np.empty((dim, 2, p))
+    x[:, 0] = (np.modf(j * 0.6180339887498949 + 0.25)[0] - 0.5)[:, None]
+    x[:, 1] = (np.modf(j * 0.41421356237309515 + 0.75)[0] - 0.5)[:, None]
+    x /= np.sqrt(_sq_norms(x))
+    return x
+
+
+def _band_matvec(band, x):
+    """A x for Hermitian band matrices (dim×2×(w+1)×p) and vectors (dim×2×p)."""
+    dim, _, w1, p = band.shape
+    y = band[:, 0, 0, None] * x
+    term = np.empty((dim, p))
+    for k in range(1, w1):
+        br, bi, t = band[: dim - k, 0, k], band[: dim - k, 1, k], term[: dim - k]
+        lo, hi = x[: dim - k], x[k:]
+        # Row j + k gains A[j + k, j] x_j = (br xr - bi xi, br xi + bi xr), and
+        # row j gains conj(A[j + k, j]) x_{j + k} = (br xr + bi xi, br xi - bi xr).
+        for out, a, b, sign in ((y[k:, 0], lo[:, 0], lo[:, 1], -1.0),
+                                (y[k:, 1], lo[:, 1], lo[:, 0], 1.0),
+                                (y[: dim - k, 0], hi[:, 0], hi[:, 1], 1.0),
+                                (y[: dim - k, 1], hi[:, 1], hi[:, 0], -1.0)):
+            out += np.multiply(br, a, out=t)
+            np.multiply(bi, b, out=t)
+            if sign > 0:
+                out += t
+            else:
+                out -= t
+    return y
+
+
+def _band_solve(fac, x) -> None:
+    """Overwrite x (dim×2×p) with (L L†)^-1 x by the two band triangular solves."""
+    dim, _, w1, _ = fac.shape
+    for j in range(dim):  # L y = x: y_j -= L[j, j - m] y_{j - m}
+        for m in range(1, min(w1 - 1, j) + 1):
+            c = fac[j - m, :, m]
+            prod = c[0] * x[j - m]
+            cross = c[1] * x[j - m, ::-1]
+            prod[0] -= cross[0]
+            prod[1] += cross[1]
+            x[j] -= prod
+        x[j] /= fac[j, 0, 0]
+    for j in range(dim - 1, -1, -1):  # L† x = y: x_j -= conj(L[j + k, j]) x_{j + k}
+        for k in range(1, min(w1 - 1, dim - 1 - j) + 1):
+            c = fac[j, :, k]
+            prod = c[0] * x[j + k]
+            cross = c[1] * x[j + k, ::-1]
+            prod[0] += cross[0]
+            prod[1] -= cross[1]
+            x[j] -= prod
+        x[j] /= fac[j, 0, 0]
+
+
+def _inverse_iteration(band, shift, vectors):
+    """Inverse iteration with the band Cholesky factor of A_i - shift_i I.
+
+    Writes the unit vectors into ``vectors`` (p×dim) and returns per matrix
+    the Rayleigh quotient E and the residual ||A v - E v||. A matrix stops,
+    and its pair is frozen, once its residual fails to halve in one step.
+    """
+    dim, _, _, p = band.shape
+    ok, fac = _band_cholesky(band, shift[:, None], keep=True)
+    for i in np.flatnonzero(~ok[:, 0]):
+        raise NumericalError(f"no band Cholesky factor at the bracket's lower end {shift[i]:.6e}")
+    fac = fac[..., 0]
+    energies, resid = np.empty(p), np.empty(p)
+    x = _start_vectors(dim, p)
+    index = np.arange(p)  # which matrix each column of x belongs to
+    live = np.ones(p, dtype=bool)
+    prev = np.full(p, np.inf)
+    for it in range(_MAX_ITERATIONS):
+        _band_solve(fac, x)
+        x /= np.sqrt(_sq_norms(x))
+        ax = _band_matvec(band, x)
+        e = x[:, 0] * ax[:, 0]
+        e += x[:, 1] * ax[:, 1]
+        e = _column_sums(e)
+        ax -= e * x
+        r = np.sqrt(_sq_norms(ax))
+        del ax
+        done = live & (~(r < 0.5 * prev) | (it == _MAX_ITERATIONS - 1))
+        idx = index[done]
+        energies[idx], resid[idx] = e[done], r[done]
+        vectors.real[idx] = x[:, 0, done].T
+        vectors.imag[idx] = x[:, 1, done].T
+        live &= ~done
+        prev = r
+        if not live.any():
+            break
+        # Frozen columns ride along until they are half of them: dropping
+        # them copies the band and the factor.
+        if 2 * live.sum() <= live.size:
+            x, band, fac = x[..., live], band[..., live], fac[..., live]
+            index, prev, live = index[live], prev[live], live[live]
+    return energies, resid
 
 
 def operator_norm(a):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import TOL
 from .errors import DimensionMismatch, NumericalError
-from .linalg import HermitianMatrix, operator_norm
+from .linalg import HermitianMatrix, half_bandwidth, operator_norm
 
 __all__ = [
     "VectorState",
@@ -92,7 +92,7 @@ class OperatorTuple:
     the grid range in scans.
     """
 
-    __slots__ = ("ops", "bound", "_square_sum")
+    __slots__ = ("ops", "bound", "_square_sum", "_half_bandwidth")
 
     def __init__(self, ops, bound: float = 1.0):
         converted = tuple(
@@ -118,6 +118,7 @@ class OperatorTuple:
         self.ops = converted
         self.bound = bound
         self._square_sum = None
+        self._half_bandwidth = None
 
     @property
     def n(self) -> int:
@@ -141,6 +142,15 @@ class OperatorTuple:
         if got is None:
             got = HermitianMatrix(sum(op.array @ op.array for op in self.ops))
             self._square_sum = got
+        return got
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Largest half-bandwidth over every T_j and S, so that of every Q(lambda); cached like S."""
+        got = self._half_bandwidth
+        if got is None:
+            got = max(half_bandwidth(a) for a in (*self.arrays(), self.square_sum.array))
+            self._half_bandwidth = got
         return got
 
     def __repr__(self) -> str:

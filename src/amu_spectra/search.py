@@ -5,11 +5,20 @@ localization operator Q(lambda) = sum_j (T_j - lambda_j I)^2: its energy
 dominates the total variance of the state, so a small ground energy
 certifies small standard deviations. Q is built as the pencil
 S - 2 sum_j lambda_j T_j + |lambda|^2 I from the tuple's cached
-S = sum_j T_j^2, so a point costs one ``eigh`` and nothing else of order
-dim^3: ``linalg.ground_eigenpair`` verifies only the lowest pair, the
-energy is summed as sum_j ||(T_j - lambda_j) v||^2 so the pencil's
-cancellation never reaches it, and the state's global phase is fixed
-(largest-magnitude entry real and positive) rather than left to LAPACK.
+S = sum_j T_j^2. Its lowest pair comes from one of two paths, chosen per
+tuple by ``uses_band_path`` from its half-bandwidth and dimension:
+
+- dense: one ``eigh`` per point, checked by ``linalg.ground_eigenpair``;
+- band (the shift pair's Q is tridiagonal): only the bands of Q are built,
+  and ``linalg.band_ground_eigenpairs`` certifies every point of a batch
+  at once with band Cholesky factorizations, no ``eigh`` and no dense Q.
+  ``amu_batch`` hands it all points; ``ground_state`` and ``amu_at`` one,
+  with the same bytes per point.
+
+Either way only the lowest pair is verified, the energy is summed as
+sum_j ||(T_j - lambda_j) v||^2 so the pencil's cancellation never reaches
+it, and the state's global phase is fixed (largest-magnitude entry real
+and positive) rather than left to the solver.
 
 Superposition mixes orthonormalized certified states toward a convex
 combination of their expectation points. The weights are the nearest point
@@ -28,7 +37,8 @@ import numpy as np
 
 from .constants import TOL
 from .errors import DimensionMismatch, HullDistanceError, NumericalError
-from .linalg import HermitianMatrix, gram_schmidt, ground_eigenpair
+from .linalg import (HermitianMatrix, band_ground_eigenpairs, gram_schmidt, ground_eigenpair,
+                     lower_band)
 from .observables import (
     AmuCertificate,
     MeasurementReport,
@@ -47,11 +57,17 @@ _WOLFE_INDEPENDENCE = 1e-12
 # A line step leaves ~eps |affine weight| where a weight should reach exactly 0.
 _WOLFE_ZERO = 1e-12
 
+# Where the band path starts to pay (see ``uses_band_path``).
+_BAND_MIN_DIM = 48
+_BAND_DIM_PER_WIDTH = 20
+
 __all__ = [
     "SuperpositionPlan",
     "localization_operator",
+    "uses_band_path",
     "ground_state",
     "amu_at",
+    "amu_batch",
     "solve_simplex_lsq",
     "superpose",
 ]
@@ -71,6 +87,47 @@ def localization_operator(tup: OperatorTuple, lam) -> HermitianMatrix:
         q -= (2.0 * l) * op.array
     q.flat[:: tup.dim + 1] += sum(l * l for l in lam)
     return HermitianMatrix(q)
+
+
+def uses_band_path(tup: OperatorTuple) -> bool:
+    """Whether ground states of ``tup`` come from the band solver instead of a dense ``eigh``.
+
+    With w = ``tup.half_bandwidth`` (the largest over every T_j and S, so
+    over every Q(lambda)), the rule is dim >= 48 and dim >= 20 (w + 1). It
+    follows the measured per-point crossover of a batch of 128 points on
+    random band tuples (one BLAS thread): the band path wins from dim 48 at
+    w <= 2, from dim 96 at w = 4 and from dim 192 at w = 8, and loses below
+    dim 32 at every w. A single point costs the band path more than a batch
+    does per point (about 50 ms at shift dim 192 against 11 ms for ``eigh``);
+    the rule keeps one path per tuple so a point's bytes never depend on how
+    many points are certified with it.
+    """
+    return tup.dim >= max(_BAND_MIN_DIM, _BAND_DIM_PER_WIDTH * (tup.half_bandwidth + 1))
+
+
+def _band_ground_states(tup: OperatorTuple, lams: np.ndarray) -> list[VectorState]:
+    """Ground states of Q(lambda) at each row of ``lams``, from one band solve.
+
+    The lower bands of Q are built from those of S and the T_j in real
+    arithmetic, element by element, so a point's bytes do not depend on
+    the other rows.
+    """
+    w = tup.half_bandwidth
+    bands = np.repeat(lower_band(tup.square_sum, w)[None], lams.shape[0], axis=0)
+    for j, op in enumerate(tup.ops):
+        band = lower_band(op, w)
+        two_l = (2.0 * lams[:, j])[:, None, None]
+        bands.real -= two_l * band.real
+        bands.imag -= two_l * band.imag
+    bands.real[:, 0] += sum(lams[:, j] * lams[:, j] for j in range(tup.n))[:, None]
+    return [_ground_vector(lowest, v) for lowest, v in zip(*band_ground_eigenpairs(bands))]
+
+
+def _ground_vector(lowest: float, v: np.ndarray) -> VectorState:
+    """The state of a verified lowest pair of Q, phase fixed; Q must not be negative."""
+    if lowest < TOL.psd_floor:
+        raise NumericalError(f"localization operator has eigenvalue {lowest:.3e} < 0")
+    return VectorState.normalized(_canonical_phase(v))
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -93,7 +150,8 @@ def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
     """Lowest eigenpair of the localization operator at ``lam``.
 
     Returns (state, energy). The eigenvector comes from
-    ``linalg.ground_eigenpair`` with its global phase fixed so that its
+    ``linalg.ground_eigenpair``, or on the band path (``uses_band_path``)
+    from ``linalg.band_ground_eigenpairs``, with its global phase fixed so that its
     largest-magnitude entry is real and positive. The energy is
     sum_j ||(T_j - lambda_j) v||^2 = sum_j var_j + |exp - lam|^2, a sum of
     squares. It bounds from above the total variance of the state and,
@@ -101,11 +159,10 @@ def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
     lam to that range.
     """
     lam = as_point(lam, tup.n)
-    q = localization_operator(tup, lam)
-    lowest, v = ground_eigenpair(q)
-    if lowest < TOL.psd_floor:
-        raise NumericalError(f"localization operator has eigenvalue {lowest:.3e} < 0")
-    state = VectorState.normalized(_canonical_phase(v))
+    if uses_band_path(tup):
+        state = _band_ground_states(tup, np.array([lam]))[0]
+    else:
+        state = _ground_vector(*ground_eigenpair(localization_operator(tup, lam)))
     energy = 0.0
     for op, l in zip(tup.ops, lam):
         r = op.array @ state.vector - l * state.vector
@@ -116,11 +173,24 @@ def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
 def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
     """AMU certificate of the ground state of the localization operator at ``lam``.
 
-    One Q(lambda), one verified lowest eigenpair, then ``amu_check`` of that
-    state at (lam, sigma, eps).
+    One Q(lambda) (or its bands), one verified lowest eigenpair, then
+    ``amu_check`` of that state at (lam, sigma, eps).
     """
     state, _ = ground_state(tup, lam)
     return amu_check(tup, state, lam, sigma, eps)
+
+
+def amu_batch(tup: OperatorTuple, points, sigma: float, eps: float) -> list[AmuCertificate]:
+    """``[amu_at(tup, p, sigma, eps) for p in points]``, bit for bit.
+
+    Where ``uses_band_path(tup)`` holds, every ground state comes from one
+    batched band solve instead of one solve per point.
+    """
+    lams = [as_point(p, tup.n) for p in points]
+    if not (lams and uses_band_path(tup)):
+        return [amu_at(tup, lam, sigma, eps) for lam in lams]
+    states = _band_ground_states(tup, np.array(lams))
+    return [amu_check(tup, state, lam, sigma, eps) for state, lam in zip(states, lams)]
 
 
 def solve_simplex_lsq(points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:

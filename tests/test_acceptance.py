@@ -33,7 +33,6 @@ from amu_spectra import (
     ground_state,
     hausdorff,
     is_refinement,
-    localization_operator,
     measure,
     scan,
     superpose,

@@ -245,7 +245,7 @@ def test_amu_deterministic_across_threads(tmp_path, shift_file):
     # Every accepted point, then one point handed to several workers.
     for points in (["--eta", "0.5", "--lambda", "all-accepted"], ["--lambda", "0.5,0.5"]):
         outputs = []
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "4"):
             out = tmp_path / f"amu_t{threads}.json"
             proc = run_cli(
                 "amu", "--input", str(shift_file), *points,
@@ -254,7 +254,30 @@ def test_amu_deterministic_across_threads(tmp_path, shift_file):
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("gen", [["shift", "--dim", "64"],
+                                 ["perturbed", "--dim", "24", "--n", "2", "--seed", "1"]],
+                         ids=["band-shift64", "dense-perturbed24"])
+def test_amu_single_point_matches_its_batch_entry(tmp_path, gen):
+    # shift 64 takes the band path, perturbed 24 the dense one; either way a
+    # point certified alone is its entry in the all-accepted batch.
+    src = tmp_path / "tuple.json"
+    assert run_cli("models", "gen", *gen, "-o", str(src)).returncode == 0
+    common = ["--sigma", "0.35", "--eps", "0.35"]
+    batch = tmp_path / "all.json"
+    proc = run_cli("amu", "--input", str(src), "--lambda", "all-accepted", "--eta", "0.5",
+                   *common, "-o", str(batch))
+    assert proc.returncode == 0, proc.stderr
+    certs = json.loads(batch.read_text())["certificates"]
+    for i in (0, len(certs) // 2, len(certs) - 1):
+        point = ",".join(repr(x) for x in certs[i]["lambda"])
+        single = tmp_path / f"one_{i}.json"
+        proc = run_cli("amu", "--input", str(src), f"--lambda={point}", *common,
+                       "-o", str(single))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(single.read_text())["certificates"] == [certs[i]]
 
 
 def test_essential_command(tmp_path, shift_file):

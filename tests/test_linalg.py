@@ -10,14 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amu_spectra import (
+    TOL,
     HermitianMatrix,
     NearDependence,
     NumericalError,
+    band_ground_eigenpairs,
     eig_hermitian,
     gram_schmidt,
     ground_eigenpair,
     operator_norm,
 )
+from amu_spectra import linalg
+from amu_spectra.linalg import half_bandwidth, lower_band
 from conftest import random_hermitian
 
 
@@ -262,3 +266,165 @@ def test_gram_schmidt_flags_near_dependence():
 def test_gram_schmidt_rejects_zero_vector():
     with pytest.raises(ValueError):
         gram_schmidt([np.zeros(3)])
+
+
+def _band_matrices(seed: int, count: int, dim: int, w: int, scales=(1.0,)):
+    """``count`` random Hermitian matrices of half-bandwidth w, cycling through ``scales``,
+    and their stacked lower bands."""
+    rows, cols = np.indices((dim, dim))
+    mats = []
+    for i in range(count):
+        a = random_hermitian(dim, seed=seed + 7919 * i, scale=scales[i % len(scales)])
+        a[np.abs(rows - cols) > w] = 0.0
+        mats.append(a)
+    return mats, np.stack([lower_band(a, w) for a in mats])
+
+
+band_cases = st.tuples(st.integers(0, 3), st.integers(1, 48), st.integers(1, 4),
+                       st.integers(0, 10_000))
+
+
+def test_half_bandwidth_and_lower_band():
+    a = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.5j, 0.0, 0.25], -1) + np.diag([-0.5j, 0.0, 0.25], 1)
+    assert half_bandwidth(a) == 1
+    assert half_bandwidth(np.diag([1.0, 2.0])) == half_bandwidth(np.zeros((3, 3))) == 0
+    assert half_bandwidth(random_hermitian(5, seed=1)) == 4
+    band = lower_band(a, 2)
+    assert band.shape == (3, 4)
+    assert np.array_equal(band[0], np.diagonal(a)) and np.array_equal(band[1, :3], np.diagonal(a, -1))
+    assert np.array_equal(band[2], np.zeros(4)) and band[1, 3] == 0.0
+
+
+@given(band_cases)
+def test_band_cholesky_factors_exactly_when_numpy_does(case):
+    w, dim, count, seed = case
+    w = min(w, dim - 1)
+    mats, bands = _band_matrices(seed, count, dim, w)
+    lows = np.array([np.linalg.eigvalsh(a)[0] for a in mats])
+    # Shifts at least 1e-6 from each matrix's lowest eigenvalue, on both sides.
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(1e-6, 1.0, size=(count, 6)) * np.array([-1.0, 1.0] * 3)
+    shifts = lows[:, None] + offsets
+    band = linalg._stacked(bands)
+    ok, fac = linalg._band_cholesky(band, shifts, keep=True)
+    # Keeping only the last w columns decides the same way.
+    assert np.array_equal(linalg._band_cholesky(band, shifts)[0], ok)
+    for i, a in enumerate(mats):
+        for t, s in enumerate(shifts[i]):
+            try:
+                want = np.linalg.cholesky(a - s * np.eye(dim))
+            except np.linalg.LinAlgError:
+                want = None
+            assert ok[i, t] == (want is not None), (i, t, s - lows[i])
+            if want is not None:
+                got = fac[:, 0, :, i, t] + 1j * fac[:, 1, :, i, t]
+                assert np.max(np.abs(got - lower_band(want, w).T)) <= 1e-8 * np.abs(want).max()
+
+
+@given(band_cases)
+def test_band_solves_invert_the_factor(case):
+    w, dim, count, seed = case
+    w = min(w, dim - 1)
+    mats, bands = _band_matrices(seed, count, dim, w)
+    shifts = np.array([[np.linalg.eigvalsh(a)[0] - 1.0] for a in mats])
+    ok, fac = linalg._band_cholesky(linalg._stacked(bands), shifts, keep=True)
+    assert ok.all()
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, 2, count))
+    rhs = x[:, 0] + 1j * x[:, 1]
+    linalg._band_solve(fac[..., 0], x)
+    for i, a in enumerate(mats):
+        want = np.linalg.solve(a - shifts[i, 0] * np.eye(dim), rhs[:, i])
+        assert np.max(np.abs(x[:, 0, i] + 1j * x[:, 1, i] - want)) <= 1e-12
+
+
+@given(band_cases)
+def test_band_ground_eigenpairs_match_eigvalsh(case):
+    w, dim, count, seed = case
+    w = min(w, dim - 1)
+    mats, bands = _band_matrices(seed, count, dim, w, scales=(3.0, 1e-3, 1e3))
+    energies, vectors = band_ground_eigenpairs(bands)
+    assert energies.shape == (count,) and vectors.shape == (count, dim)
+    for a, e, v in zip(mats, energies, vectors):
+        spectrum = np.linalg.eigvalsh(a)
+        delta = TOL.eig_residual * dim * max(1.0, np.abs(spectrum).max())
+        assert abs(e - spectrum[0]) <= delta
+        assert np.linalg.norm(a @ v - e * v) <= delta
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.integers(0, 3), st.integers(2, 40), st.integers(0, 10_000))
+def test_band_ground_eigenpairs_member_bytes_do_not_depend_on_the_stack(w, dim, seed):
+    # Members of sizes 1e-3 to 1e3 leave the multisection and the iteration
+    # after different numbers of steps; each must still come out the same.
+    w = min(w, dim - 1)
+    _, bands = _band_matrices(seed, 6, dim, w, scales=(1.0, 1e3, 1e-3, 5.0))
+    alone = [band_ground_eigenpairs(b[None]) for b in bands]
+    for members in ([0, 1, 2, 3, 4, 5], [5, 3], [2, 2, 0, 4, 1], [4]):
+        energies, vectors = band_ground_eigenpairs(bands[members])
+        for pos, i in enumerate(members):
+            assert energies[pos].tobytes() == alone[i][0][0].tobytes()
+            assert vectors[pos].tobytes() == alone[i][1][0].tobytes()
+
+
+def test_band_ground_eigenpairs_stack_beyond_one_iteration_chunk():
+    count = linalg._ITERATION_CHUNK + 44
+    _, bands = _band_matrices(5, count, 6, 2, scales=(1.0, 0.5, 2.0))
+    energies, vectors = band_ground_eigenpairs(bands)
+    for i in (0, 1, linalg._ITERATION_CHUNK - 1, linalg._ITERATION_CHUNK, count - 1):
+        e, v = band_ground_eigenpairs(bands[i:i + 1])
+        assert energies[i].tobytes() == e.tobytes() and vectors[i].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("diag", [[0.5, 1.0, 0.5, 2.0, 0.5], [3.0, 3.0, 3.0]])
+def test_band_ground_eigenpairs_degenerate_lowest_eigenvalue(diag):
+    a = np.diag(np.array(diag, dtype=complex))
+    for w in range(len(diag)):
+        energies, vectors = band_ground_eigenpairs(lower_band(a, w)[None])
+        v = vectors[0]
+        assert energies[0] == pytest.approx(min(diag), abs=1e-14)
+        assert np.linalg.norm(a @ v - energies[0] * v) <= 1e-14
+
+
+def _patch_inverse_iteration(monkeypatch, mats, pick):
+    """Make the band path hand back pick(eigenvalues, eigenvectors) of each matrix."""
+    def fake(band, shift, vectors):
+        energies, vectors[:] = zip(*(pick(*np.linalg.eigh(a)) for a in mats))
+        resid = [np.linalg.norm(a @ v - e * v) for a, e, v in zip(mats, energies, vectors)]
+        return np.array(energies), np.array(resid)
+
+    monkeypatch.setattr(linalg, "_inverse_iteration", fake)
+
+
+@pytest.mark.parametrize("w", [0, 1, 3])
+def test_band_ground_eigenpairs_rejects_second_lowest_pair(monkeypatch, w):
+    # A true eigenpair passes the residual: only the band Cholesky certificate
+    # at E - delta can tell that it is not the lowest one.
+    mats, bands = _band_matrices(3, 3, 24, w)
+    _patch_inverse_iteration(monkeypatch, mats, lambda ws, u: (ws[1], u[:, 1]))
+    with pytest.raises(NumericalError, match="not the smallest"):
+        band_ground_eigenpairs(bands)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_band_ground_eigenpairs_rejects_perturbed_vector(monkeypatch, w):
+    mats, bands = _band_matrices(3, 3, 24, w)
+
+    def pick(ws, u):
+        # 1e-3 of the next eigenvector, with the Rayleigh quotient of the mix.
+        v = u[:, 0] + 1e-3 * u[:, 1]
+        return (ws[0] + 1e-6 * ws[1]) / (1.0 + 1e-6), v / np.linalg.norm(v)
+
+    _patch_inverse_iteration(monkeypatch, mats, pick)
+    with pytest.raises(NumericalError, match="residual"):
+        band_ground_eigenpairs(bands)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros((2, 3)), np.zeros((0, 1, 3)), np.zeros((1, 4, 3)), np.zeros((1, 1, 0)),
+     np.full((1, 2, 3), np.nan)],
+)
+def test_band_ground_eigenpairs_rejects_bad_stacks(bad):
+    with pytest.raises(ValueError):
+        band_ground_eigenpairs(bad)

@@ -20,6 +20,7 @@ from amu_spectra import (
     OperatorTuple,
     VectorState,
     amu_at,
+    amu_batch,
     amu_check,
     generate,
     ground_state,
@@ -28,7 +29,7 @@ from amu_spectra import (
     solve_simplex_lsq,
     superpose,
 )
-from amu_spectra import search
+from amu_spectra import observables, search
 from amu_spectra.search import _canonical_phase
 from conftest import random_hermitian
 
@@ -132,12 +133,36 @@ def test_ground_state_phase_is_canonical(monkeypatch, clock_32, phase):
     assert e1 == e0
 
 
-def test_ground_state_phase_generic_rotation(monkeypatch, shift_pair_64):
-    lam = (0.8, 0.3)
-    v0, _ = ground_state(shift_pair_64, lam)
+def test_ground_state_phase_generic_rotation(monkeypatch, clock_32):
+    lam = (0.8, 0.3, -0.1)
+    assert not search.uses_band_path(clock_32)
+    v0, _ = ground_state(clock_32, lam)
     _rotate_eigh(monkeypatch, np.exp(0.7j))
-    v1, _ = ground_state(shift_pair_64, lam)
+    v1, _ = ground_state(clock_32, lam)
     assert np.max(np.abs(v1.vector - v0.vector)) <= 1e-14
+
+
+@pytest.mark.parametrize("phase", [1j, -1.0, -1j, np.exp(0.7j)])
+def test_band_ground_state_phase_is_canonical(monkeypatch, shift_pair_64, phase):
+    # The band path's vectors get the same canonical phase: exact for -1 and
+    # +-i, to rounding for a generic phase.
+    lam = (0.8, 0.3)
+    assert search.uses_band_path(shift_pair_64)
+    v0, e0 = ground_state(shift_pair_64, lam)
+    k = int(np.argmax(np.abs(v0.vector)))
+    assert v0.vector[k].imag == 0.0 and v0.vector[k].real > 0.0
+    real = search.band_ground_eigenpairs
+
+    def rotated(bands):
+        energies, vectors = real(bands)
+        return energies, vectors * phase
+
+    monkeypatch.setattr(search, "band_ground_eigenpairs", rotated)
+    v1, e1 = ground_state(shift_pair_64, lam)
+    if phase in (1j, -1.0, -1j):
+        assert v1.vector.tobytes() == v0.vector.tobytes() and e1 == e0
+    else:
+        assert np.max(np.abs(v1.vector - v0.vector)) <= 1e-14
 
 
 def test_canonical_phase_ties_go_to_lowest_index():
@@ -147,13 +172,14 @@ def test_canonical_phase_ties_go_to_lowest_index():
     assert np.allclose(got, v * -1j, atol=1e-15)
 
 
-def test_amu_at_builds_one_localization_operator(monkeypatch, shift_pair_64, clock_32):
-    # amu_at is exactly amu_check of the ground state: same state bytes and
-    # report, from a single Q(lambda) per point.
+def test_amu_at_builds_one_localization_operator(monkeypatch, clock_32):
+    # On the dense path amu_at is exactly amu_check of the ground state: same
+    # state bytes and report, from a single Q(lambda) per point.
     perturbed = generate(ModelSpec("perturbed_commuting", 40, n=3, seed=5,
                                    params={"perturbation": 0.2}))
-    cases = [(shift_pair_64, (0.8, 0.3)), (clock_32, (1.0, 0.0, 0.0)),
+    cases = [(clock_32, (1.0, 0.0, 0.0)), (clock_32, (0.3, -0.2, 0.1)),
              (perturbed, (0.1, -0.3, 0.4))]
+    assert not any(search.uses_band_path(tup) for tup, _ in cases)
     expected = [amu_check(tup, ground_state(tup, lam)[0], lam, 0.5, 0.5)
                 for tup, lam in cases]
     calls = []
@@ -172,6 +198,96 @@ def test_amu_at_builds_one_localization_operator(monkeypatch, shift_pair_64, clo
         assert cert.report == want.report
         assert (cert.lam, cert.amu_member, cert.expectation_close) == (
             want.lam, want.amu_member, want.expectation_close)
+
+
+def _count_band_solves(monkeypatch):
+    """Record the stack size of every band solve; fail on any dense Q."""
+    sizes = []
+    real = search.band_ground_eigenpairs
+
+    def counting(bands):
+        sizes.append(len(bands))
+        return real(bands)
+
+    def no_dense(tup, lam):
+        raise AssertionError("the band path built a dense Q(lambda)")
+
+    monkeypatch.setattr(search, "band_ground_eigenpairs", counting)
+    monkeypatch.setattr(search, "localization_operator", no_dense)
+    return sizes
+
+
+def test_amu_at_band_path_one_point_one_solve(monkeypatch, shift_pair_64):
+    # On the band path a point costs one band solve of one matrix and no
+    # dense Q, and gives amu_check of ground_state's state.
+    points = [(0.8, 0.3), (1.0, 0.0), (0.0, 0.5)]
+    expected = [amu_check(shift_pair_64, ground_state(shift_pair_64, lam)[0], lam, 0.5, 0.5)
+                for lam in points]
+    sizes = _count_band_solves(monkeypatch)
+    for lam, want in zip(points, expected):
+        sizes.clear()
+        cert = amu_at(shift_pair_64, lam, sigma=0.5, eps=0.5)
+        assert sizes == [1]
+        assert cert.state.vector.tobytes() == want.state.vector.tobytes()
+        assert cert.report == want.report
+
+
+def test_amu_batch_equals_amu_at_point_by_point(monkeypatch, shift_pair_64, clock_32):
+    # One band solve for the whole batch, and every certificate bit for bit
+    # that of amu_at, whatever the batch holds or its order; dense tuples go
+    # point by point.
+    points = [(0.8, 0.3), (-0.5, 0.5), (0.0, 0.0), (1.2, -0.4), (0.5, 0.0)]
+    singles = [amu_at(shift_pair_64, p, 0.35, 0.35) for p in points]
+    sizes = _count_band_solves(monkeypatch)
+    for order in ([0, 1, 2, 3, 4], [4, 2, 0], [3, 3, 1]):
+        sizes.clear()
+        certs = amu_batch(shift_pair_64, [points[i] for i in order], 0.35, 0.35)
+        assert sizes == [len(order)]
+        for cert, i in zip(certs, order):
+            assert cert.state.vector.tobytes() == singles[i].state.vector.tobytes()
+            assert cert.to_json_dict() == singles[i].to_json_dict()
+    monkeypatch.undo()
+    dense = [(0.3, -0.2, 0.1), (1.0, 0.0, 0.0)]
+    assert [c.to_json_dict() for c in amu_batch(clock_32, dense, 0.35, 0.35)] == [
+        amu_at(clock_32, p, 0.35, 0.35).to_json_dict() for p in dense]
+    assert amu_batch(shift_pair_64, [], 0.35, 0.35) == []
+
+
+def test_band_path_reads_the_wider_band_of_s():
+    # Tridiagonal T_j give a pentadiagonal S, so every Q has half-bandwidth 2.
+    rows, cols = np.indices((64, 64))
+    ops = []
+    for seed in (1, 2):
+        a = random_hermitian(64, seed=seed)
+        a[np.abs(rows - cols) > 1] = 0.0
+        ops.append(a / np.linalg.norm(a, 2))
+    tup = OperatorTuple(ops, bound=1.0)
+    assert tup.half_bandwidth == 2 and search.uses_band_path(tup)
+    lam = (0.1, -0.2)
+    v, energy = ground_state(tup, lam)
+    q = dense_localization(tup, lam)
+    assert energy == pytest.approx(float(np.linalg.eigvalsh(q)[0]), abs=1e-12)
+    assert energy == pytest.approx(float(np.vdot(v.vector, q @ v.vector).real), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, half_bandwidth, band",
+    [
+        (ModelSpec("shift_pair", 12), 1, False),
+        (ModelSpec("shift_pair", 32), 1, False),
+        (ModelSpec("shift_pair", 48), 1, True),
+        (ModelSpec("commuting_diag", 48, n=2, seed=1), 0, True),
+        (ModelSpec("clock_shift_triple", 64, n=3), 63, False),
+        (ModelSpec("perturbed_commuting", 48, n=3, seed=0, params={"perturbation": 0.2}), 47,
+         False),
+    ],
+)
+def test_band_path_rule(monkeypatch, spec, half_bandwidth, band):
+    tup = generate(spec)
+    assert tup.half_bandwidth == half_bandwidth
+    # Cached like S: the second read measures nothing.
+    monkeypatch.setattr(observables, "half_bandwidth", None)
+    assert search.uses_band_path(tup) is band
 
 
 def test_ground_state_picks_minimal_entry():
