@@ -1,12 +1,13 @@
 """Desk study: AMU quality of the truncated shift pair along the circle.
 
 For each dimension the script certifies localized states at equispaced
-circle points, reports how many were certified with the worst standard
-deviation and the worst expectation error, and finishes with a cat-state
-superposition aimed at the center of the hull (a point far from the
-spectrum of either observable). It prints the plan's phase-free cross-term
-bound and exits 1 if some |exp_j - target_j| exceeds that bound plus the
-distance from the weighted source points to the target.
+circle points, all in one ``amu_batch`` call, reports how many were
+certified with the worst standard deviation and the worst expectation
+error, and finishes with a cat-state superposition aimed at the center
+of the hull (a point far from the spectrum of either observable). It
+prints the plan's phase-free cross-term bound and exits 1 if some
+|exp_j - target_j| exceeds that bound plus the distance from the weighted
+source points to the target.
 
 Usage: python3 scripts/shift_circle_study.py [--dims 128,256,512] [--points 16]
 """
@@ -19,10 +20,15 @@ import numpy as np
 
 from amu_spectra import (
     ModelSpec,
-    amu_at,
+    amu_batch,
     generate,
     superpose,
 )
+
+
+def circle(angles) -> list[tuple[float, float]]:
+    """The points (cos th, sin th) of the unit circle at ``angles``."""
+    return [(float(np.cos(th)), float(np.sin(th))) for th in angles]
 
 
 def main() -> int:
@@ -36,15 +42,10 @@ def main() -> int:
 
     for dim in dims:
         tup = generate(ModelSpec("shift_pair", dim))
-        worst_sd = 0.0
-        worst_exp = 0.0
-        certified = 0
-        for th in angles:
-            lam = (float(np.cos(th)), float(np.sin(th)))
-            cert = amu_at(tup, lam, sigma=args.sigma, eps=args.sigma)
-            certified += int(cert.amu_member and cert.expectation_close)
-            worst_sd = max(worst_sd, cert.max_sd)
-            worst_exp = max(worst_exp, cert.max_exp_error)
+        certs = amu_batch(tup, circle(angles), args.sigma, args.sigma)
+        certified = sum(int(c.amu_member and c.expectation_close) for c in certs)
+        worst_sd = max((c.max_sd for c in certs), default=0.0)
+        worst_exp = max((c.max_exp_error for c in certs), default=0.0)
         print(
             f"dim {dim:4d}: {certified}/{args.points} certified at "
             f"sigma={args.sigma}  worst sd {worst_sd:.6f}  "
@@ -53,10 +54,7 @@ def main() -> int:
 
     dim = dims[-1]
     tup = generate(ModelSpec("shift_pair", dim))
-    certs = []
-    for th in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
-        lam = (float(np.cos(th)), float(np.sin(th)))
-        certs.append(amu_at(tup, lam, args.sigma, args.sigma))
+    certs = amu_batch(tup, circle((0.0, np.pi / 2, np.pi, 3 * np.pi / 2)), args.sigma, args.sigma)
     plan = superpose(tup, certs, (0.0, 0.0))
     print(
         f"superposition at dim {dim}: weights "

@@ -30,13 +30,14 @@ from .spectrum import scan
 
 __all__ = ["main", "build_parser"]
 
-def _thread_count(raw: str) -> int:
-    """A positive worker count, from --threads or AMU_SPECTRA_THREADS."""
-    if raw.strip().isdecimal() and int(raw) >= 1:
-        return int(raw)
-    raise argparse.ArgumentTypeError(
-        f"{raw!r} is not a positive integer (from --threads or AMU_SPECTRA_THREADS)"
-    )
+def _positive_int(source: str):
+    """An argparse type for positive integers whose error names ``source``, their origin."""
+    def parse(raw: str) -> int:
+        if raw.strip().isdecimal() and int(raw) >= 1:
+            return int(raw)
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer (from {source})")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     # Options of every command that scans a tuple file.
     scanning = argparse.ArgumentParser(add_help=False)
     scanning.add_argument("--input", required=True, help="tuple file")
-    scanning.add_argument("--grid-cap", type=int, default=GRID_POINT_CAP)
+    scanning.add_argument("--grid-cap", type=_positive_int("--grid-cap"), default=GRID_POINT_CAP)
     # A string default goes through ``type`` too, so one parse checks both.
-    scanning.add_argument("--threads", type=_thread_count,
+    scanning.add_argument("--threads", type=_positive_int("--threads or AMU_SPECTRA_THREADS"),
                           default=os.environ.get("AMU_SPECTRA_THREADS", "1"),
                           help="worker threads (default: AMU_SPECTRA_THREADS, else 1)")
     scanning.add_argument("-o", "--output", required=True, help="JSON result path")
@@ -155,11 +156,16 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amu(args) -> int:
     if not (args.sigma > 0 and args.eps > 0):  # before any scan or eigensolve
         raise ValueError("sigma and eps must be positive")
+    all_accepted = "all-accepted" in args.lambdas
+    if all_accepted and len(args.lambdas) > 1:
+        raise ValueError("--lambda all-accepted cannot be combined with explicit points")
+    if all_accepted and args.eta is None:
+        raise ValueError("--lambda all-accepted requires --eta")
+    if args.eta is not None and not all_accepted:
+        raise ValueError("--eta applies only to --lambda all-accepted")
     tup, _ = load_tuple(args.input)
     scan_meta = None
-    if len(args.lambdas) == 1 and args.lambdas[0] == "all-accepted":
-        if args.eta is None:
-            raise ValueError("--lambda all-accepted requires --eta")
+    if all_accepted:
         result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
         points = [list(p) for p, _ in result.accepted]
         scan_meta = {"eta": args.eta, "k": result.grid.k,

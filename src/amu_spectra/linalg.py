@@ -158,23 +158,38 @@ def ground_eigenpair(a) -> tuple[float, np.ndarray]:
     energy = float(w[0])
     v = u[:, 0] / np.linalg.norm(u[:, 0])
     scale = max(1.0, float(np.max(np.abs(w))))
-    bound = TOL.eig_residual * dim * scale
     resid = float(np.linalg.norm(h.array @ v - energy * v))
-    if not resid <= bound:
-        raise NumericalError(
-            f"lowest eigenpair residual {resid:.3e} exceeds "
-            f"{TOL.eig_residual:.1e} * {dim} * {scale:.3e}"
-        )
-    shifted = h.array.copy()
-    shifted.flat[:: dim + 1] -= energy - bound
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"eigenvalue {energy:.6e} is not the smallest: A - ({energy:.6e} - "
-            f"{bound:.3e}) I is not positive definite"
-        ) from None
+
+    def factors(shifts):
+        shifted = h.array.copy()
+        shifted.flat[:: dim + 1] -= shifts[0]
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return np.zeros(1, dtype=bool)
+        return np.ones(1, dtype=bool)
+
+    _certify_lowest(np.array([energy]), np.array([resid]), np.array([scale]), dim, factors)
     return energy, v
+
+
+def _certify_lowest(energies, resid, scale, dim: int, factors) -> None:
+    """Raise NumericalError for the first pair (E_i, v_i) failing a ``ground_eigenpair`` check.
+
+    ``resid`` holds the ||A_i v_i - E_i v_i||; ``factors`` maps the shifts
+    E - delta to a mask of the A_i - (E_i - delta_i) I with a Cholesky factor.
+    """
+    delta = TOL.eig_residual * dim * scale
+    for i in np.flatnonzero(~(resid <= delta)):
+        raise NumericalError(
+            f"lowest eigenpair residual {resid[i]:.3e} exceeds "
+            f"{TOL.eig_residual:.1e} * {dim} * {scale[i]:.3e}"
+        )
+    for i in np.flatnonzero(~factors(energies - delta)):
+        raise NumericalError(
+            f"eigenvalue {energies[i]:.6e} is not the smallest: A - ({energies[i]:.6e} - "
+            f"{delta[i]:.3e}) I is not positive definite"
+        )
 
 
 def half_bandwidth(a) -> int:
@@ -238,8 +253,7 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
     # lambda_max(A) = -lambda_min(-A) lies between the largest diagonal entry
     # and g_hi; the lower end of the bracket for -A stays a certified bound.
     top = band[:, 0, 0].max(axis=0)
-    neg_lo, _ = _bracket_lowest(band, -g_hi, -top, 0.01 * np.maximum(1.0, np.abs(top)),
-                                negate=True)
+    neg_lo, _ = _bracket_lowest(-band, -g_hi, -top, 0.01 * np.maximum(1.0, np.abs(top)))
     # lambda_min lies between g_lo and the smallest diagonal entry: bracketed
     # first to 1% of its size, for the scale, then on to delta / 4.
     lo, hi = g_lo - margin, band[:, 0, 0].min(axis=0)
@@ -254,18 +268,8 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
         part = slice(start, start + _ITERATION_CHUNK)
         energies[part], resid[part] = _inverse_iteration(band[..., part], lo[part],
                                                          vectors[part])
-
-    for i in np.flatnonzero(~(resid <= delta)):
-        raise NumericalError(
-            f"lowest eigenpair residual {resid[i]:.3e} exceeds "
-            f"{TOL.eig_residual:.1e} * {dim} * {scale[i]:.3e}"
-        )
-    ok, _ = _band_cholesky(band, (energies - delta)[:, None])
-    for i in np.flatnonzero(~ok[:, 0]):
-        raise NumericalError(
-            f"eigenvalue {energies[i]:.6e} is not the smallest: A - ({energies[i]:.6e} - "
-            f"{delta[i]:.3e}) I is not positive definite"
-        )
+    _certify_lowest(energies, resid, scale, dim,
+                    lambda shifts: _band_cholesky(band, shifts[:, None])[0][:, 0])
     return energies, vectors
 
 
@@ -302,21 +306,19 @@ def _gershgorin(band):
     return (diag - radius).min(axis=0), (diag + radius).max(axis=0)
 
 
-def _band_cholesky(band, shifts, keep: bool = False, negate: bool = False):
-    """Band Cholesky factors L L† = ±A_i - s I of a stack, for every shift s of each A_i.
+def _band_cholesky(band, shifts, keep: bool = False):
+    """Band Cholesky factors L L† = A_i - s I of a stack, for every shift s of each A_i.
 
-    ``band`` is dim×2×(w+1)×p; ``shifts`` is p×t; ``negate`` factors
-    -A_i - s I. Returns ok (p×t, True where the factor exists) and, when
-    ``keep``, the factor as dim×2×(w+1)×p×t with L[j + k, j] at [j, :, k].
-    Otherwise only the last w columns of each factor are held, which is all
-    the recurrence reads: column j of L is column j of the matrix minus,
-    over m = 1..w, L[j.., j - m] conj(L[j, j - m]), divided by the root of
-    its pivot.
+    ``band`` is dim×2×(w+1)×p; ``shifts`` is p×t. Returns ok (p×t, True
+    where the factor exists) and, when ``keep``, the factor as
+    dim×2×(w+1)×p×t with L[j + k, j] at [j, :, k]. Otherwise only the last
+    w columns of each factor are held, which is all the recurrence reads:
+    column j of L is column j of the matrix minus, over m = 1..w,
+    L[j.., j - m] conj(L[j, j - m]), divided by the root of its pivot.
     """
     dim, _, w1, p = band.shape
     w = w1 - 1
     t = shifts.shape[1]
-    sign = -1.0 if negate else 1.0
     cols = dim if keep else max(w, 1)
     fac = np.zeros((cols, 2, w1, p, t))
     col = np.empty((2, w1, p, t))
@@ -325,7 +327,7 @@ def _band_cholesky(band, shifts, keep: bool = False, negate: bool = False):
     src = band[..., None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(dim):
-            np.multiply(src[j], sign, out=col)
+            col[...] = src[j]
             col[0, 0] -= shifts
             for m in range(1, min(w, j) + 1):
                 prev = fac[(j - m) % cols]
@@ -343,8 +345,8 @@ def _band_cholesky(band, shifts, keep: bool = False, negate: bool = False):
     return least > 0.0, (fac if keep else None)
 
 
-def _bracket_lowest(band, lo, hi, width, negate: bool = False):
-    """Multisection for the lowest eigenvalue of each matrix of a stack (of -A with ``negate``).
+def _bracket_lowest(band, lo, hi, width):
+    """Multisection for the lowest eigenvalue of each matrix of a stack.
 
     From lo <= lambda_min <= hi, returns (lo, hi) with hi - lo <= width:
     lo only rises to shifts whose factor exists, hi only falls to shifts
@@ -362,7 +364,7 @@ def _bracket_lowest(band, lo, hi, width, negate: bool = False):
         grid[:, 0] = lo[active]
         grid[:, 1:-1] = lo[active, None] + (hi - lo)[active, None] * steps
         grid[:, -1] = hi[active]
-        ok, _ = _band_cholesky(part, grid[:, 1:-1], negate=negate)
+        ok, _ = _band_cholesky(part, grid[:, 1:-1])
         # The highest shift that factors; a fuzzy failure below it, within
         # rounding of the eigenvalue, is ignored.
         last = np.where(ok.any(axis=1), _SHIFTS_PER_PASS - np.argmax(ok[:, ::-1], axis=1), 0)

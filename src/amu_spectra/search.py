@@ -5,15 +5,15 @@ localization operator Q(lambda) = sum_j (T_j - lambda_j I)^2: its energy
 dominates the total variance of the state, so a small ground energy
 certifies small standard deviations. Q is built as the pencil
 S - 2 sum_j lambda_j T_j + |lambda|^2 I from the tuple's cached
-S = sum_j T_j^2. Its lowest pair comes from one of two paths, chosen per
+S = sum_j T_j^2. ``amu_batch`` is the one certification routine;
+``amu_at`` and ``ground_state`` are its one-point forms, with the same
+bytes per point. Its lowest pairs come from one of two solvers, chosen per
 tuple by ``uses_band_path`` from its half-bandwidth and dimension:
 
 - dense: one ``eigh`` per point, checked by ``linalg.ground_eigenpair``;
 - band (the shift pair's Q is tridiagonal): only the bands of Q are built,
   and ``linalg.band_ground_eigenpairs`` certifies every point of a batch
   at once with band Cholesky factorizations, no ``eigh`` and no dense Q.
-  ``amu_batch`` hands it all points; ``ground_state`` and ``amu_at`` one,
-  with the same bytes per point.
 
 Either way only the lowest pair is verified, the energy is summed as
 sum_j ||(T_j - lambda_j) v||^2 so the pencil's cancellation never reaches
@@ -105,13 +105,19 @@ def uses_band_path(tup: OperatorTuple) -> bool:
     return tup.dim >= max(_BAND_MIN_DIM, _BAND_DIM_PER_WIDTH * (tup.half_bandwidth + 1))
 
 
-def _band_ground_states(tup: OperatorTuple, lams: np.ndarray) -> list[VectorState]:
-    """Ground states of Q(lambda) at each row of ``lams``, from one band solve.
+def _ground_states(tup: OperatorTuple, lams: list) -> list[VectorState]:
+    """Ground states of Q(lambda) at each point of ``lams``, phase fixed.
 
-    The lower bands of Q are built from those of S and the T_j in real
-    arithmetic, element by element, so a point's bytes do not depend on
-    the other rows.
+    The one place that chooses a solver. Dense tuples get one
+    ``ground_eigenpair`` per point. On the band path the lower bands of Q
+    are built from those of S and the T_j in real arithmetic, element by
+    element, and one ``band_ground_eigenpairs`` call solves every point, so
+    a point's bytes do not depend on the other points.
     """
+    if not (lams and uses_band_path(tup)):
+        return [_ground_vector(*ground_eigenpair(localization_operator(tup, lam)))
+                for lam in lams]
+    lams = np.array(lams)
     w = tup.half_bandwidth
     bands = np.repeat(lower_band(tup.square_sum, w)[None], lams.shape[0], axis=0)
     for j, op in enumerate(tup.ops):
@@ -149,20 +155,16 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
     """Lowest eigenpair of the localization operator at ``lam``.
 
-    Returns (state, energy). The eigenvector comes from
-    ``linalg.ground_eigenpair``, or on the band path (``uses_band_path``)
-    from ``linalg.band_ground_eigenpairs``, with its global phase fixed so that its
-    largest-magnitude entry is real and positive. The energy is
+    Returns (state, energy). The state is the one ``amu_batch`` certifies
+    at ``lam``, its global phase fixed so that its largest-magnitude entry
+    is real and positive. The energy is
     sum_j ||(T_j - lambda_j) v||^2 = sum_j var_j + |exp - lam|^2, a sum of
     squares. It bounds from above the total variance of the state and,
     since exp lies in the joint numerical range, the squared distance from
     lam to that range.
     """
     lam = as_point(lam, tup.n)
-    if uses_band_path(tup):
-        state = _band_ground_states(tup, np.array([lam]))[0]
-    else:
-        state = _ground_vector(*ground_eigenpair(localization_operator(tup, lam)))
+    state = _ground_states(tup, [lam])[0]
     energy = 0.0
     for op, l in zip(tup.ops, lam):
         r = op.array @ state.vector - l * state.vector
@@ -171,25 +173,20 @@ def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
 
 
 def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
-    """AMU certificate of the ground state of the localization operator at ``lam``.
-
-    One Q(lambda) (or its bands), one verified lowest eigenpair, then
-    ``amu_check`` of that state at (lam, sigma, eps).
-    """
-    state, _ = ground_state(tup, lam)
-    return amu_check(tup, state, lam, sigma, eps)
+    """AMU certificate of the localization ground state at ``lam``; one point of ``amu_batch``."""
+    return amu_batch(tup, [lam], sigma, eps)[0]
 
 
 def amu_batch(tup: OperatorTuple, points, sigma: float, eps: float) -> list[AmuCertificate]:
-    """``[amu_at(tup, p, sigma, eps) for p in points]``, bit for bit.
+    """AMU certificates of the localization ground states at ``points``.
 
-    Where ``uses_band_path(tup)`` holds, every ground state comes from one
-    batched band solve instead of one solve per point.
+    The one certification routine: one verified lowest eigenpair of Q per
+    point (a single band solve for all of them where ``uses_band_path``
+    holds), then ``amu_check`` of that state at (lambda, sigma, eps). A
+    point's certificate is bit for bit the same alone as in any batch.
     """
     lams = [as_point(p, tup.n) for p in points]
-    if not (lams and uses_band_path(tup)):
-        return [amu_at(tup, lam, sigma, eps) for lam in lams]
-    states = _band_ground_states(tup, np.array(lams))
+    states = _ground_states(tup, lams)
     return [amu_check(tup, state, lam, sigma, eps) for state, lam in zip(states, lams)]
 
 

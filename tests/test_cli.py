@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from amu_spectra import ModelSpec, cli, essential, generate, load_tuple, save_tuple
+from amu_spectra import (ModelSpec, cli, essential, generate, load_tuple, save_tuple, scan,
+                         tail_compression)
 
 
 def run_cli(*args, env_extra=None):
@@ -141,6 +142,16 @@ def test_thread_count_must_be_positive_integer(tmp_path, shift_file):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("cap", ["-5", "0", "abc"])
+def test_grid_cap_must_be_positive_integer(tmp_path, shift_file, capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--input", str(shift_file), "--eta", "0.5",
+                  "--grid-cap", cap, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "--grid-cap" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_spectrum_grid_cap_exit_code(tmp_path, shift_file):
     proc = run_cli(
         "spectrum", "--input", str(shift_file), "--eta", "0.01",
@@ -223,6 +234,19 @@ def test_malformed_tuple_file_exit_code(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("points, message", [
+    (["--lambda", "0.5,0.5", "--eta", "0.5"], "--eta"),
+    (["--lambda", "all-accepted", "--lambda", "0.5,0.5", "--eta", "0.5"],
+     "--lambda all-accepted"),
+])
+def test_amu_rejects_options_it_would_ignore(tmp_path, shift_file, capsys, points, message):
+    code = cli.main(["amu", "--input", str(shift_file), *points, "--sigma", "0.35",
+                     "--eps", "0.35", "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_amu_all_accepted_chains_scan(tmp_path):
     src = tmp_path / "diag.json"
     tup = generate(
@@ -291,6 +315,21 @@ def test_essential_command(tmp_path, shift_file):
     assert payload["cuts"] == [8, 16]
     assert payload["stability"] is not None
     assert "stability" in proc.stdout
+
+
+def test_essential_one_sided_levels_rescan_their_tails(tmp_path, shift_file):
+    out = tmp_path / "one_sided.json"
+    assert cli.main(["essential", "--input", str(shift_file), "--eta", "0.5", "--cuts", "8,16",
+                     "--one-sided", "-o", str(out)]) == 0
+    tup, _ = load_tuple(shift_file)
+    levels = json.loads(out.read_text())["levels"]
+    assert [lvl["cut"] for lvl in levels] == [8, 16]
+    for lvl in levels:
+        m = lvl["cut"]
+        assert lvl["window"] == [m, tup.dim]
+        ref = scan(tail_compression(tup, m).tuple_tail, 0.5)
+        assert [(tuple(a["point"]), a["norm"]) for a in lvl["spectrum"]["accepted"]] == [
+            (tuple(p), nrm) for p, nrm in ref.accepted]
 
 
 def test_essential_rejects_single_cut(tmp_path, shift_file):
