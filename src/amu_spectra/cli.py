@@ -56,9 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("family", help="family: " + ", ".join(
         f"{short} ({full})" for full, (short, _) in FAMILIES.items()))
     p_gen.add_argument("--dim", type=int, default=None,
-                       help="matrix dimension; required for every family but file")
+                       help="matrix dimension; required for every family but file, "
+                            "which takes it from its file")
     p_gen.add_argument("--n", type=int, default=None,
-                       help="observables per tuple (defaults to the family arity)")
+                       help="observables per tuple (defaults to the family arity); not for file")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="family-specific parameter, repeatable")
@@ -120,7 +121,12 @@ def _parse_point(raw: str, n: int) -> tuple[float, ...]:
 
 def _cmd_models(args) -> int:
     family = family_name(args.family)
-    if args.dim is None and family != "custom_file":
+    if family == "custom_file":
+        for flag, value in (("--dim", args.dim), ("--n", args.n)):
+            if value is not None:
+                raise ValueError(f"models gen {args.family} takes n and dim from the file; "
+                                 f"drop {flag}")
+    elif args.dim is None:
         raise ValueError(f"models gen {args.family} needs --dim")
     n = args.n
     if n is None:

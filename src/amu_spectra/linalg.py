@@ -13,9 +13,11 @@ For Hermitian band matrices, ``band_ground_eigenpairs`` finds and certifies
 the lowest eigenpairs of a whole stack without a dense matrix: a band
 Cholesky factorization vectorised over the stack (LAPACK xPBTRF's
 recurrence, O(dim w^2) per factor) decides whether a shift lies below the
-spectrum, multisection on that test brackets the lowest eigenvalue, inverse
-iteration with the factor at the bracket's lower end gives the vector, and
-each pair passes the same two certificates as ``ground_eigenpair``.
+spectrum, one multisection on that test brackets the lowest eigenvalue
+from the Gershgorin bounds, inverse iteration with the factor at the
+bracket's lower end gives the vector, and each pair passes the same two
+certificates as ``ground_eigenpair``, with delta scaled by the Gershgorin
+bound on the spectral radius.
 """
 from __future__ import annotations
 
@@ -157,7 +159,7 @@ def ground_eigenpair(a) -> tuple[float, np.ndarray]:
     dim = h.dim
     energy = float(w[0])
     v = u[:, 0] / np.linalg.norm(u[:, 0])
-    scale = max(1.0, float(np.max(np.abs(w))))
+    delta = TOL.eig_residual * dim * max(1.0, float(np.max(np.abs(w))))
     resid = float(np.linalg.norm(h.array @ v - energy * v))
 
     def factors(shifts):
@@ -169,21 +171,20 @@ def ground_eigenpair(a) -> tuple[float, np.ndarray]:
             return np.zeros(1, dtype=bool)
         return np.ones(1, dtype=bool)
 
-    _certify_lowest(np.array([energy]), np.array([resid]), np.array([scale]), dim, factors)
+    _certify_lowest(np.array([energy]), np.array([resid]), np.array([delta]), factors)
     return energy, v
 
 
-def _certify_lowest(energies, resid, scale, dim: int, factors) -> None:
+def _certify_lowest(energies, resid, delta, factors) -> None:
     """Raise NumericalError for the first pair (E_i, v_i) failing a ``ground_eigenpair`` check.
 
-    ``resid`` holds the ||A_i v_i - E_i v_i||; ``factors`` maps the shifts
-    E - delta to a mask of the A_i - (E_i - delta_i) I with a Cholesky factor.
+    ``resid`` holds the ||A_i v_i - E_i v_i|| and ``delta`` the bounds
+    delta_i; ``factors`` maps the shifts E - delta to a mask of the
+    A_i - (E_i - delta_i) I with a Cholesky factor.
     """
-    delta = TOL.eig_residual * dim * scale
     for i in np.flatnonzero(~(resid <= delta)):
         raise NumericalError(
-            f"lowest eigenpair residual {resid[i]:.3e} exceeds "
-            f"{TOL.eig_residual:.1e} * {dim} * {scale[i]:.3e}"
+            f"lowest eigenpair residual {resid[i]:.3e} exceeds delta = {delta[i]:.3e}"
         )
     for i in np.flatnonzero(~factors(energies - delta)):
         raise NumericalError(
@@ -228,11 +229,13 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
     A_i - s I (LAPACK xPBTRF's column recurrence, O(dim w^2)) or a pair of
     band triangular solves, vectorised over the stack.
 
-    1. scale >= max(1, spectral radius) is certified by factorizations of
-       mu I - A_i and of A_i - s I; for positive semidefinite A_i it is
-       within 1% of max(1, lambda_max). delta = ``TOL.eig_residual * dim * scale``.
+    1. The Gershgorin discs put every eigenvalue in [g_lo, g_hi], so
+       scale = max(1, |g_lo|, |g_hi|) bounds the spectral radius, and
+       delta = ``TOL.eig_residual * dim * scale`` is at least the delta of
+       ``ground_eigenpair``.
     2. Multisection, seven shifts per pass, on "A_i - s I has a Cholesky
-       factor" brackets the lowest eigenvalue to delta / 4.
+       factor" brackets the lowest eigenvalue from [g_lo - delta, smallest
+       diagonal entry] to delta / 4.
     3. Inverse iteration with the factor at the bracket's lower end, from a
        fixed start vector, runs until the residual stops halving.
     4. Each pair must pass the two certificates of ``ground_eigenpair``:
@@ -246,21 +249,11 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
     """
     band = _stacked(bands)
     dim = band.shape[0]
-
     g_lo, g_hi = _gershgorin(band)
-    # The margin, above delta, keeps a factor at g_lo - margin within reach of rounding.
-    margin = TOL.eig_residual * dim * np.maximum(1.0, np.maximum(np.abs(g_lo), np.abs(g_hi)))
-    # lambda_max(A) = -lambda_min(-A) lies between the largest diagonal entry
-    # and g_hi; the lower end of the bracket for -A stays a certified bound.
-    top = band[:, 0, 0].max(axis=0)
-    neg_lo, _ = _bracket_lowest(-band, -g_hi, -top, 0.01 * np.maximum(1.0, np.abs(top)))
-    # lambda_min lies between g_lo and the smallest diagonal entry: bracketed
-    # first to 1% of its size, for the scale, then on to delta / 4.
-    lo, hi = g_lo - margin, band[:, 0, 0].min(axis=0)
-    lo, hi = _bracket_lowest(band, lo, hi, 0.01 * np.maximum(1.0, np.abs(lo)))
-    scale = np.maximum(1.0, np.maximum(-neg_lo, -lo))
-    delta = TOL.eig_residual * dim * scale
-    lo, _ = _bracket_lowest(band, lo, hi, delta / 4.0)
+    delta = TOL.eig_residual * dim * np.maximum(1.0, np.maximum(np.abs(g_lo), np.abs(g_hi)))
+    # lambda_min lies between g_lo and the smallest diagonal entry; the
+    # margin delta keeps a factor at the lower end within reach of rounding.
+    lo = _bracket_lowest(band, g_lo - delta, band[:, 0, 0].min(axis=0), delta / 4.0)
     p = lo.size
     energies, resid = np.empty(p), np.empty(p)
     vectors = np.empty((p, dim), dtype=np.complex128)
@@ -268,7 +261,7 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
         part = slice(start, start + _ITERATION_CHUNK)
         energies[part], resid[part] = _inverse_iteration(band[..., part], lo[part],
                                                          vectors[part])
-    _certify_lowest(energies, resid, scale, dim,
+    _certify_lowest(energies, resid, delta,
                     lambda shifts: _band_cholesky(band, shifts[:, None])[0][:, 0])
     return energies, vectors
 
@@ -348,7 +341,7 @@ def _band_cholesky(band, shifts, keep: bool = False):
 def _bracket_lowest(band, lo, hi, width):
     """Multisection for the lowest eigenvalue of each matrix of a stack.
 
-    From lo <= lambda_min <= hi, returns (lo, hi) with hi - lo <= width:
+    From lo <= lambda_min <= hi, returns lo with lambda_min - lo <= width:
     lo only rises to shifts whose factor exists, hi only falls to shifts
     whose factor does not. A matrix leaves the passes once its bracket is
     narrow enough.
@@ -358,7 +351,7 @@ def _bracket_lowest(band, lo, hi, width):
     for _ in range(_MAX_PASSES):
         active = np.flatnonzero(hi - lo > width)
         if active.size == 0:
-            return lo, hi
+            return lo
         part = band if active.size == lo.size else band[..., active]
         grid = np.empty((active.size, _SHIFTS_PER_PASS + 2))
         grid[:, 0] = lo[active]

@@ -184,9 +184,17 @@ def family_name(name: str) -> str:
 def generate(spec: ModelSpec) -> OperatorTuple:
     """Build the observable tuple described by ``spec``.
 
-    Deterministic: equal specs produce bit-identical matrices.
+    Deterministic: equal specs produce bit-identical matrices. A parameter
+    key the family does not read is a ValueError, so a misspelt key cannot
+    fall back to a default unnoticed.
     """
     family = family_name(spec.family)
+    known = {"commuting_diag": ("eigen_low", "eigen_high"),
+             "perturbed_commuting": ("perturbation", "eigen_low", "eigen_high"),
+             "custom_file": ("path",)}.get(family, ())
+    for key in sorted(set(spec.params) - set(known)):
+        raise ValueError(f"{family} reads no parameter {key!r}; its parameters: "
+                         + (", ".join(known) or "none"))
     if family == "custom_file":
         path = spec.params.get("path")
         if not path:

@@ -88,6 +88,21 @@ def test_models_gen_needs_dim_only_for_generated_families(tmp_path, shift_file):
         assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["perturbed", "--dim", "8", "--param", "pertubation=0.2"], "'pertubation'"),
+    (["shift", "--dim", "8", "--param", "perturbation=0.2"], "'perturbation'"),
+    (["diag", "--dim", "8", "--param", "path=x.json"], "'path'"),
+    (["file", "--param", "path={src}", "--dim", "99"], "--dim"),
+    (["file", "--param", "path={src}", "--n", "5"], "--n"),
+])
+def test_models_gen_rejects_options_it_would_ignore(tmp_path, shift_file, argv, named):
+    out = tmp_path / "x.json"
+    proc = run_cli("models", "gen", *(a.format(src=shift_file) for a in argv), "-o", str(out))
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert not out.exists()
+
+
 def test_spectrum_json_and_csv(tmp_path, shift_file):
     out = tmp_path / "spec.json"
     csv = tmp_path / "spec.csv"
@@ -282,11 +297,13 @@ def test_amu_deterministic_across_threads(tmp_path, shift_file):
 
 
 @pytest.mark.parametrize("gen", [["shift", "--dim", "64"],
-                                 ["perturbed", "--dim", "24", "--n", "2", "--seed", "1"]],
-                         ids=["band-shift64", "dense-perturbed24"])
+                                 ["perturbed", "--dim", "24", "--n", "2", "--seed", "1"],
+                                 ["diag", "--dim", "60", "--n", "2", "--seed", "3"]],
+                         ids=["band-shift64", "dense-perturbed24", "band-diag60"])
 def test_amu_single_point_matches_its_batch_entry(tmp_path, gen):
-    # shift 64 takes the band path, perturbed 24 the dense one; either way a
-    # point certified alone is its entry in the all-accepted batch.
+    # shift 64 takes the band path, perturbed 24 the dense one, diag 60 the
+    # band path with a diagonal Q(lambda); either way a point certified alone
+    # is its entry in the all-accepted batch.
     src = tmp_path / "tuple.json"
     assert run_cli("models", "gen", *gen, "-o", str(src)).returncode == 0
     common = ["--sigma", "0.35", "--eps", "0.35"]

@@ -367,6 +367,23 @@ def test_band_ground_eigenpairs_member_bytes_do_not_depend_on_the_stack(w, dim, 
             assert vectors[pos].tobytes() == alone[i][1][0].tobytes()
 
 
+def test_band_ground_eigenpairs_brackets_once(monkeypatch):
+    # delta comes from the Gershgorin bounds, so one multisection suffices.
+    calls = []
+    real = linalg._bracket_lowest
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_bracket_lowest", counting)
+    _, bands = _band_matrices(2, 4, 30, 2, scales=(1.0, 1e3))
+    band_ground_eigenpairs(bands)
+    assert len(calls) == 1
+    band_ground_eigenpairs(bands[:1])
+    assert len(calls) == 2
+
+
 def test_band_ground_eigenpairs_stack_beyond_one_iteration_chunk():
     count = linalg._ITERATION_CHUNK + 44
     _, bands = _band_matrices(5, count, 6, 2, scales=(1.0, 0.5, 2.0))

@@ -65,6 +65,18 @@ def test_family_registry():
                 generate(ModelSpec(name, 4, n=fixed_n + 1))
 
 
+@pytest.mark.parametrize("spec, key", [
+    (ModelSpec("perturbed_commuting", 8, params={"pertubation": 0.2}), "pertubation"),
+    (ModelSpec("commuting_diag", 8, params={"perturbation": 0.2}), "perturbation"),
+    (ModelSpec("shift_pair", 8, params={"eigen_low": -0.5}), "eigen_low"),
+    (ModelSpec("clock_shift_triple", 8, n=3, params={"seed": 1}), "seed"),
+    (ModelSpec("custom_file", 8, params={"path": "x.json", "dim": 8}), "dim"),
+])
+def test_generate_rejects_parameters_the_family_does_not_read(spec, key):
+    with pytest.raises(ValueError, match=f"no parameter '{key}'"):
+        generate(spec)
+
+
 def test_shift_pair_dim2_exact():
     tup = generate(ModelSpec("shift_pair", 2))
     a1, a2 = (op.array for op in tup.ops)
