@@ -16,7 +16,6 @@ from .errors import (
     TupleFormatError,
 )
 from .linalg import (
-    EigenDecomposition,
     HermitianMatrix,
     band_ground_eigenpairs,
     eig_hermitian,

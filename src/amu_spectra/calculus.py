@@ -82,10 +82,10 @@ class BumpFactorCache:
 
     def __init__(self, tup: OperatorTuple):
         self.tuple = tup
-        self._eig = [eig_hermitian(op) for op in tup.ops]
+        self._values, self._vectors = zip(*(eig_hermitian(op) for op in tup.ops))
         couplings = []
-        for left, right in zip(self._eig, self._eig[1:]):
-            w = left.eigenvectors.conj().T @ right.eigenvectors
+        for left, right in zip(self._vectors, self._vectors[1:]):
+            w = left.conj().T @ right
             w.setflags(write=False)
             couplings.append(w)
         self.couplings = tuple(couplings)
@@ -96,7 +96,7 @@ class BumpFactorCache:
         The eigenvalues are ascending and the bump is positive exactly within
         ``width`` of the center, so the support is one slice of indices.
         """
-        vals = bump_values(center, width, self._eig[axis].eigenvalues)
+        vals = bump_values(center, width, self._values[axis])
         nonzero = np.flatnonzero(vals)
         if nonzero.size:
             sl = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
@@ -118,7 +118,7 @@ class BumpFactorCache:
         are tested against.
         """
         sl, vals = self.support(axis, center, width)
-        u = self._eig[axis].eigenvectors[:, sl]
+        u = self._vectors[axis][:, sl]
         return (u * vals) @ u.conj().T
 
     def couple(self, prefix: np.ndarray, axis: int, prev: slice) -> np.ndarray:

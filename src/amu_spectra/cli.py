@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "which takes it from its file")
     p_gen.add_argument("--n", type=int, default=None,
                        help="observables per tuple (defaults to the family arity); not for file")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=None,
+                       help="draw seed (default 0); only for diag and perturbed")
     p_gen.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="family-specific parameter, repeatable")
     p_gen.add_argument("-o", "--output", required=True)
@@ -128,16 +129,19 @@ def _cmd_models(args) -> int:
                                  f"drop {flag}")
     elif args.dim is None:
         raise ValueError(f"models gen {args.family} needs --dim")
+    if args.seed is not None and family not in ("commuting_diag", "perturbed_commuting"):
+        raise ValueError(f"models gen {args.family} draws nothing; drop --seed")
+    seed = 0 if args.seed is None else args.seed
     n = args.n
     if n is None:
         n = FAMILIES[family][1] or 2
-    spec = ModelSpec(family=family, dim=args.dim, n=n, seed=args.seed,
+    spec = ModelSpec(family=family, dim=args.dim, n=n, seed=seed,
                      params=_parse_params(args.param))
     tup = generate(spec)
     profile = commutator_profile(tup)
     meta = {
         "family": family,
-        "seed": args.seed,
+        "seed": seed,
         "params": {k: v for k, v in sorted(spec.params.items())},
         "commutator_norms": [[float(x) for x in row] for row in profile],
     }

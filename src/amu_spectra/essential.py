@@ -159,7 +159,7 @@ def essential_spectrum_estimate(
     cuts,
     *,
     interior: bool = True,
-    cap: int | None = GRID_POINT_CAP,
+    cap: int = GRID_POINT_CAP,
     threads: int = 1,
 ) -> EssentialSpectrumEstimate:
     """Scan compressed tuples across increasing cuts at one resolution.

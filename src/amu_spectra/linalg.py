@@ -21,8 +21,6 @@ bound on the spectral radius.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import TOL
@@ -30,7 +28,6 @@ from .errors import NearDependence, NumericalError
 
 __all__ = [
     "HermitianMatrix",
-    "EigenDecomposition",
     "as_matrix",
     "eig_hermitian",
     "ground_eigenpair",
@@ -109,16 +106,11 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order and matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(a) -> EigenDecomposition:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix, contract-checked.
+
+    Returns ``(w, u)`` as ``np.linalg.eigh`` does: eigenvalues in ascending
+    order and matching orthonormal columns, both read-only.
 
     Raises NumericalError if the reconstruction residual exceeds
     ``TOL.eig_residual * dim * ||A||`` or the eigenvector matrix is not
@@ -139,7 +131,7 @@ def eig_hermitian(a) -> EigenDecomposition:
         raise NumericalError(f"eigenvector matrix not unitary: {orth:.3e}")
     w.setflags(write=False)
     u.setflags(write=False)
-    return EigenDecomposition(w, u)
+    return w, u
 
 
 def ground_eigenpair(a) -> tuple[float, np.ndarray]:

@@ -53,7 +53,6 @@ __all__ = [
     "generate",
     "save_tuple",
     "load_tuple",
-    "tuple_to_json_dict",
     "write_accepted_csv",
     "write_json",
 ]
@@ -216,24 +215,6 @@ def generate(spec: ModelSpec) -> OperatorTuple:
     return _perturbed_commuting(spec)
 
 
-def tuple_to_json_dict(tup: OperatorTuple, meta: dict | None = None) -> dict:
-    d = {
-        "n": tup.n,
-        "dim": tup.dim,
-        "M": tup.bound,
-        "ops": [
-            {
-                "re": op.array.real.tolist(),
-                "im": op.array.imag.tolist(),
-            }
-            for op in tup.ops
-        ],
-    }
-    if meta:
-        d["meta"] = meta
-    return d
-
-
 def save_tuple(tup: OperatorTuple, path, fmt: str = "json",
                meta: dict | None = None) -> None:
     """Write ``tup`` to ``path`` as JSON (default) or a binary .npz archive.
@@ -243,7 +224,16 @@ def save_tuple(tup: OperatorTuple, path, fmt: str = "json",
     """
     path = os.fspath(path)
     if fmt == "json":
-        write_json(tuple_to_json_dict(tup, meta), path)
+        payload = {
+            "n": tup.n,
+            "dim": tup.dim,
+            "M": tup.bound,
+            "ops": [{"re": op.array.real.tolist(), "im": op.array.imag.tolist()}
+                    for op in tup.ops],
+        }
+        if meta:
+            payload["meta"] = meta
+        write_json(payload, path)
     elif fmt == "npz":
         payload = {
             "n": np.array(tup.n),

@@ -98,9 +98,9 @@ def uses_band_path(tup: OperatorTuple) -> bool:
     random band tuples (one BLAS thread): the band path wins from dim 48 at
     w <= 2, from dim 96 at w = 4 and from dim 192 at w = 8, and loses below
     dim 32 at every w. A single point costs the band path more than a batch
-    does per point (about 50 ms at shift dim 192 against 11 ms for ``eigh``);
-    the rule keeps one path per tuple so a point's bytes never depend on how
-    many points are certified with it.
+    does per point, and at shift dim 192 more than one ``eigh`` (the README
+    quotes the measurement); the rule keeps one path per tuple so a point's
+    bytes never depend on how many points are certified with it.
     """
     return tup.dim >= max(_BAND_MIN_DIM, _BAND_DIM_PER_WIDTH * (tup.half_bandwidth + 1))
 

@@ -101,42 +101,21 @@ def grid_step_count(n: int, bound: float, eta: float) -> int:
     return int(math.floor(threshold)) + 1
 
 
-def build_grid(
-    n: int,
-    bound: float,
-    eta: float | None = None,
-    *,
-    k: int | None = None,
-    cap: int | None = GRID_POINT_CAP,
-) -> GridSpec:
-    """Grid for resolution ``eta``, or directly for an explicit ``k``.
+def build_grid(n: int, bound: float, eta: float, *, cap: int = GRID_POINT_CAP) -> GridSpec:
+    """Grid for resolution ``eta``, with the step count of ``grid_step_count``.
 
-    Exactly one of ``eta`` and ``k`` drives the step count; passing ``k``
-    overrides the resolution rule. The point count is checked against
-    ``cap`` before anything is materialized. A step count or half-width
-    beyond float range exceeds any cap; with ``cap=None`` it is a ValueError.
+    The point count is checked against ``cap`` before anything is
+    materialized. A step count or half-width beyond float range exceeds
+    any cap.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     bound = float(bound)
-    if bound <= 0.0:
-        raise ValueError("bound must be positive")
     try:
-        if k is None:
-            if eta is None:
-                raise ValueError("pass eta or an explicit k")
-            k = grid_step_count(n, bound, eta)
-        else:
-            k = int(k)
-            if k < 1:
-                raise ValueError("k must be a positive integer")
+        k = grid_step_count(n, bound, eta)
         half = int(math.floor(bound * k))
     except OverflowError:  # raised only by a step count or half-width past float range
-        if cap is None:
-            raise ValueError("grid step count or half-width is beyond float range") from None
         raise GridCapExceeded(math.inf, cap) from None
     count = (2 * half + 1) ** n
-    if cap is not None and count > cap:
+    if count > cap:
         raise GridCapExceeded(count, cap)
     return GridSpec(n=n, bound=bound, k=k, half=half)
 
@@ -203,8 +182,7 @@ def scan(
     tup: OperatorTuple,
     eta: float,
     *,
-    k: int | None = None,
-    cap: int | None = GRID_POINT_CAP,
+    cap: int = GRID_POINT_CAP,
     threads: int = 1,
 ) -> SyntheticSpectrumResult:
     """Evaluate the acceptance test at every grid point.
@@ -224,10 +202,11 @@ def scan(
     coordinate at a time. Within a block, the prefix cores are multiplied
     by the last coupling a chunk of at most ``CORE_STACK_BYTES`` at a time;
     for each last-axis center, its cores across the chunk are sliced out of
-    those products and go to one ``operator_norm`` call. An
-    axis with no surviving center leaves nothing to walk, so no point is
-    accepted. The stacking changes no norm: every point gets the arithmetic
-    ``theta_product`` performs for it alone.
+    those products and go to one ``operator_norm`` call. Every axis keeps a
+    center: the pitch 1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so
+    each eigenvalue, at the edges too, lies within eta/2 of a grid value,
+    and a bump of width eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every
+    point gets the arithmetic ``theta_product`` performs for it alone.
 
     The blocks are mapped through a pool of ``threads`` workers, also when
     ``threads`` is 1; results are assembled in grid order, so the output is
@@ -235,7 +214,7 @@ def scan(
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    grid = build_grid(tup.n, tup.bound, eta, k=k, cap=cap)
+    grid = build_grid(tup.n, tup.bound, eta, cap=cap)
     cache = BumpFactorCache(tup)
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n

@@ -94,6 +94,9 @@ def test_models_gen_needs_dim_only_for_generated_families(tmp_path, shift_file):
     (["diag", "--dim", "8", "--param", "path=x.json"], "'path'"),
     (["file", "--param", "path={src}", "--dim", "99"], "--dim"),
     (["file", "--param", "path={src}", "--n", "5"], "--n"),
+    (["shift", "--dim", "8", "--seed", "5"], "--seed"),
+    (["clock", "--dim", "8", "--seed", "0"], "--seed"),
+    (["file", "--param", "path={src}", "--seed", "9"], "--seed"),
 ])
 def test_models_gen_rejects_options_it_would_ignore(tmp_path, shift_file, argv, named):
     out = tmp_path / "x.json"
@@ -101,6 +104,17 @@ def test_models_gen_rejects_options_it_would_ignore(tmp_path, shift_file, argv, 
     assert proc.returncode == 2
     assert named in proc.stderr
     assert not out.exists()
+
+
+def test_models_gen_seed_defaults_to_zero(tmp_path, shift_file):
+    # Without --seed, diag and perturbed draw from seed 0; meta records 0.
+    for argv in (["diag", "--dim", "8"], ["perturbed", "--dim", "8", "--n", "3"]):
+        paths = [tmp_path / "omitted.json", tmp_path / "zero.json"]
+        for path, extra in zip(paths, ([], ["--seed", "0"])):
+            proc = run_cli("models", "gen", *argv, *extra, "-o", str(path))
+            assert proc.returncode == 0, proc.stderr
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert load_tuple(shift_file)[1]["seed"] == 0
 
 
 def test_spectrum_json_and_csv(tmp_path, shift_file):

@@ -290,12 +290,11 @@ def test_load_rejects_malformed_files(tmp_path, name, content):
 
 
 def test_csv_output_is_stable(tmp_path):
-    from amu_spectra import build_grid
-    from amu_spectra.spectrum import SyntheticSpectrumResult
+    from amu_spectra.spectrum import GridSpec, SyntheticSpectrumResult
 
     result = SyntheticSpectrumResult(
         eta=0.5,
-        grid=build_grid(2, 1.0, k=4),
+        grid=GridSpec(2, 1.0, 4, 4),
         accepted=(((0.5, -0.25), 0.9375), ((1.0, 0.0), 1.0)),
         slack=1e-9,
     )

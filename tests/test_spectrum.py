@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from amu_spectra import (
     GRID_POINT_CAP,
     BumpFactorCache,
     GridCapExceeded,
+    GridSpec,
     ModelSpec,
     OperatorTuple,
     build_grid,
@@ -55,7 +57,7 @@ def test_grid_step_count_is_minimal(n, bound, eta):
 
 
 def test_build_grid_axis_values():
-    g = build_grid(2, 1.0, k=2)
+    g = GridSpec(2, 1.0, 2, 2)
     assert list(g.axis_values) == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert g.count == 25
     pts = list(itertools.product(g.axis_values, repeat=g.n))
@@ -67,9 +69,10 @@ def test_build_grid_axis_values():
 
 
 def test_build_grid_respects_cap():
+    # n=3, M=1, eta=0.1: k=70 and half=70, so 141 values per axis.
     with pytest.raises(GridCapExceeded) as info:
-        build_grid(3, 1.0, k=200, cap=1000)
-    assert info.value.size == 401**3
+        build_grid(3, 1.0, 0.1, cap=1000)
+    assert info.value.size == 141**3
     assert info.value.cap == 1000
 
 
@@ -78,8 +81,6 @@ def test_build_grid_beyond_float_range():
     for bound, eta in ((1.0, 1e-320), (1e300, 0.5)):
         with pytest.raises(GridCapExceeded):
             build_grid(2, bound, eta)
-        with pytest.raises(ValueError, match="beyond float range"):
-            build_grid(2, bound, eta, cap=None)
 
 
 def test_default_cap_value():
@@ -87,25 +88,25 @@ def test_default_cap_value():
 
 
 def test_nearest_rounds_and_clips():
-    g = build_grid(2, 1.0, k=2)
+    g = GridSpec(2, 1.0, 2, 2)
     assert np.allclose(g.nearest((0.26, -0.9)), [0.5, -1.0])
     assert np.allclose(g.nearest((7.0, -7.0)), [1.0, -1.0])
 
 
 def test_is_refinement_divisibility():
-    fine = build_grid(2, 1.0, k=12)
-    coarse = build_grid(2, 1.0, k=4)
-    incompatible = build_grid(2, 1.0, k=5)
+    fine = GridSpec(2, 1.0, 12, 12)
+    coarse = GridSpec(2, 1.0, 4, 4)
+    incompatible = GridSpec(2, 1.0, 5, 5)
     assert is_refinement(coarse, fine)
     assert not is_refinement(fine, coarse)
     assert not is_refinement(incompatible, fine)
     # Explicit witness for the non-nesting case: 1/5 is not a 12th.
-    assert 0.2 in build_grid(1, 1.0, k=5).axis_values
-    assert 0.2 not in build_grid(1, 1.0, k=12).axis_values
+    assert 0.2 in GridSpec(1, 1.0, 5, 5).axis_values
+    assert 0.2 not in GridSpec(1, 1.0, 12, 12).axis_values
 
 
-def brute_scan(tup, eta, k=None):
-    grid = build_grid(tup.n, tup.bound, eta, k=k)
+def brute_scan(tup, eta):
+    grid = build_grid(tup.n, tup.bound, eta)
     cache = BumpFactorCache(tup)
     out = []
     for row in itertools.product(grid.axis_values, repeat=grid.n):
@@ -237,15 +238,38 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     assert max(16 * int(np.prod(shape)) for shape in stacks) <= budget
 
 
-@pytest.mark.parametrize("n, empty", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
-def test_scan_axis_without_surviving_center_accepts_nothing(n, empty):
-    # At k = 1 the centers are -1, 0 and 1. Eigenvalues 0.45 and 0.47 are at
-    # least 0.45 from each, so no bump of width 0.5 reaches 1 - eta there.
-    full = np.diag([0.0, 1.0])
-    ops = [full] * n
-    assert scan(OperatorTuple(ops, bound=1.0), 0.5, k=1).accepted
-    ops[empty] = np.diag([0.45, 0.47])
-    assert scan(OperatorTuple(ops, bound=1.0), 0.5, k=1).accepted == ()
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: generate(ModelSpec("shift_pair", 64)),
+        lambda seed: generate(ModelSpec("clock_shift_triple", 24, n=3)),
+        lambda seed: generate(ModelSpec("commuting_diag", 30, n=2, seed=seed)),
+        lambda seed: generate(ModelSpec("commuting_diag", 20, n=4, seed=seed)),
+        lambda seed: generate(
+            ModelSpec("perturbed_commuting", 24, n=3, seed=seed, params={"perturbation": 0.2})
+        ),
+        lambda seed: generate(
+            ModelSpec("perturbed_commuting", 16, n=1, seed=seed, params={"perturbation": 0.2})
+        ),
+        # n = 1 and M < 1 give the coarsest pitch relative to eta.
+        lambda seed: OperatorTuple((random_hermitian(12, seed=seed, scale=0.25),), bound=0.25),
+    ],
+    ids=["shift64", "clock24", "diag30-n2", "diag20-n4", "perturbed24-n3", "perturbed16-n1",
+         "random12-n1-bound0.25"],
+)
+def test_every_axis_has_a_center_with_factor_norm_one(make):
+    # The pitch 1/k is below eta/2, so every eigenvalue, at the edges too,
+    # lies within eta/2 of a grid value, where the bump is 1: no axis of a
+    # scan is left without a surviving center.
+    for seed in range(3):
+        tup = make(seed)
+        cache = BumpFactorCache(tup)
+        for eta in (0.05, 0.2, 0.35, 0.5, 0.9, 0.99):
+            # Only the axis values are read, so no point count is too large.
+            grid = build_grid(tup.n, tup.bound, eta, cap=sys.maxsize)
+            for axis in range(tup.n):
+                best = max(cache.factor_norm(axis, float(x), eta) for x in grid.axis_values)
+                assert best == 1.0, (seed, eta, axis)
 
 
 def test_scan_covers_joint_eigenvalues(commuting_16):
@@ -262,7 +286,7 @@ def test_scan_accepts_plateau_points():
     d1 = np.diag([-0.5, 0.5])
     d2 = np.diag([0.5, -0.5])
     tup = OperatorTuple((d1, d2), bound=1.0)
-    res = scan(tup, 0.5, k=2)
+    res = scan(tup, 0.5)  # k = 12: +-0.5 are grid values
     accepted = dict(res.accepted)
     assert accepted[(-0.5, 0.5)] == pytest.approx(1.0, abs=1e-12)
     assert accepted[(0.5, -0.5)] == pytest.approx(1.0, abs=1e-12)
