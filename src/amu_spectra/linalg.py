@@ -5,9 +5,10 @@ exactly symmetrized array, a full eigensolver with residual and unitarity
 verification, a lowest-eigenpair solver that verifies only the pair it
 returns (its residual, and a Cholesky factorization showing that no
 eigenvalue lies below it), the operator norm of a square or rectangular
-matrix via the top eigenvalue of its Gram matrix (also for a stack of
-equal-shaped matrices in one call, which is how the scan takes its norms),
-and an orthonormalization by one Householder QR.
+matrix via the top eigenvalue of its Gram matrix (also for stacks of
+equal-shaped matrices, and for several stacks in one call, whose Gram
+matrices of equal size share one ``eigvalsh`` call: this is how the scan
+takes its norms), and an orthonormalization by one Householder QR.
 
 For Hermitian band matrices, ``band_ground_eigenpairs`` finds and certifies
 the lowest eigenpairs of a whole stack without a dense matrix: a band
@@ -20,6 +21,9 @@ certificates as ``ground_eigenpair``, with delta scaled by the Gershgorin
 bound on the spectral radius.
 """
 from __future__ import annotations
+
+import bisect
+import itertools
 
 import numpy as np
 
@@ -474,36 +478,57 @@ def _inverse_iteration(band, shift, vectors):
     return energies, resid
 
 
-def operator_norm(a):
+def operator_norm(a, *more):
     """Largest singular value of a finite, non-empty m×k matrix, or of each in a p×m×k stack.
 
     Computed as the square root of the top eigenvalue of the Gram matrix on
     the smaller side: A†A (k×k) when m >= k, otherwise AA† (m×m). A matrix
-    gives a float. A stack gives a float64 array of p norms from one
-    ``eigvalsh`` call; each equals bit for bit the norm of its matrix passed
-    alone, so the stack size never changes an answer. A matrix whose Gram
-    matrix overflows (entries above about 1e154) is scaled by a power of two.
+    gives a float, a stack a float64 array of its p norms. Given several
+    arguments, returns a tuple with, for each, what the call on it alone
+    returns; their Gram matrices of equal size are written into one buffer
+    and share one ``eigvalsh`` call, which is how the scan gets calls large
+    enough for numpy to release the GIL. Every norm equals bit for bit the
+    norm of its matrix passed alone, so neither stacking nor grouping
+    changes an answer. A matrix whose Gram matrix overflows (entries above
+    about 1e154) is scaled by a power of two.
     """
-    if np.ndim(a) == 3:
-        return _stack_norms(_finite_nonempty(np.asarray(a, dtype=np.complex128)))
-    return float(_stack_norms(as_matrix(a, square=False)[None])[0])
+    args = (a, *more)
+    stacks = [
+        _finite_nonempty(np.asarray(x, dtype=np.complex128)) if np.ndim(x) == 3
+        else as_matrix(x, square=False)[None]
+        for x in args
+    ]
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(stacks):
+        groups.setdefault(min(s.shape[1:]), []).append(i)
+    norms = [None] * len(args)
+    for size, members in groups.items():
+        for i, nrm in zip(members, _gram_norms([stacks[i] for i in members], size)):
+            norms[i] = nrm if np.ndim(args[i]) == 3 else float(nrm[0])
+    return tuple(norms) if more else norms[0]
 
 
-def _stack_norms(stack: np.ndarray) -> np.ndarray:
+def _gram_norms(stacks: list[np.ndarray], size: int) -> list[np.ndarray]:
+    """The norms of each stack in ``stacks``, whose Gram matrices are all size×size."""
+    bounds = [0, *itertools.accumulate(len(s) for s in stacks)]
+    gram = np.empty((bounds[-1], size, size), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        if stack.shape[1] >= stack.shape[2]:
-            gram = stack.conj().swapaxes(1, 2) @ stack
-        else:
-            gram = stack @ stack.conj().swapaxes(1, 2)
+        for s, lo, hi in zip(stacks, bounds, bounds[1:]):
+            if s.shape[1] >= s.shape[2]:
+                np.matmul(s.conj().swapaxes(1, 2), s, out=gram[lo:hi])
+            else:
+                np.matmul(s, s.conj().swapaxes(1, 2), out=gram[lo:hi])
     # |g_ij| <= sqrt(g_ii g_jj), so a finite trace means a finite Gram matrix.
     # LAPACK may fail on the others: they are zeroed and redone scaled.
     over = ~np.isfinite(np.trace(gram, axis1=1, axis2=2))
     gram[over] = 0.0
     norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     for i in np.flatnonzero(over):
-        _, exp = np.frexp(max(np.abs(stack[i].real).max(), np.abs(stack[i].imag).max()))
-        norms[i] = np.ldexp(_stack_norms(stack[i:i + 1] * np.ldexp(1.0, -exp))[0], exp)
-    return norms
+        k = bisect.bisect_right(bounds, i) - 1
+        matrix = stacks[k][i - bounds[k]]
+        _, exp = np.frexp(max(np.abs(matrix.real).max(), np.abs(matrix.imag).max()))
+        norms[i] = np.ldexp(_gram_norms([matrix[None] * np.ldexp(1.0, -exp)], size)[0][0], exp)
+    return [norms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def gram_schmidt(vectors) -> list[np.ndarray]:

@@ -17,9 +17,11 @@ W_ij = U_i† U_j, and the right-hand core only has rows and columns on the
 bump supports. ``scan`` walks the grid axis by axis and extends the
 rectangular core by one coupling per axis. Within each block of points
 that share the first coordinate, it multiplies a chunk of prefix cores, at
-most ``CORE_STACK_BYTES``, by the last coupling at once, and takes the
-norms of each last-axis center's cores across the chunk with one
-``operator_norm`` call.
+most ``CORE_STACK_BYTES``, by the last coupling at once. The last-axis
+cores whose Gram matrices have equal size go to ``operator_norm``
+together, so one ``eigvalsh`` call solves them all; past ``GIL_FREE_ROWS``
+rows numpy releases the GIL for it, which is what lets ``threads`` workers
+overlap.
 """
 from __future__ import annotations
 
@@ -40,10 +42,14 @@ from .observables import OperatorTuple
 # Largest |rows|×|B|×n float64 difference tensor ``hausdorff`` forms at once.
 HAUSDORFF_BLOCK_BYTES = 32 * 2**20
 # Largest chunk of complex128 prefix cores ``scan`` multiplies by the last
-# coupling at once; each operator_norm call takes a slice of that chunk. The
-# call also holds the conjugate and the Gram stack, so a few times this is
-# in flight per worker; at 1 MiB the spectrum CLI's peak RSS rose 1.3 MB.
+# coupling at once. Each last-axis core is a slice of that product times the
+# bump values; besides the chunk, a worker holds one run of cores (see
+# ``_gram_runs``) and their Gram matrices.
 CORE_STACK_BYTES = 2**18
+# numpy's stacked eigvalsh releases the GIL only when its matrices times their
+# size exceed this (NPY_BEGIN_THREADS_THRESHOLDED in
+# numpy/_core/include/numpy/ndarraytypes.h), so worker threads overlap only there.
+GIL_FREE_ROWS = 500
 
 __all__ = [
     "GridSpec",
@@ -80,22 +86,23 @@ class GridSpec:
         return vals
 
     def nearest(self, z) -> np.ndarray:
-        """Closest grid point to ``z`` (coordinatewise rounding, clipped)."""
+        """Closest grid point to a finite point ``z`` (coordinatewise rounding, clipped)."""
         z = np.asarray(z, dtype=float).reshape(-1)
         if z.shape[0] != self.n:
             raise ValueError(f"point has {z.shape[0]} coordinates, grid has n={self.n}")
+        _check_finite(z, "point")
         m = np.clip(np.rint(z * self.k), -self.half, self.half)
         return m / float(self.k)
 
 
 def grid_step_count(n: int, bound: float, eta: float) -> int:
-    """Smallest integer k with (bound + 1)/k < eta / (2 sqrt(n))."""
+    """Smallest integer k with (bound + 1)/k < eta / (2 sqrt(n)), for finite bound, eta > 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if bound <= 0.0:
-        raise ValueError("bound must be positive")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (0.0 < bound < math.inf):
+        raise ValueError(f"bound must be positive and finite, got {bound}")
+    if not (0.0 < eta < math.inf):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     threshold = 2.0 * math.sqrt(n) * (bound + 1.0) / eta
     # Strict inequality: at an exact integer threshold the next k is needed.
     return int(math.floor(threshold)) + 1
@@ -202,7 +209,12 @@ def scan(
     coordinate at a time. Within a block, the prefix cores are multiplied
     by the last coupling a chunk of at most ``CORE_STACK_BYTES`` at a time;
     for each last-axis center, its cores across the chunk are sliced out of
-    those products and go to one ``operator_norm`` call. Every axis keeps a
+    those products. The centers are taken in order of support width, so
+    cores with Gram matrices of equal size come together, and each run of
+    them goes to one ``operator_norm`` call and so one ``eigvalsh`` call. A
+    run ends when the size changes or once it passes ``GIL_FREE_ROWS``
+    rows, where numpy solves it without the GIL; only one run's cores and
+    Gram matrices are held at a time. Every axis keeps a
     center: the pitch 1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so
     each eigenvalue, at the edges too, lies within eta/2 of a grid value,
     and a bump of width eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every
@@ -210,7 +222,8 @@ def scan(
 
     The blocks are mapped through a pool of ``threads`` workers, also when
     ``threads`` is 1; results are assembled in grid order, so the output is
-    identical for any thread count.
+    identical for any thread count. Workers overlap in BLAS, in large
+    elementwise products and in the runs solved without the GIL.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -228,6 +241,10 @@ def scan(
                 alive[axis].append(float(x))
                 supports[axis].append((sl, vals))
     last = alive[-1]
+    # A last-axis core has a Gram matrix of size min(rows, support width), so
+    # in this order the cores of equal Gram size are adjacent in every chunk.
+    widths = [vals.size for _, vals in supports[-1]]
+    by_width = sorted(range(len(last)), key=widths.__getitem__)
 
     def prefixes(axis: int, coords: tuple[float, ...], prev: slice, core: np.ndarray):
         """(coordinates, last support, core) for every alive point of axes < n - 1."""
@@ -249,8 +266,11 @@ def scan(
         per_chunk = max(1, CORE_STACK_BYTES // (16 * rows * tup.dim))
         while chunk := list(itertools.islice(walk, per_chunk)):
             wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
-            norms = [operator_norm(wides[:, :, sl] * vals) for sl, vals in supports[-1]]
-            for (coords, _, _), col in zip(chunk, np.array(norms).T):
+            norms = np.empty((len(last), len(chunk)))
+            for run in _gram_runs(by_width, widths, rows, len(chunk)):
+                cores = [wides[:, :, sl] * vals for sl, vals in (supports[-1][i] for i in run)]
+                norms[run] = np.reshape(operator_norm(*cores), (len(run), len(chunk)))
+            for (coords, _, _), col in zip(chunk, norms.T):
                 for pos in np.flatnonzero(col >= threshold):
                     out.append((coords + (last[pos],), float(col[pos])))
         return out
@@ -261,14 +281,39 @@ def scan(
     return SyntheticSpectrumResult(eta, grid, accepted, TOL.accept_slack)
 
 
+def _gram_runs(order: list[int], widths: list[int], rows: int, count: int):
+    """Split ``order`` into runs of last-axis centers whose cores share one ``eigvalsh`` call.
+
+    The cores of a run have Gram matrices of equal size min(rows, width), and
+    a run ends once it passes ``GIL_FREE_ROWS`` Gram rows over its
+    ``count``-deep stacks, so each call but the last of a size runs without
+    the GIL, and no more cores than that are held at once.
+    """
+    run: list[int] = []
+    size = 0
+    for i in order:
+        gram = min(rows, widths[i])
+        if run and gram != size:
+            yield run
+            run = []
+        run.append(i)
+        size = gram
+        if len(run) * count * size > GIL_FREE_ROWS:
+            yield run
+            run = []
+    if run:
+        yield run
+
+
 def hausdorff(x, y) -> float:
     """Hausdorff distance between two finite nonempty point sets.
 
     Points are rows; one-dimensional inputs are treated as points on the
     line. Raises ValueError when either set is empty, where the distance
-    is undefined. A point common to both sets is at distance exactly 0
-    from the other set, so only the points of A not in B and of B not in A
-    are searched, each against the whole other set. Squared distances are
+    is undefined, or holds a non-finite coordinate. A point common to both
+    sets is at distance exactly 0 from the other set, so only the points of
+    A not in B and of B not in A are searched, each against the whole
+    other set. Squared distances are
     formed a block of rows at a time, each block at most
     ``HAUSDORFF_BLOCK_BYTES``, so memory stays bounded for large sets; min
     and max are exact, so the result depends neither on the block size nor
@@ -284,9 +329,21 @@ def hausdorff(x, y) -> float:
         raise ValueError("Hausdorff distance is undefined for empty sets")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    _check_finite(a, "first set")
+    _check_finite(b, "second set")
     forward = _farthest(_unshared(a, b), b)
     backward = _farthest(_unshared(b, a), a)
     return float(np.sqrt(max(0.0, forward, backward)))
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite coordinate of a point or of rows of points."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        *row, col = bad[0]
+        where = f" in point {row[0]}" if row else ""
+        value = values[tuple(bad[0])]
+        raise ValueError(f"{name} has non-finite coordinate {col}{where}: {value}")
 
 
 def _unshared(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -186,6 +186,45 @@ def test_operator_norm_scales_matrices_whose_gram_overflows():
     assert abs(norms[0] - 1e200) <= 1e-15 * 1e200 and norms[1] == 2.0
 
 
+def recording_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch ``np.linalg.eigvalsh`` to record the shape of every stack it solves."""
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return shapes
+
+
+def complex_normal(rng, *shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_operator_norm_of_several_stacks_matches_each_alone(monkeypatch):
+    rng = np.random.default_rng(19)
+    overflowing = complex_normal(rng, 3, 5, 7)
+    overflowing[1, 2, 3] = 1e200
+    # 5×7, 7×5, 5×9 and 5×5 all have a 5×5 Gram matrix; the 6×6 one has its own.
+    args = [complex_normal(rng, 3, 5, 7), complex_normal(rng, 2, 7, 5), complex_normal(rng, 6, 6),
+            complex_normal(rng, 4, 5, 9), overflowing, complex_normal(rng, 2, 5, 5)]
+    shapes = recording_eigvalsh(monkeypatch)
+    norms = operator_norm(*args)
+    # One call per Gram size, and one more for the overflowing member, rescaled.
+    assert shapes == [(14, 5, 5), (1, 5, 5), (1, 6, 6)]
+    monkeypatch.undo()
+    assert isinstance(norms, tuple) and len(norms) == len(args)
+    for a, nrm in zip(args, norms):
+        alone = operator_norm(a)
+        if a.ndim == 2:
+            assert isinstance(nrm, float) and nrm == alone
+        else:
+            assert nrm.dtype == np.float64 and nrm.tobytes() == alone.tobytes()
+    assert abs(norms[4][1] - np.linalg.norm(overflowing[1], ord=2)) <= 1e-15 * 1e200
+
+
 @pytest.mark.parametrize(
     "bad",
     [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4), np.array([[1.0, np.nan]]),
@@ -195,6 +234,8 @@ def test_operator_norm_scales_matrices_whose_gram_overflows():
 def test_operator_norm_rejects_empty_and_nonfinite(bad):
     with pytest.raises(ValueError):
         operator_norm(bad)
+    with pytest.raises(ValueError):
+        operator_norm(np.eye(2), bad)
 
 
 def test_gram_schmidt_orthonormalizes_and_preserves_span():

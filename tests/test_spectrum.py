@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -83,6 +84,14 @@ def test_build_grid_beyond_float_range():
             build_grid(2, bound, eta)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_nonfinite_eta_and_bound(value):
+    for name, args in (("eta", (2, 1.0, value)), ("bound", (2, value, 0.5))):
+        for build in (grid_step_count, build_grid):
+            with pytest.raises(ValueError, match=name):
+                build(*args)
+
+
 def test_default_cap_value():
     assert GRID_POINT_CAP == 2_000_000
 
@@ -91,6 +100,12 @@ def test_nearest_rounds_and_clips():
     g = GridSpec(2, 1.0, 2, 2)
     assert np.allclose(g.nearest((0.26, -0.9)), [0.5, -1.0])
     assert np.allclose(g.nearest((7.0, -7.0)), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nearest_rejects_nonfinite_points(value):
+    with pytest.raises(ValueError, match=f"non-finite coordinate 1: {value}"):
+        GridSpec(2, 1.0, 2, 2).nearest((0.5, value))
 
 
 def test_is_refinement_divisibility():
@@ -221,9 +236,9 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     tup = perturbed_triple()
     stacks = []
 
-    def recording_norm(a):
-        stacks.append(np.shape(a))
-        return operator_norm(a)
+    def recording_norm(*cores):
+        stacks.extend(np.shape(c) for c in cores)
+        return operator_norm(*cores)
 
     monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
     default = scan(tup, 0.9)
@@ -236,6 +251,47 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     # Every block now spans several prefix chunks; no stack exceeds the budget.
     assert len(stacks) > 3 * default_calls
     assert max(16 * int(np.prod(shape)) for shape in stacks) <= budget
+
+
+def test_scan_solves_each_gram_size_once_per_chunk(monkeypatch, shift_pair_64):
+    triple = perturbed_triple()
+    events = []
+    real_couple, real_eigvalsh = BumpFactorCache.couple, np.linalg.eigvalsh
+
+    def couple(self, prefix, axis, prev):
+        events.append(("couple", axis))
+        return real_couple(self, prefix, axis, prev)
+
+    def eigvalsh(gram):
+        events.append(("eigvalsh", gram.shape))
+        return real_eigvalsh(gram)
+
+    monkeypatch.setattr(BumpFactorCache, "couple", couple)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for tup, eta in ((triple, 0.9), (shift_pair_64, 0.5)):
+        events.clear()
+        assert scan(tup, eta, threads=1).accepted
+        # A chunk couples its prefixes to the last axis, then takes the norms.
+        chunks = []
+        for kind, what in events:
+            if kind == "couple" and what == tup.n - 1 and (not chunks or chunks[-1]):
+                chunks.append([])
+            elif kind == "eigvalsh":
+                chunks[-1].append(what)
+        assert len(chunks) > 1
+        for shapes in chunks:
+            # A run is cut once numpy would solve it without the GIL, so each
+            # Gram size has at most one smaller call per chunk.
+            below = [size for count, size, _ in shapes if count * size <= spectrum.GIL_FREE_ROWS]
+            assert len(below) == len(set(below))
+
+
+def test_gram_runs_group_equal_sizes_and_cut_past_the_gil_threshold():
+    # With 20 rows the Gram sizes are 20, 5, 20, 20, 5, 20.
+    widths = [30, 5, 30, 40, 5, 20]
+    order = sorted(range(len(widths)), key=widths.__getitem__)
+    # Size 5 holds 2 * 9 * 5 = 90 rows; a size-20 core adds 180, so the third ends a run.
+    assert list(spectrum._gram_runs(order, widths, 20, 9)) == [[1, 4], [5, 0, 2], [3]]
 
 
 @pytest.mark.parametrize(
@@ -333,6 +389,19 @@ def test_hausdorff_hand_values():
 def test_hausdorff_empty_raises():
     with pytest.raises(ValueError):
         hausdorff(np.zeros((0, 2)), np.array([[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_hausdorff_rejects_nonfinite_points(value):
+    finite = [[0.0, 0.0], [1.0, 1.0]]
+    first = f"first set has non-finite coordinate 0 in point 0: {value}"
+    with pytest.raises(ValueError, match=first):
+        hausdorff([[value, 0.0]], finite)
+    second = f"second set has non-finite coordinate 1 in point 1: {value}"
+    with pytest.raises(ValueError, match=second):
+        hausdorff(finite, [[0.0, 0.0], [1.0, value]])
+    with pytest.raises(ValueError, match="non-finite"):
+        hausdorff([value], [0.0])
 
 
 def test_hausdorff_blocks_match_one_shot(monkeypatch):
