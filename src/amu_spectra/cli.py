@@ -12,6 +12,7 @@ timestamps or environment data, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -164,8 +165,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_amu(args) -> int:
-    if not (args.sigma > 0 and args.eps > 0):  # before any scan or eigensolve
-        raise ValueError("sigma and eps must be positive")
+    # Before any scan or eigensolve; an infinite sigma would also not be JSON.
+    if not (0.0 < args.sigma < math.inf and 0.0 < args.eps < math.inf):
+        raise ValueError("sigma and eps must be positive and finite")
     all_accepted = "all-accepted" in args.lambdas
     if all_accepted and len(args.lambdas) > 1:
         raise ValueError("--lambda all-accepted cannot be combined with explicit points")
@@ -176,7 +178,7 @@ def _cmd_amu(args) -> int:
     tup, _ = load_tuple(args.input)
     scan_meta = None
     if all_accepted:
-        result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
+        result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads, norms=False)
         points = [list(p) for p, _ in result.accepted]
         scan_meta = {"eta": args.eta, "k": result.grid.k,
                      "accepted_count": len(result.accepted)}

@@ -13,6 +13,7 @@ below sigma.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,8 +272,8 @@ def amu_check(
     measurement so callers can audit margins.
     """
     lam = as_point(lam, tup.n)
-    if not (sigma > 0 and eps > 0):
-        raise ValueError("sigma and eps must be positive")
+    if not (0.0 < sigma < math.inf and 0.0 < eps < math.inf):
+        raise ValueError("sigma and eps must be positive and finite")
     report = measure(tup, state)
     member = bool(max(report.sd) < sigma)
     close = bool(max(abs(e - l) for e, l in zip(report.exp, lam)) < eps)

@@ -21,7 +21,11 @@ most ``CORE_STACK_BYTES``, by the last coupling at once. The last-axis
 cores whose Gram matrices have equal size go to ``operator_norm``
 together, so one ``eigvalsh`` call solves them all; past ``GIL_FREE_ROWS``
 rows numpy releases the GIL for it, which is what lets ``threads`` workers
-overlap.
+overlap. A scan that needs only the accepted set (``norms=False``, as
+``amu --lambda all-accepted`` runs it) accepts most points from a
+Rayleigh-quotient lower bound on the core norm and eigensolves only the
+rest. ``spectrum`` and ``essential`` store every accepted norm, so their
+scans still eigensolve every point.
 """
 from __future__ import annotations
 
@@ -145,12 +149,13 @@ class SyntheticSpectrumResult:
 
     The synthetic spectrum at resolution eta is the union of closed
     eta-balls around the accepted points; ``accepted`` is in lexicographic
-    grid order and each entry is ((coordinates...), norm).
+    grid order and each entry is ((coordinates...), norm). A scan with
+    ``norms=False`` stores None for every norm.
     """
 
     eta: float
     grid: GridSpec
-    accepted: tuple[tuple[tuple[float, ...], float], ...]
+    accepted: tuple[tuple[tuple[float, ...], float | None], ...]
     slack: float
 
     def accepted_points(self) -> np.ndarray:
@@ -191,6 +196,7 @@ def scan(
     *,
     cap: int = GRID_POINT_CAP,
     threads: int = 1,
+    norms: bool = True,
 ) -> SyntheticSpectrumResult:
     """Evaluate the acceptance test at every grid point.
 
@@ -224,6 +230,17 @@ def scan(
     ``threads`` is 1; results are assembled in grid order, so the output is
     identical for any thread count. Workers overlap in BLAS, in large
     elementwise products and in the runs solved without the GIL.
+
+    With ``norms=False`` the scan decides acceptance only, and every entry
+    stores None as its norm. Each chunk first gets ``_witness``, a lower
+    bound w on ||C||^2 for every last-axis core C, in a few products with
+    the coupled prefixes and without forming the cores. A point with
+    w >= (1 - eta)^2 is accepted without an eigensolve: its norm is at
+    least 1 - eta, which is ``TOL.accept_slack`` above the threshold, far
+    beyond rounding. The other cores, every rejection and the points near
+    the threshold, go to ``operator_norm`` as sub-stacks of their runs and
+    are decided by the norm test above, so the accepted points are exactly
+    those of ``norms=True``, in the same order.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -245,6 +262,12 @@ def scan(
     # in this order the cores of equal Gram size are adjacent in every chunk.
     widths = [vals.size for _, vals in supports[-1]]
     by_width = sorted(range(len(last)), key=widths.__getitem__)
+    if not norms:
+        # Column c holds the squared bump values of last-axis center c, the
+        # weights ``_witness`` puts on the columns of a coupled prefix.
+        weights = np.zeros((tup.dim, len(last)))
+        for c, (sl, vals) in enumerate(supports[-1]):
+            weights[sl, c] = vals**2
 
     def prefixes(axis: int, coords: tuple[float, ...], prev: slice, core: np.ndarray):
         """(coordinates, last support, core) for every alive point of axes < n - 1."""
@@ -259,26 +282,68 @@ def scan(
         head = support[1]
         if n == 1:
             nrm = operator_norm(np.diag(head))
-            return [((first,), nrm)] if nrm >= threshold else []
+            return [((first,), nrm if norms else None)] if nrm >= threshold else []
         rows = head.size
-        out: list[tuple[tuple[float, ...], float]] = []
+        out: list[tuple[tuple[float, ...], float | None]] = []
         walk = prefixes(1, (first,), *support)
         per_chunk = max(1, CORE_STACK_BYTES // (16 * rows * tup.dim))
         while chunk := list(itertools.islice(walk, per_chunk)):
             wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
-            norms = np.empty((len(last), len(chunk)))
-            for run in _gram_runs(by_width, widths, rows, len(chunk)):
-                cores = [wides[:, :, sl] * vals for sl, vals in (supports[-1][i] for i in run)]
-                norms[run] = np.reshape(operator_norm(*cores), (len(run), len(chunk)))
-            for (coords, _, _), col in zip(chunk, norms.T):
-                for pos in np.flatnonzero(col >= threshold):
-                    out.append((coords + (last[pos],), float(col[pos])))
+            values = np.zeros((len(last), len(chunk)))
+            if norms:
+                witnessed, order = np.zeros(values.shape, dtype=bool), by_width
+            else:
+                witnessed = (_witness(wides, weights) >= (1.0 - eta) ** 2).T
+                order = [i for i in by_width if not witnessed[i].all()]
+            for run in _gram_runs(order, widths, rows, len(chunk)):
+                picks = [slice(None) if norms else np.flatnonzero(~witnessed[i]) for i in run]
+                cores = [wides[:, :, sl][pick] * vals
+                         for pick, (sl, vals) in zip(picks, (supports[-1][i] for i in run))]
+                solved = operator_norm(*cores)
+                for i, pick, nrm in zip(run, picks, solved if len(run) > 1 else (solved,)):
+                    values[i, pick] = nrm
+            accept = witnessed | (values >= threshold)
+            for (coords, _, _), col, ok in zip(chunk, values.T, accept.T):
+                for pos in np.flatnonzero(ok):
+                    out.append((coords + (last[pos],), float(col[pos]) if norms else None))
         return out
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = list(pool.map(scan_block, alive[0], supports[0]))
     accepted = tuple(entry for block in blocks for entry in block)
     return SyntheticSpectrumResult(eta, grid, accepted, TOL.accept_slack)
+
+
+def _witness(wides: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A lower bound on ||C||^2 for the core C of every prefix and last-axis center.
+
+    ``wides`` is a p×rows×dim stack of coupled prefixes and ``weights`` a
+    dim×c matrix of non-negative column weights; the core of prefix q and
+    center j is wides[q] with column l scaled by sqrt(weights[l, j]). Returns
+    the p×c Rayleigh quotients w = ||g||^2 / g_i of G = C C† at g = G e_i,
+    where i is the row of C of largest norm and g_i is its squared norm.
+    With G = sum_k lam_k u_k u_k†, w is the mean of the eigenvalues lam_k
+    under the weights lam_k |u_k[i]|^2 >= 0, so it never exceeds the
+    largest one, ||C||^2. Row i is divided by its norm before the product,
+    so w = ||g / sqrt(g_i)||^2 stays in range wherever the squared entries
+    of ``wides`` do, and a zero core gets 0 without forming 0/0. The
+    centers are taken a slab at a time, so each array formed holds at most
+    ``CORE_STACK_BYTES``, or one center's share where that alone is more.
+    """
+    p, _, dim = wides.shape
+    step = max(1, CORE_STACK_BYTES // (16 * p * dim))
+    square = wides.real**2 + wides.imag**2
+    out = np.empty((p, weights.shape[1]))
+    for lo in range(0, weights.shape[1], step):
+        cols = weights[:, lo:lo + step]
+        power = square @ cols
+        top = power.argmax(axis=1)
+        root = np.sqrt(np.take_along_axis(power, top[:, None, :], axis=1)).swapaxes(1, 2)
+        heads = np.take_along_axis(wides, top[:, :, None], axis=1).conj()
+        unit = np.divide(heads, root, out=np.zeros_like(heads), where=root > 0.0)
+        g = wides @ (unit.swapaxes(1, 2) * cols)
+        out[:, lo:lo + step] = (g.real**2 + g.imag**2).sum(axis=1)
+    return out
 
 
 def _gram_runs(order: list[int], widths: list[int], rows: int, count: int):

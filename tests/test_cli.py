@@ -294,6 +294,20 @@ def test_amu_all_accepted_chains_scan(tmp_path):
     assert len(payload["certificates"]) > 0
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_amu_all_accepted_certifies_the_spectrum_points(tmp_path, shift_file, threads):
+    # The amu scan skips most eigensolves and stores no norms; its points
+    # must still be exactly the ones ``spectrum`` accepts, in its order.
+    spec, amu = tmp_path / "spec.json", tmp_path / "amu.json"
+    common = ["--input", str(shift_file), "--eta", "0.5", "--threads", threads]
+    assert cli.main(["spectrum", *common, "-o", str(spec)]) == 0
+    assert cli.main(["amu", *common, "--lambda", "all-accepted", "--sigma", "0.35",
+                     "--eps", "0.35", "-o", str(amu)]) == 0
+    points = [entry["point"] for entry in json.loads(spec.read_text())["accepted"]]
+    certs = json.loads(amu.read_text())["certificates"]
+    assert points and [c["lambda"] for c in certs] == points
+
+
 def test_amu_deterministic_across_threads(tmp_path, shift_file):
     # Every accepted point, then one point handed to several workers.
     for points in (["--eta", "0.5", "--lambda", "all-accepted"], ["--lambda", "0.5,0.5"]):
@@ -383,7 +397,8 @@ def test_essential_checks_every_cut_before_scanning(tmp_path, shift_file, monkey
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("sigma, eps", [("0", "0.35"), ("0.35", "-1"), ("nan", "0.35")])
+@pytest.mark.parametrize("sigma, eps", [("0", "0.35"), ("0.35", "-1"), ("nan", "0.35"),
+                                        ("inf", "0.35"), ("0.35", "1e400")])
 def test_amu_checks_sigma_and_eps_before_scanning(tmp_path, shift_file, monkeypatch, capsys,
                                                   sigma, eps):
     def no_work(*args, **kwargs):
@@ -395,7 +410,7 @@ def test_amu_checks_sigma_and_eps_before_scanning(tmp_path, shift_file, monkeypa
                      "--eta", "0.5", "--sigma", sigma, "--eps", eps,
                      "-o", str(tmp_path / "x.json")])
     assert code == 2
-    assert "sigma and eps must be positive" in capsys.readouterr().err
+    assert "sigma and eps must be positive and finite" in capsys.readouterr().err
 
 
 def test_amu_large_bound_tuple(tmp_path):

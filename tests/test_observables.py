@@ -207,6 +207,10 @@ def test_amu_check_rejects_nonpositive_thresholds():
         amu_check(tup, x, (0.0, 0.0), sigma=0.0, eps=0.1)
     with pytest.raises(ValueError):
         amu_check(tup, x, (0.0, 0.0), sigma=0.1, eps=-1.0)
+    # A certificate with an infinite threshold would not be JSON.
+    for sigma, eps in ((np.inf, 0.1), (0.1, float("1e400")), (np.nan, 0.1)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            amu_check(tup, x, (0.0, 0.0), sigma=sigma, eps=eps)
 
 
 def test_amu_check_expectation_flag():

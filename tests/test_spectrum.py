@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,98 @@ def test_scan_thread_counts_agree_triple():
     assert one.accepted and one.accepted == two.accepted
 
 
+def recording_operator_norm(monkeypatch) -> list[np.ndarray]:
+    """Route the scan's ``operator_norm`` through a wrapper; returns the norms it hands back."""
+    solved: list[np.ndarray] = []
+
+    def recording(*cores):
+        out = operator_norm(*cores)
+        solved.extend(np.atleast_1d(x) for x in (out if len(cores) > 1 else (out,)))
+        return out
+
+    monkeypatch.setattr(spectrum, "operator_norm", recording)
+    return solved
+
+
+@pytest.mark.parametrize(
+    "make, eta",
+    [
+        (lambda: generate(ModelSpec("shift_pair", 64)), 0.5),
+        (perturbed_triple, 0.9),
+        (lambda: generate(ModelSpec("perturbed_commuting", 12, n=3, seed=2,
+                                    params={"perturbation": 0.3})), 0.5),
+        (lambda: generate(ModelSpec("clock_shift_triple", 16, n=3)), 0.9),
+        # W = I: most rows of a coupled prefix, and many cores, are all zero.
+        (lambda: generate(ModelSpec("commuting_diag", 16, n=2, seed=11)), 0.5),
+        (lambda: generate(ModelSpec("commuting_diag", 10, n=1, seed=3)), 0.3),
+    ],
+    ids=["n2-shift", "n3-perturbed", "n3-perturbed-dense", "n3-clock", "n2-diag", "n1-diag"],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_without_norms_accepts_the_same_points(monkeypatch, make, eta, threads):
+    tup = make()
+    full = scan(tup, eta, threads=threads)
+    solved = recording_operator_norm(monkeypatch)
+    decided = scan(tup, eta, threads=threads, norms=False)
+    assert full.accepted
+    assert [p for p, _ in decided.accepted] == [p for p, _ in full.accepted]
+    assert all(nrm is None for _, nrm in decided.accepted)
+    if tup.n > 1:
+        # The witnesses accept most points, so fewer cores reach eigvalsh.
+        assert sum(x.size for x in solved) < len(full.accepted)
+
+
+@pytest.mark.parametrize("offset", [5e-13, -5e-13])
+def test_scan_without_norms_defers_points_at_the_threshold(monkeypatch, offset):
+    # A commuting diagonal pair whose joint eigenvalue (0, b) gives the points
+    # (x, 0), |x| <= 3 eta/4, the product norm bump(b) = threshold + offset.
+    # There the witness is exact and below (1 - eta)^2, so eigvalsh decides.
+    # The joint eigenvalue (0.85, 0.05) keeps the center y = 0 alive, and no
+    # other one reaches these points.
+    eta = 0.5
+    target = 1.0 - eta - TOL.accept_slack + offset
+    b = eta - target * eta / 4.0
+    tup = OperatorTuple((np.diag([0.0, 0.9, -0.9, 0.85]), np.diag([b, -0.9, 0.9, 0.05])),
+                        bound=1.0)
+    full = scan(tup, eta)
+    solved = recording_operator_norm(monkeypatch)
+    decided = scan(tup, eta, norms=False)
+    assert [p for p, _ in decided.accepted] == [p for p, _ in full.accepted]
+    near = np.concatenate(solved)
+    near = near[np.abs(near - (1.0 - eta - TOL.accept_slack)) <= 1e-12]
+    assert near.size == 9  # x = m/12 for |m| <= 4
+    assert ((0.0, 0.0) in dict(full.accepted)) == (offset > 0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 7), st.integers(1, 4)),
+    zero_rows=st.integers(0, 6),
+    zero_core=st.booleans(),
+    scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]),
+)
+def test_witness_is_a_lower_bound_on_the_squared_core_norm(seed, shape, zero_rows, zero_core,
+                                                          scale):
+    p, rows, dim, centers = shape
+    rng = np.random.default_rng(seed)
+    wides = scale * (rng.normal(size=(p, rows, dim)) + 1j * rng.normal(size=(p, rows, dim)))
+    wides[:, rng.permutation(rows)[:zero_rows]] = 0.0
+    if zero_core:
+        wides[rng.integers(p)] = 0.0
+    weights = rng.uniform(size=(dim, centers)) * (rng.uniform(size=(dim, centers)) < 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = spectrum._witness(wides, weights)
+    assert w.shape == (p, centers)
+    for q, c in itertools.product(range(p), range(centers)):
+        core = wides[q] * np.sqrt(weights[:, c])
+        top = operator_norm(core) ** 2
+        # At least the largest squared row norm, at most the squared norm.
+        rows_sq = (np.abs(core) ** 2).sum(axis=1).max()
+        assert rows_sq * (1 - 1e-12) <= w[q, c] <= top * (1 + 1e-12)
+        assert (w[q, c] == 0.0) == (top == 0.0)
+
+
 def test_scan_small_stack_budget_matches_default(monkeypatch):
     tup = perturbed_triple()
     stacks = []
@@ -251,6 +344,9 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     # Every block now spans several prefix chunks; no stack exceeds the budget.
     assert len(stacks) > 3 * default_calls
     assert max(16 * int(np.prod(shape)) for shape in stacks) <= budget
+    # The witnesses then take a few last-axis centers at a time.
+    decided = scan(tup, 0.9, norms=False)
+    assert [p for p, _ in decided.accepted] == [p for p, _ in default.accepted]
 
 
 def test_scan_solves_each_gram_size_once_per_chunk(monkeypatch, shift_pair_64):
