@@ -113,12 +113,19 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _parse_point(raw: str, n: int) -> tuple[float, ...]:
+def _parse_list(raw: str, convert, what: str) -> list:
+    """The comma-separated entries of ``raw``, each through ``convert``; none may be empty."""
+    tokens = raw.split(",")
+    if any(tok.strip() == "" for tok in tokens):
+        raise ValueError(f"empty entry in {what} {raw!r}")
     try:
-        coords = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [convert(tok) for tok in tokens]
     except ValueError:
-        raise ValueError(f"could not parse point {raw!r}") from None
-    return as_point(coords, n, f"point {raw!r}")
+        raise ValueError(f"could not parse {what} {raw!r}") from None
+
+
+def _parse_point(raw: str, n: int) -> tuple[float, ...]:
+    return as_point(_parse_list(raw, float, "point"), n, f"point {raw!r}")
 
 
 def _cmd_models(args) -> int:
@@ -198,6 +205,8 @@ def _cmd_amu(args) -> int:
     for cert in certs:
         ok = cert.amu_member and cert.expectation_close
         certified += int(ok)
+        if ok and all_accepted:
+            continue  # a scan lists only the points that fail
         coords = ",".join(f"{x:.6g}" for x in cert.lam)
         print(
             f"lambda=({coords}) max_sd={cert.max_sd:.6f} "
@@ -218,10 +227,7 @@ def _cmd_amu(args) -> int:
 
 def _cmd_essential(args) -> int:
     tup, _ = load_tuple(args.input)
-    try:
-        cuts = [int(tok) for tok in args.cuts.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"could not parse cuts {args.cuts!r}") from None
+    cuts = _parse_list(args.cuts, int, "cuts")
     estimate = essential_spectrum_estimate(
         tup, args.eta, cuts, interior=not args.one_sided, cap=args.grid_cap,
         threads=args.threads,

@@ -11,14 +11,17 @@ matrices of equal size share one ``eigvalsh`` call: this is how the scan
 takes its norms), and an orthonormalization by one Householder QR.
 
 For Hermitian band matrices, ``band_ground_eigenpairs`` finds and certifies
-the lowest eigenpairs of a whole stack without a dense matrix: a band
-Cholesky factorization vectorised over the stack (LAPACK xPBTRF's
-recurrence, O(dim w^2) per factor) decides whether a shift lies below the
-spectrum, one multisection on that test brackets the lowest eigenvalue
-from the Gershgorin bounds, inverse iteration with the factor at the
-bracket's lower end gives the vector, and each pair passes the same two
-certificates as ``ground_eigenpair``, with delta scaled by the Gershgorin
-bound on the spectral radius.
+the lowest eigenpairs of a whole stack without a dense matrix. Whether a
+shift lies below the spectrum is decided, vectorised over the stack, by
+the signs of the LDL† pivots for tridiagonal and diagonal matrices (the
+Sturm-count test of Barth, Martin & Wilkinson, Numer. Math. 9, 1967) and
+by a band Cholesky factorization (LAPACK xPBTRF's recurrence, O(dim w^2)
+per factor) for wider bands. One multisection on that test brackets the
+lowest eigenvalue from the Gershgorin bounds, inverse iteration with the
+band Cholesky factor at the bracket's lower end gives the vector, in
+stacks as large as ``_ITERATION_BYTES`` of factors allow, and each pair
+passes the same two certificates as ``ground_eigenpair``, with delta
+scaled by the Gershgorin bound on the spectral radius.
 """
 from __future__ import annotations
 
@@ -211,8 +214,10 @@ _SHIFTS_PER_PASS = 7
 _MAX_PASSES = 64
 # Inverse iteration stops once the residual no longer halves in one step.
 _MAX_ITERATIONS = 32
-# Matrices in inverse iteration at once; each holds a factor of 16 * dim * (w + 1) bytes.
-_ITERATION_CHUNK = 256
+# Bytes of band Cholesky factors (16 * dim * (w + 1) per matrix) in inverse
+# iteration at once; its vectors and compacted copies take about twice that
+# again. Any eta-0.5 batch of the shift pair up to dim 256 is one stack.
+_ITERATION_BYTES = 8 << 20
 
 
 def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
@@ -221,9 +226,10 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
     ``bands`` is p×(w+1)×dim with bands[i, k, j] = A_i[j + k, j], the lower
     band (entries past the matrix are ignored, the diagonal's imaginary part
     too). Returns float64 energies (p,) and unit vectors (p, dim). No dense
-    matrix is formed: every step is a band Cholesky factorization of
-    A_i - s I (LAPACK xPBTRF's column recurrence, O(dim w^2)) or a pair of
-    band triangular solves, vectorised over the stack.
+    matrix is formed: every step is a sweep of LDL† pivots of A_i - s I
+    (w <= 1), a band Cholesky factorization of it (LAPACK xPBTRF's column
+    recurrence, O(dim w^2)) or a pair of band triangular solves, vectorised
+    over the stack.
 
     1. The Gershgorin discs put every eigenvalue in [g_lo, g_hi], so
        scale = max(1, |g_lo|, |g_hi|) bounds the spectral radius, and
@@ -231,12 +237,15 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
        ``ground_eigenpair``.
     2. Multisection, seven shifts per pass, on "A_i - s I has a Cholesky
        factor" brackets the lowest eigenvalue from [g_lo - delta, smallest
-       diagonal entry] to delta / 4.
-    3. Inverse iteration with the factor at the bracket's lower end, from a
-       fixed start vector, runs until the residual stops halving.
+       diagonal entry] to delta / 4. At w <= 1 the test reads only the
+       signs of the LDL† pivots, which needs no square root and no factor.
+    3. Inverse iteration with the band Cholesky factor at the bracket's
+       lower end, from a fixed start vector, runs until the residual stops
+       halving, on stacks of up to ``_ITERATION_BYTES`` of factors.
     4. Each pair must pass the two certificates of ``ground_eigenpair``:
-       ||A v - E v|| <= delta, and A - (E - delta) I has a band Cholesky
-       factor. NumericalError names the first pair that fails either.
+       ||A v - E v|| <= delta, and A - (E - delta) I has a Cholesky factor,
+       by the same test as step 2. NumericalError names the first pair
+       that fails either.
 
     Unlike an iterative eigensolver, none of this slows down when the low
     end of the spectrum is crowded. Every operation acts element by element
@@ -253,12 +262,12 @@ def band_ground_eigenpairs(bands) -> tuple[np.ndarray, np.ndarray]:
     p = lo.size
     energies, resid = np.empty(p), np.empty(p)
     vectors = np.empty((p, dim), dtype=np.complex128)
-    for start in range(0, p, _ITERATION_CHUNK):
-        part = slice(start, start + _ITERATION_CHUNK)
+    chunk = max(1, _ITERATION_BYTES // (16 * dim * band.shape[2]))
+    for start in range(0, p, chunk):
+        part = slice(start, start + chunk)
         energies[part], resid[part] = _inverse_iteration(band[..., part], lo[part],
                                                          vectors[part])
-    _certify_lowest(energies, resid, delta,
-                    lambda shifts: _band_cholesky(band, shifts[:, None])[0][:, 0])
+    _certify_lowest(energies, resid, delta, lambda shifts: _factors(band, shifts[:, None])[:, 0])
     return energies, vectors
 
 
@@ -334,6 +343,47 @@ def _band_cholesky(band, shifts, keep: bool = False):
     return least > 0.0, (fac if keep else None)
 
 
+def _factors(band, shifts):
+    """Whether A_i - s I has a Cholesky factor (p×t), for every shift s of each A_i.
+
+    ``band`` is dim×2×(w+1)×p and ``shifts`` p×t. Tridiagonal and diagonal
+    stacks take ``_positive_pivots``, wider ones ``_band_cholesky``.
+    """
+    if band.shape[2] <= 2:
+        return _positive_pivots(band, shifts)
+    return _band_cholesky(band, shifts)[0]
+
+
+def _positive_pivots(band, shifts):
+    """Whether every LDL† pivot of A_i - s I is positive, for a stack with w <= 1.
+
+    The pivots are d_0 = a_0 - s and d_j = a_j - s - |b_{j-1}|^2 / d_{j-1},
+    with a the diagonal and b the subdiagonal; they are all positive exactly
+    when the Cholesky factor exists (Barth, Martin & Wilkinson, Numer. Math.
+    9, 1967). A zero pivot, or a NaN after one, counts as no factor. At
+    w = 0 the pivots are the a_j - s, so the test is min_j a_j > s.
+    """
+    dim, _, w1, _ = band.shape
+    diag = band[:, 0, 0, :, None]
+    if w1 == 1:
+        return diag.min(axis=0) > shifts
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = band[: dim - 1, :, 1]
+        bsq = b[:, 0] * b[:, 0]
+        bsq += b[:, 1] * b[:, 1]
+        bsq = bsq[:, :, None]
+        d = diag[0] - shifts
+        least = d.copy()
+        q = np.empty_like(d)
+        for j in range(1, dim):
+            np.divide(bsq[j - 1], d, out=q)
+            np.subtract(diag[j], shifts, out=d)
+            d -= q
+            # After a zero pivot least stays at 0, or at the NaN of 0/0.
+            np.minimum(least, d, out=least)
+    return least > 0.0
+
+
 def _bracket_lowest(band, lo, hi, width):
     """Multisection for the lowest eigenvalue of each matrix of a stack.
 
@@ -353,7 +403,7 @@ def _bracket_lowest(band, lo, hi, width):
         grid[:, 0] = lo[active]
         grid[:, 1:-1] = lo[active, None] + (hi - lo)[active, None] * steps
         grid[:, -1] = hi[active]
-        ok, _ = _band_cholesky(part, grid[:, 1:-1])
+        ok = _factors(part, grid[:, 1:-1])
         # The highest shift that factors; a fuzzy failure below it, within
         # rounding of the eigenvalue, is ignored.
         last = np.where(ok.any(axis=1), _SHIFTS_PER_PASS - np.argmax(ok[:, ::-1], axis=1), 0)

@@ -244,6 +244,36 @@ def test_amu_rejects_nonfinite_lambda(tmp_path, shift_file):
     assert "non-finite coordinate" in proc.stderr
 
 
+_AMU = ["amu", "--sigma", "0.3", "--eps", "0.3", "--lambda"]
+_ESSENTIAL = ["essential", "--eta", "0.5", "--cuts"]
+
+
+@pytest.mark.parametrize("command, raw, what", [
+    (_AMU, "0.5,,0.5", "point"), (_AMU, "0.5,0.5,", "point"), (_AMU, " ,0.5", "point"),
+    (_ESSENTIAL, "2,,4,", "cuts"), (_ESSENTIAL, "8,16, ", "cuts"),
+])
+def test_comma_lists_reject_empty_entries(tmp_path, shift_file, capsys, command, raw, what):
+    out = tmp_path / "x.json"
+    code = cli.main([*command, raw, "--input", str(shift_file), "-o", str(out)])
+    assert code == 2
+    assert f"empty entry in {what} {raw!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_amu_all_accepted_prints_only_failing_points(tmp_path, shift_file, capsys):
+    out = tmp_path / "amu.json"
+    assert cli.main(["amu", "--input", str(shift_file), "--lambda", "all-accepted",
+                     "--eta", "0.5", "--sigma", "0.35", "--eps", "0.35", "-o", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    certs = json.loads(out.read_text())["certificates"]
+    failing = [c for c in certs if not (c["amu_member"] and c["expectation_close"])]
+    assert 0 < len(failing) < len(certs)
+    assert len(lines) == len(failing) + 1
+    assert lines[-1] == f"certified {len(certs) - len(failing)}/{len(certs)} points"
+    for line, cert in zip(lines, failing):
+        assert line.startswith("lambda=(" + ",".join(f"{x:.6g}" for x in cert["lambda"]) + ")")
+
+
 def test_malformed_tuple_file_exit_code(tmp_path):
     no_im = tmp_path / "no_im.json"
     no_im.write_text(json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": [[0.0]]}]}))

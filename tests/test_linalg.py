@@ -362,6 +362,62 @@ def test_band_cholesky_factors_exactly_when_numpy_does(case):
                 assert np.max(np.abs(got - lower_band(want, w).T)) <= 1e-8 * np.abs(want).max()
 
 
+@given(st.integers(0, 1), st.integers(1, 48), st.integers(1, 4), st.integers(-150, 150),
+       st.integers(0, 10_000))
+def test_positive_pivots_factor_exactly_when_numpy_does(w, dim, count, exponent, seed):
+    # From 1e-150 to 1e150; |b|^2 overflows only past about 1e154.
+    w = min(w, dim - 1)
+    scale = 10.0 ** exponent
+    mats, bands = _band_matrices(seed, count, dim, w, scales=(scale,))
+    lows = np.array([np.linalg.eigvalsh(a)[0] for a in mats])
+    # Shifts at least 1e-6 of the scale from each matrix's lowest eigenvalue, on both sides.
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(1e-6, 1.0, size=(count, 6)) * np.array([-1.0, 1.0] * 3) * scale
+    shifts = lows[:, None] + offsets
+    ok = linalg._positive_pivots(linalg._stacked(bands), shifts)
+    for i, a in enumerate(mats):
+        for t, s in enumerate(shifts[i]):
+            try:
+                np.linalg.cholesky(a - s * np.eye(dim))
+                want = True
+            except np.linalg.LinAlgError:
+                want = False
+            assert ok[i, t] == want, (i, t, (s - lows[i]) / scale)
+
+
+def test_positive_pivots_count_a_zero_pivot_as_no_factor():
+    # A shift equal to a diagonal entry of a diagonal matrix.
+    band = linalg._stacked(lower_band(np.diag([2.0, 1.0, 3.0]), 0)[None])
+    assert linalg._positive_pivots(band, np.array([[1.0, 0.5, 2.0]])).tolist() == [
+        [False, True, False]]
+    # A zero first pivot of a tridiagonal matrix, followed by -inf (b != 0) or NaN (b = 0).
+    for b in (0.5j, 0.0):
+        a = np.array([[1.0, np.conj(b)], [b, 4.0]])
+        band = linalg._stacked(lower_band(a, 1)[None])
+        assert linalg._positive_pivots(band, np.array([[1.0, 0.0]])).tolist() == [[False, True]]
+    # A zero last pivot: [[4, 1], [1, 1/4]] is singular, with pivots 4 and 1/4 - 1/4.
+    band = linalg._stacked(lower_band(np.array([[4.0, 1.0], [1.0, 0.25]]), 1)[None])
+    assert linalg._positive_pivots(band, np.array([[0.0, -1e-3]])).tolist() == [[False, True]]
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_band_ground_eigenpairs_bytes_do_not_depend_on_the_factor_test(monkeypatch, w):
+    # The pivot signs and the band Cholesky factor decide alike, so every
+    # shift of the multisection, and every pair, keeps its bytes.
+    _, bands = _band_matrices(4, 24, 40, w, scales=(1.0, 1e3, 1e-3, 5.0))
+    energies, vectors = band_ground_eigenpairs(bands)
+    calls = []
+
+    def by_cholesky(band, shifts):
+        calls.append(shifts.shape)
+        return linalg._band_cholesky(band, shifts)[0]
+
+    monkeypatch.setattr(linalg, "_positive_pivots", by_cholesky)
+    forced = band_ground_eigenpairs(bands)
+    assert calls
+    assert energies.tobytes() == forced[0].tobytes() and vectors.tobytes() == forced[1].tobytes()
+
+
 @given(band_cases)
 def test_band_solves_invert_the_factor(case):
     w, dim, count, seed = case
@@ -425,11 +481,23 @@ def test_band_ground_eigenpairs_brackets_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_band_ground_eigenpairs_stack_beyond_one_iteration_chunk():
-    count = linalg._ITERATION_CHUNK + 44
-    _, bands = _band_matrices(5, count, 6, 2, scales=(1.0, 0.5, 2.0))
+def test_band_ground_eigenpairs_stack_beyond_one_iteration_chunk(monkeypatch):
+    # A budget of 256 factors of dim 6 and w = 2 splits 300 matrices 256 + 44.
+    dim, w, chunk = 6, 2, 256
+    monkeypatch.setattr(linalg, "_ITERATION_BYTES", chunk * 16 * dim * (w + 1))
+    sizes = []
+    real = linalg._inverse_iteration
+
+    def counting(band, shift, vectors):
+        sizes.append(shift.size)
+        return real(band, shift, vectors)
+
+    monkeypatch.setattr(linalg, "_inverse_iteration", counting)
+    count = chunk + 44
+    _, bands = _band_matrices(5, count, dim, w, scales=(1.0, 0.5, 2.0))
     energies, vectors = band_ground_eigenpairs(bands)
-    for i in (0, 1, linalg._ITERATION_CHUNK - 1, linalg._ITERATION_CHUNK, count - 1):
+    assert sizes == [chunk, count - chunk]
+    for i in (0, 1, chunk - 1, chunk, count - 1):
         e, v = band_ground_eigenpairs(bands[i:i + 1])
         assert energies[i].tobytes() == e.tobytes() and vectors[i].tobytes() == v.tobytes()
 
