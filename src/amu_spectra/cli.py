@@ -6,7 +6,8 @@ estimates behavior at infinity through compression levels.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 resource cap
 exceeded, 4 numerical failure. Thread count defaults to the
-AMU_SPECTRA_THREADS environment variable. Output files contain no
+AMU_SPECTRA_THREADS environment variable, and is capped at the cores the
+process may run on. Output files contain no
 timestamps or environment data, so reruns are byte-identical.
 """
 from __future__ import annotations
@@ -23,9 +24,9 @@ from . import __version__
 from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
-from .models import (FAMILIES, ModelSpec, family_name, generate, load_tuple, save_tuple,
-                     write_accepted_csv, write_json)
-from .observables import as_point, commutator_profile
+from .models import (FAMILIES, JsonRows, ModelSpec, family_name, generate, load_tuple,
+                     save_tuple, write_accepted_csv, write_json)
+from .observables import AmuCertificate, as_point, commutator_profile
 from .search import amu_at, amu_batch, uses_band_path
 from .spectrum import scan
 
@@ -39,6 +40,22 @@ def _positive_int(source: str):
         raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer (from {source})")
 
     return parse
+
+
+def _thread_count(raw: str) -> int:
+    """A positive thread count, capped at the cores this process may run on.
+
+    A pool starts a new thread for each task it is handed while none is
+    idle, so an uncapped count could ask the system for one thread per
+    point. The cores are the process's CPU affinity, or the machine's count
+    where the system does not report one.
+    """
+    count = _positive_int("--threads or AMU_SPECTRA_THREADS")(raw)
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return min(count, cores)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     scanning.add_argument("--input", required=True, help="tuple file")
     scanning.add_argument("--grid-cap", type=_positive_int("--grid-cap"), default=GRID_POINT_CAP)
     # A string default goes through ``type`` too, so one parse checks both.
-    scanning.add_argument("--threads", type=_positive_int("--threads or AMU_SPECTRA_THREADS"),
+    scanning.add_argument("--threads", type=_thread_count,
                           default=os.environ.get("AMU_SPECTRA_THREADS", "1"),
-                          help="worker threads (default: AMU_SPECTRA_THREADS, else 1)")
+                          help="worker threads (default: AMU_SPECTRA_THREADS, else 1), "
+                               "at most the usable cores")
     scanning.add_argument("-o", "--output", required=True, help="JSON result path")
 
     p_spec = sub.add_parser("spectrum", parents=[scanning], help="scan a synthetic spectrum")
@@ -161,7 +179,7 @@ def _cmd_models(args) -> int:
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
     result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
-    write_json(result.to_json_dict(), args.output)
+    write_json(result.to_json_dict(lazy=True), args.output)
     if args.csv:
         write_accepted_csv(result, args.csv)
     print(
@@ -216,7 +234,7 @@ def _cmd_amu(args) -> int:
     payload = {
         "sigma": args.sigma,
         "eps": args.eps,
-        "certificates": [c.to_json_dict() for c in certs],
+        "certificates": JsonRows(certs, AmuCertificate.to_json_dict),
     }
     if scan_meta is not None:
         payload["scan"] = scan_meta
@@ -232,7 +250,7 @@ def _cmd_essential(args) -> int:
         tup, args.eta, cuts, interior=not args.one_sided, cap=args.grid_cap,
         threads=args.threads,
     )
-    write_json(estimate.to_json_dict(), args.output)
+    write_json(estimate.to_json_dict(lazy=True), args.output)
     for lvl in estimate.levels:
         print(f"cut={lvl.cut} window={lvl.window} accepted={len(lvl.result.accepted)}")
     stability = "n/a" if estimate.stability is None else f"{estimate.stability:.6f}"

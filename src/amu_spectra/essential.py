@@ -24,6 +24,7 @@ import numpy as np
 
 from .constants import GRID_POINT_CAP
 from .linalg import operator_norm
+from .models import JsonRows
 from .observables import AmuCertificate, OperatorTuple, VectorState, amu_check, as_point
 from .search import ground_state
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
@@ -136,7 +137,14 @@ class EssentialSpectrumEstimate:
     stabilized: np.ndarray
     stability: float | None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, lazy: bool = False) -> dict:
+        """This estimate as JSON data.
+
+        With ``lazy``, every level's spectrum is lazy (see
+        ``SyntheticSpectrumResult.to_json_dict``), and so are the rows of
+        ``stabilized``.
+        """
+        stabilized = JsonRows(self.stabilized, np.ndarray.tolist)
         return {
             "eta": self.eta,
             "cuts": list(self.cuts),
@@ -144,11 +152,11 @@ class EssentialSpectrumEstimate:
                 {
                     "cut": lvl.cut,
                     "window": list(lvl.window),
-                    "spectrum": lvl.result.to_json_dict(),
+                    "spectrum": lvl.result.to_json_dict(lazy=lazy),
                 }
                 for lvl in self.levels
             ],
-            "stabilized": [[float(x) for x in row] for row in self.stabilized],
+            "stabilized": stabilized if lazy else list(stabilized),
             "stability": self.stability,
         }
 

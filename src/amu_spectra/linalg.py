@@ -581,6 +581,27 @@ def _gram_norms(stacks: list[np.ndarray], size: int) -> list[np.ndarray]:
     return [norms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
+    """An upper bound on the squared norm of each matrix of a non-empty p×m×k stack.
+
+    With G the Gram matrix on the smaller side, as in ``_gram_norms``,
+    ||A||^2 = lam_max(G) <= ||G||_F, which is returned: no eigensolve, only
+    the product. Each matrix is first scaled by a power of two that brings
+    its largest entry into [1/2, 1), so the bound overflows or underflows
+    only where ||A||^2 itself does.
+    """
+    _, exp = np.frexp(np.abs(stack).max(axis=(1, 2)))
+    exp = np.maximum(exp, -1020)  # 2^-exp stays finite for subnormal matrices
+    unit = stack * np.ldexp(1.0, -exp)[:, None, None]
+    if unit.shape[1] >= unit.shape[2]:
+        gram = unit.conj().swapaxes(1, 2) @ unit
+    else:
+        gram = unit @ unit.conj().swapaxes(1, 2)
+    fro = np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(fro, 2 * exp)
+
+
 def gram_schmidt(vectors) -> list[np.ndarray]:
     """Orthonormalize ``vectors`` in order, as Gram-Schmidt would, by one QR.
 

@@ -26,7 +26,9 @@ Every JSON file, tuple files and CLI artifacts alike, goes through
 standard library's layout, but it streams: each dict and list is written
 piece by piece, and a list of finite floats is formatted in one
 ``str.join`` over ``float.__repr__``, the function ``json`` itself uses for
-floats. Everything else is encoded by ``json``.
+floats. Everything else is encoded by ``json``. A large list of results
+need not exist as JSON data at all: a ``JsonRows`` makes each entry from
+its record only when the writer reads it, a chunk at a time.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import json
 import operator
 import os
 import zipfile
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Mapping
@@ -53,6 +56,7 @@ __all__ = [
     "generate",
     "save_tuple",
     "load_tuple",
+    "JsonRows",
     "write_accepted_csv",
     "write_json",
 ]
@@ -333,18 +337,57 @@ def load_tuple(path) -> tuple[OperatorTuple, dict]:
         raise TupleFormatError(f"{path}: {exc}") from exc
 
 
+class JsonRows(Sequence):
+    """A read-only JSON list whose entry i, ``entry(records[i])``, is made only when read.
+
+    Iterating or indexing it makes entries; a slice is a ``JsonRows`` over
+    the sliced records, so nothing is made until an entry is read.
+    ``write_json`` reads it a chunk at a time, a chunk holding about
+    ``_CHUNK`` JSON values as counted in the first entry, so its memory does
+    not grow with the number of records.
+
+    When ``texts`` is given, every entry must have the layout of the first:
+    dicts with the same str keys in the same order, and lists of the same
+    lengths. ``texts(records)`` then yields, for each of a slice of the
+    records, a tuple with the JSON text of each scalar of its entry, in the
+    order ``write_json`` writes them. The writer formats a whole chunk from
+    those tuples and one template of the layout, instead of value by value.
+    It writes a chunk value by value wherever ``texts`` raises TypeError or
+    LookupError, or yields a tuple that does not fit the template.
+    """
+
+    def __init__(self, records: Sequence, entry: Callable,
+                 texts: Callable[[Sequence], Iterable[tuple[str, ...]]] | None = None):
+        self.records, self.entry, self.texts = records, entry, texts
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return JsonRows(self.records[index], self.entry, self.texts)
+        return self.entry(self.records[index])
+
+    def __iter__(self):
+        return map(self.entry, self.records)
+
+
 def write_json(obj, path) -> None:
     """Write ``obj`` as ``json.dumps(obj, indent=2) + "\n"``, streamed.
 
     Tuple files and every CLI artifact go through here, so they share one
     layout: the standard library's ``indent=2`` form, floats in their
     shortest round-trip form, no timestamps. The file is written piece by
-    piece, so memory stays at one list chunk however large the output. Lists
-    of finite floats are formatted with ``float.__repr__`` in one join; keys
-    and strings go through ``json``'s own string encoder, and every other
-    value (ints, bools, None, NaN and ±Infinity, dicts with non-str keys)
-    through ``json`` itself, so a value of a type ``json`` cannot encode
-    raises its ``TypeError``.
+    piece. A list, tuple or other read-only ``Sequence`` (not a string) is
+    written as a JSON list a slice at a time; a ``JsonRows`` makes its
+    entries only as they are written, so a result whose large lists are
+    ``JsonRows`` is written in the memory of one chunk, however large the
+    output. Slices of finite floats are formatted with ``float.__repr__``
+    in one join; keys and strings go through ``json``'s own string encoder,
+    and every other value (ints, bools, None, NaN and ±Infinity, dicts with
+    non-str keys) through ``json`` itself, so a value of a type ``json``
+    cannot encode raises its ``TypeError``. Sequences other than lists and
+    tuples, which ``json`` rejects, are the one exception.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, obj, "\n")
@@ -354,8 +397,12 @@ def write_json(obj, path) -> None:
 # json.dumps(obj, indent=2) is this encoder's encode(obj); it is stateless.
 _JSON = json.JSONEncoder(indent=2)
 _INDENT = "  "
-# Items per join: bounds the string one list contributes at a time.
+# JSON values per chunk of a list: bounds the string, and the entries of a
+# ``JsonRows``, that one list holds at a time.
 _CHUNK = 1024
+# A scalar's place in a ``JsonRows`` template. It is written as a NUL, which
+# JSON text never holds: json escapes it in strings and keys.
+_SLOT = object()
 
 
 def _write_value(write, obj, newline: str) -> None:
@@ -377,6 +424,10 @@ def _write_value(write, obj, newline: str) -> None:
             _write_value(write, value, inner)
             sep = "," + inner
         write(newline + "}")
+    elif isinstance(obj, Sequence) and not isinstance(obj, (str, bytes, bytearray, memoryview)):
+        _write_list(write, obj, newline)
+    elif obj is _SLOT:
+        write("\0")
     else:
         # Scalars hold no line break; a dict with non-str keys is re-indented.
         write(_JSON.encode(obj).replace("\n", newline))
@@ -389,13 +440,24 @@ def _write_list(write, items, newline: str) -> None:
     inner = newline + _INDENT
     join = ("," + inner).join
     sep = "[" + inner
-    for lo in range(0, len(items), _CHUNK):
-        chunk = items[lo:lo + _CHUNK]
+    rows = isinstance(items, JsonRows)
+    step = _CHUNK
+    if rows:
+        template, slots = _template(items[0], inner)
+        step = max(1, _CHUNK // max(1, slots))
+    for lo in range(0, len(items), step):
+        chunk = items[lo:lo + step]
+        body = None
         try:
-            body = join(map(float.__repr__, chunk))
-        except TypeError:  # an item that is not a float
-            body = "n"
-        if "n" in body:
+            if not rows:
+                body = join(map(float.__repr__, chunk))
+                if "n" in body:
+                    body = None
+            elif chunk.texts is not None:
+                body = join(map(template.__mod__, chunk.texts(chunk.records)))
+        except (TypeError, LookupError):  # an item that is not a float, or texts declined
+            body = None
+        if body is None:
             for item in chunk:
                 write(sep)
                 _write_value(write, item, inner)
@@ -406,12 +468,32 @@ def _write_list(write, items, newline: str) -> None:
     write(newline + "]")
 
 
+def _template(entry, newline: str) -> tuple[str, int]:
+    """The %-format of ``entry``'s layout at ``newline``, with one %s per scalar, and their count."""
+    def skeleton(value):
+        if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+            return {key: skeleton(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [skeleton(item) for item in value]
+        return _SLOT
+
+    pieces: list[str] = []
+    _write_value(pieces.append, skeleton(entry), newline)
+    text = "".join(pieces)
+    return text.replace("%", "%%").replace("\0", "%s"), text.count("\0")
+
+
 def write_accepted_csv(result, path: str) -> None:
-    """Accepted spectrum points as CSV: coord_1..coord_n, theta_norm."""
+    """Accepted spectrum points as CSV: coord_1..coord_n, theta_norm.
+
+    Rows are formatted and written ``_CHUNK`` at a time, so memory does not
+    grow with the number of points.
+    """
     n = result.grid.n
     header = ",".join(f"coord_{j + 1}" for j in range(n)) + ",theta_norm"
-    lines = [header]
-    for point, nrm in result.accepted:
-        lines.append(",".join(repr(float(x)) for x in point) + f",{nrm!r}")
+    accepted = result.accepted
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for lo in range(0, len(accepted), _CHUNK):
+            fh.write("".join(",".join(repr(float(x)) for x in point) + f",{nrm!r}\n"
+                             for point, nrm in accepted[lo:lo + _CHUNK]))

@@ -23,9 +23,11 @@ together, so one ``eigvalsh`` call solves them all; past ``GIL_FREE_ROWS``
 rows numpy releases the GIL for it, which is what lets ``threads`` workers
 overlap. A scan that needs only the accepted set (``norms=False``, as
 ``amu --lambda all-accepted`` runs it) accepts most points from a
-Rayleigh-quotient lower bound on the core norm and eigensolves only the
-rest. ``spectrum`` and ``essential`` store every accepted norm, so their
-scans still eigensolve every point.
+Rayleigh-quotient lower bound on the core norm, rejects most others from
+an upper bound, the Frobenius norm of the core's Gram matrix, and
+eigensolves only the points near the threshold. ``spectrum`` and
+``essential`` store every accepted norm, so their scans still eigensolve
+every point.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ import numpy as np
 from .constants import GRID_POINT_CAP, TOL
 from .calculus import BumpFactorCache
 from .errors import GridCapExceeded
-from .linalg import operator_norm
+from .linalg import _gram_frobenius, operator_norm
+from .models import JsonRows
 from .observables import OperatorTuple
 
 # Largest |rows|×|B|×n float64 difference tensor ``hausdorff`` forms at once.
@@ -173,21 +176,50 @@ class SyntheticSpectrumResult:
         d = np.sqrt(((pts - z) ** 2).sum(axis=1))
         return bool(d.min() <= r)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, lazy: bool = False) -> dict:
+        """This result as JSON data; with ``lazy``, ``accepted`` is a ``JsonRows``.
+
+        A lazy ``accepted`` makes each entry only when ``write_json`` reads
+        it, and gives the writer the text of every entry's numbers, so a
+        chunk of entries is formatted in one pass. The coordinates are grid
+        values, so each axis value's text is formatted once; it is keyed with
+        the value's sign, so -0.0 cannot take the text of 0.0. A point off the
+        grid, or a norm that is None, has its chunk written value by value.
+        """
+        axis = self.grid.axis_values.tolist()
+        known = dict(zip(_signed(axis), map(float.__repr__, axis)))
+
+        def texts(records):
+            points, norms = zip(*records)
+            cells = map(known.__getitem__, _signed(list(itertools.chain.from_iterable(points))))
+            norms = list(map(float.__repr__, norms))
+            if "n" in "".join(norms):  # nan or inf, which JSON spells otherwise
+                raise TypeError("norm is not finite")
+            return zip(*[cells] * self.grid.n, norms)
+
+        accepted = JsonRows(self.accepted, _accepted_entry, texts)
         return {
             "eta": self.eta,
             "M": self.grid.bound,
             "n": self.grid.n,
             "k": self.grid.k,
-            "accepted": [
-                {"point": list(p), "norm": nrm} for p, nrm in self.accepted
-            ],
+            "accepted": accepted if lazy else list(accepted),
             "meta": {
                 "slack": self.slack,
                 "grid_points": self.grid.count,
                 "accepted_count": len(self.accepted),
             },
         }
+
+
+def _signed(values: list) -> zip:
+    """Each value paired with its sign: a dict key that tells -0.0 from 0.0."""
+    return zip(values, map(math.copysign, itertools.repeat(1.0), values))
+
+
+def _accepted_entry(record: tuple) -> dict:
+    point, nrm = record
+    return {"point": list(point), "norm": nrm}
 
 
 def scan(
@@ -237,10 +269,13 @@ def scan(
     the coupled prefixes and without forming the cores. A point with
     w >= (1 - eta)^2 is accepted without an eigensolve: its norm is at
     least 1 - eta, which is ``TOL.accept_slack`` above the threshold, far
-    beyond rounding. The other cores, every rejection and the points near
-    the threshold, go to ``operator_norm`` as sub-stacks of their runs and
-    are decided by the norm test above, so the accepted points are exactly
-    those of ``norms=True``, in the same order.
+    beyond rounding. Each other core C is formed, and rejected without an
+    eigensolve when ||G||_F <= (1 - eta - 2 slack)^2, G being its Gram
+    matrix: ||C||^2 = lam_max(G) <= ||G||_F, so its norm is at least
+    ``TOL.accept_slack`` below the threshold, mirroring the witness. The
+    cores left, the points near the threshold, go to ``operator_norm`` as
+    sub-stacks of their runs and are decided by the norm test above, so the
+    accepted points are exactly those of ``norms=True``, in the same order.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -268,6 +303,8 @@ def scan(
         weights = np.zeros((tup.dim, len(last)))
         for c, (sl, vals) in enumerate(supports[-1]):
             weights[sl, c] = vals**2
+        # At or below this squared-norm bound a core is rejected unsolved.
+        floor = (threshold - TOL.accept_slack) ** 2
 
     def prefixes(axis: int, coords: tuple[float, ...], prev: slice, core: np.ndarray):
         """(coordinates, last support, core) for every alive point of axes < n - 1."""
@@ -299,6 +336,12 @@ def scan(
                 picks = [slice(None) if norms else np.flatnonzero(~witnessed[i]) for i in run]
                 cores = [wides[:, :, sl][pick] * vals
                          for pick, (sl, vals) in zip(picks, (supports[-1][i] for i in run))]
+                if not norms:
+                    live = [(i, pick[keep], core[keep]) for i, pick, core in zip(run, picks, cores)
+                            if (keep := _gram_frobenius(core) > floor).any()]
+                    if not live:
+                        continue
+                    run, picks, cores = zip(*live)
                 solved = operator_norm(*cores)
                 for i, pick, nrm in zip(run, picks, solved if len(run) > 1 else (solved,)):
                     values[i, pick] = nrm

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from amu_spectra import (ModelSpec, cli, essential, generate, load_tuple, save_tuple, scan,
+from amu_spectra import (ModelSpec, OperatorTuple, amu_batch, cli, essential, generate,
+                         load_tuple, save_tuple, scan,
                          tail_compression)
 
 
@@ -460,3 +462,98 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout
+
+
+def _artifact(tmp_path, *argv) -> bytes:
+    out = tmp_path / "artifact.json"
+    assert cli.main([*argv, "-o", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _dumped(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectrum_artifact_is_the_bytes_of_its_result(tmp_path, n):
+    src = tmp_path / "tuple.json"
+    save_tuple(generate(ModelSpec("perturbed_commuting", 8, n=n, seed=1,
+                                  params={"perturbation": 0.2})), src)
+    result = scan(load_tuple(src)[0], 0.5)
+    assert result.accepted
+    assert _artifact(tmp_path, "spectrum", "--input", str(src), "--eta", "0.5") == _dumped(
+        result.to_json_dict())
+
+
+def test_essential_artifact_is_the_bytes_of_its_estimate(tmp_path):
+    # Three copies of (sigma_x, sigma_z). The deepest window is the middle
+    # copy, where no bump product reaches 1 - eta, so its level is empty.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    src = tmp_path / "paulis.json"
+    save_tuple(OperatorTuple((np.kron(np.eye(3), sx), np.kron(np.eye(3), sz)), bound=1.0), src)
+    estimate = essential.essential_spectrum_estimate(load_tuple(src)[0], 0.2, [1, 2])
+    assert estimate.levels[0].result.accepted and not estimate.levels[1].result.accepted
+    got = _artifact(tmp_path, "essential", "--input", str(src), "--eta", "0.2", "--cuts", "1,2")
+    assert got == _dumped(estimate.to_json_dict())
+
+
+@pytest.mark.parametrize("gen", [["shift", "--dim", "64"],
+                                 ["perturbed", "--dim", "12", "--n", "2", "--seed", "1"]],
+                         ids=["band-shift64", "dense-perturbed12"])
+def test_amu_artifacts_are_the_bytes_of_their_certificates(tmp_path, gen):
+    src = tmp_path / "tuple.json"
+    assert run_cli("models", "gen", *gen, "-o", str(src)).returncode == 0
+    tup, _ = load_tuple(src)
+    common = ["amu", "--input", str(src), "--sigma", "0.35", "--eps", "0.35"]
+    points = [(0.5, 0.5), (-0.25, 0.75)]
+    got = _artifact(tmp_path, *common, *(f"--lambda={x},{y}" for x, y in points))
+    certs = [c.to_json_dict() for c in amu_batch(tup, points, 0.35, 0.35)]
+    assert got == _dumped({"sigma": 0.35, "eps": 0.35, "certificates": certs})
+    result = scan(tup, 0.5)
+    accepted = [list(p) for p, _ in result.accepted]
+    got = _artifact(tmp_path, *common, "--lambda", "all-accepted", "--eta", "0.5")
+    certs = [c.to_json_dict() for c in amu_batch(tup, accepted, 0.35, 0.35)]
+    assert len(certs) > 1
+    assert got == _dumped({"sigma": 0.35, "eps": 0.35, "certificates": certs,
+                           "scan": {"eta": 0.5, "k": result.grid.k,
+                                    "accepted_count": len(accepted)}})
+
+
+def test_threads_are_capped_at_the_usable_cores(tmp_path, monkeypatch):
+    # A pool starts a thread for each task it is handed while none is idle,
+    # so an uncapped --threads 5000 would start one thread per point.
+    src = tmp_path / "dense.json"
+    save_tuple(generate(ModelSpec("perturbed_commuting", 8, n=2, seed=1)), src)
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    argv = ["amu", "--input", str(src), "--lambda", "0.5,0.5", "--lambda=-0.5,0.25",
+            "--sigma", "0.35", "--eps", "0.35", "-o", str(tmp_path / "amu.json")]
+    assert cli.main([*argv, "--threads", "5000"]) == 0
+    assert cli.main([*argv, "--threads", "2"]) == 0
+    monkeypatch.setenv("AMU_SPECTRA_THREADS", "5000")
+    assert cli.main(argv) == 0
+    # Where the system reports no affinity, the machine's core count caps.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli.main(argv) == 0
+    assert workers == [3, 2, 3, 4]

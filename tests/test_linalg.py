@@ -238,6 +238,33 @@ def test_operator_norm_rejects_empty_and_nonfinite(bad):
         operator_norm(np.eye(2), bad)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)),
+    rank_one=st.booleans(),
+    zero=st.booleans(),
+    scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+)
+def test_gram_frobenius_bounds_the_squared_norm(seed, shape, rank_one, zero, scale):
+    p, m, k = shape
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if rank_one:  # then ||G||_F is the squared norm itself
+        stack = stack[:, :, :1] @ stack[:, :1, :]
+    if zero:
+        stack[rng.integers(p)] = 0.0
+    stack *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bound = linalg._gram_frobenius(stack)
+    squares = operator_norm(stack) ** 2
+    assert bound.shape == (p,)
+    assert np.all(bound >= squares * (1 - 1e-12))
+    assert np.all((bound == 0.0) == (squares == 0.0))
+    if rank_one:
+        assert np.all(bound <= squares * (1 + 1e-12))
+
+
 def test_gram_schmidt_orthonormalizes_and_preserves_span():
     rng = np.random.default_rng(3)
     vecs = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(3)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -20,7 +21,9 @@ from amu_spectra import (
     save_tuple,
     write_accepted_csv,
 )
-from amu_spectra.models import FAMILIES, family_name, splitmix64, uniform_doubles, write_json
+from amu_spectra.models import (FAMILIES, JsonRows, family_name, splitmix64, uniform_doubles,
+                                write_json)
+from amu_spectra.spectrum import GridSpec, SyntheticSpectrumResult
 
 
 def test_splitmix64_reference_vector():
@@ -366,6 +369,90 @@ def test_write_json_streams(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size >= 4_000_000
     assert peak < 1_000_000
+
+
+def _traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _grid_result(count: int) -> SyntheticSpectrumResult:
+    # ``count`` points of an n = 3 grid, with norms of full-length reprs.
+    grid = GridSpec(3, 1.0, 16, 16)
+    points = itertools.islice(itertools.product(grid.axis_values.tolist(), repeat=3), count)
+    accepted = tuple((p, 0.5 + math.pi * i % 0.5) for i, p in enumerate(points))
+    return SyntheticSpectrumResult(0.5, grid, accepted, 1e-9)
+
+
+def test_write_accepted_csv_streams(tmp_path):
+    result = _grid_result(30_000)
+    path = tmp_path / "accepted.csv"
+    peak = _traced_peak(lambda: write_accepted_csv(result, path))
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [",".join(map(repr, p)) + f",{nrm!r}" for p, nrm in result.accepted]
+    assert path.stat().st_size >= 1_000_000
+    assert peak < 500_000
+
+
+def test_writing_a_lazy_spectrum_result_takes_memory_independent_of_its_size(tmp_path):
+    # Eight times the entries may not cost more memory: a chunk at a time.
+    peaks = []
+    for count in (3_000, 24_000):
+        result = _grid_result(count)
+        path = tmp_path / f"spec{count}.json"
+        peaks.append(_traced_peak(lambda: write_json(result.to_json_dict(lazy=True), path)))
+        assert path.read_bytes() == (json.dumps(result.to_json_dict(), indent=2)
+                                     + "\n").encode("ascii")
+    assert abs(peaks[1] - peaks[0]) < 50_000
+    assert max(peaks) < 500_000
+
+
+_GRID3 = GridSpec(3, 1.0, 4, 4)
+# Grid values, whose texts the lazy entries look up, and values that are not:
+# off the grid, or -0.0, which equals the grid value 0.0.
+_COORDS = st.one_of(st.sampled_from(_GRID3.axis_values.tolist()),
+                    st.sampled_from([-0.0, 0.3, -1e-300]))
+_ACCEPTED = st.tuples(st.tuples(_COORDS, _COORDS, _COORDS), st.one_of(st.none(), _FLOATS))
+
+
+@given(accepted=st.lists(_ACCEPTED, max_size=40))
+@example(accepted=[((0.25, 0.0, -1.0), 0.5 + i / 7) for i in range(600)])
+@example(accepted=[((0.25, -0.0 if i == 300 else 0.0, -1.0), None if i == 590 else 0.75)
+                   for i in range(600)])
+@example(accepted=[((0.5, 0.5, 0.5), x) for x in (math.nan, math.inf, -math.inf, -0.0)])
+def test_lazy_spectrum_result_writes_the_bytes_of_its_json_dict(tmp_path_factory, accepted):
+    result = SyntheticSpectrumResult(0.5, _GRID3, tuple(accepted), 1e-9)
+    path = tmp_path_factory.getbasetemp() / "lazy_spectrum.json"
+    write_json(result.to_json_dict(lazy=True), path)
+    plain = result.to_json_dict()
+    assert plain["accepted"] == [{"point": list(p), "norm": nrm} for p, nrm in accepted]
+    assert path.read_bytes() == (json.dumps(plain, indent=2) + "\n").encode("ascii")
+
+
+def test_json_rows_are_a_read_only_sequence_made_on_read(tmp_path):
+    made = []
+
+    def entry(record):
+        made.append(record)
+        return {"id": record, "twice": [record, 2 * record]}
+
+    rows = JsonRows(range(10), entry)
+    part = rows[2:5]
+    assert isinstance(part, JsonRows) and not made
+    assert len(part) == 3 and part[1] == {"id": 3, "twice": [3, 6]}
+    assert list(rows) == [entry(r) for r in range(10)]
+    # Text that does not fit the layout, or a refusal, leaves the chunk to
+    # be written value by value.
+    for texts in (lambda records: [("1",)] * len(records),
+                  lambda records: {}[0]):
+        path = tmp_path / "rows.json"
+        write_json({"rows": JsonRows(range(3000), entry, texts)}, path)
+        expected = {"rows": [entry(r) for r in range(3000)]}
+        assert path.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode("ascii")
 
 
 def test_tuple_file_bytes_match_per_element_layout(tmp_path):

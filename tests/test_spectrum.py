@@ -296,6 +296,27 @@ def test_scan_without_norms_defers_points_at_the_threshold(monkeypatch, offset):
     assert ((0.0, 0.0) in dict(full.accepted)) == (offset > 0)
 
 
+@pytest.mark.parametrize("offset", [5e-13, -5e-13])
+def test_scan_without_norms_rejects_cores_below_the_gram_floor_unsolved(monkeypatch, offset):
+    # The pair of the test above, with bump(b) at the floor 1 - eta - 2 slack
+    # plus ``offset``. The cores of the points (x, 0), |x| <= 3 eta/4, have
+    # rank one, so the Frobenius norm of their Gram matrices is their
+    # squared norm: at the floor less 5e-13 they are rejected without an
+    # eigensolve, at the floor plus 5e-13 eigvalsh rejects them.
+    eta = 0.5
+    target = 1.0 - eta - 2 * TOL.accept_slack + offset
+    b = eta - target * eta / 4.0
+    tup = OperatorTuple((np.diag([0.0, 0.9, -0.9, 0.85]), np.diag([b, -0.9, 0.9, 0.05])),
+                        bound=1.0)
+    full = scan(tup, eta)
+    solved = recording_operator_norm(monkeypatch)
+    decided = scan(tup, eta, norms=False)
+    assert [p for p, _ in decided.accepted] == [p for p, _ in full.accepted]
+    assert (0.0, 0.0) not in dict(full.accepted)
+    near = np.concatenate([np.zeros(0), *solved])
+    assert np.count_nonzero(np.abs(near - target) <= 1e-12) == (9 if offset > 0 else 0)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 7), st.integers(1, 4)),
