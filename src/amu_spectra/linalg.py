@@ -25,7 +25,6 @@ scaled by the Gershgorin bound on the spectral radius.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 
 import numpy as np
@@ -539,8 +538,8 @@ def operator_norm(a, *more):
     and share one ``eigvalsh`` call, which is how the scan gets calls large
     enough for numpy to release the GIL. Every norm equals bit for bit the
     norm of its matrix passed alone, so neither stacking nor grouping
-    changes an answer. A matrix whose Gram matrix overflows (entries above
-    about 1e154) is scaled by a power of two.
+    changes an answer. A nonzero matrix whose Gram trace is not finite or
+    outside [2^-500, 2^500] is scaled by a power of two (``_gram_stack``).
     """
     args = (a, *more)
     stacks = [
@@ -560,46 +559,55 @@ def operator_norm(a, *more):
 
 def _gram_norms(stacks: list[np.ndarray], size: int) -> list[np.ndarray]:
     """The norms of each stack in ``stacks``, whose Gram matrices are all size×size."""
-    bounds = [0, *itertools.accumulate(len(s) for s in stacks)]
-    gram = np.empty((bounds[-1], size, size), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, lo, hi in zip(stacks, bounds, bounds[1:]):
-            if s.shape[1] >= s.shape[2]:
-                np.matmul(s.conj().swapaxes(1, 2), s, out=gram[lo:hi])
-            else:
-                np.matmul(s, s.conj().swapaxes(1, 2), out=gram[lo:hi])
-    # |g_ij| <= sqrt(g_ii g_jj), so a finite trace means a finite Gram matrix.
-    # LAPACK may fail on the others: they are zeroed and redone scaled.
-    over = ~np.isfinite(np.trace(gram, axis1=1, axis2=2))
-    gram[over] = 0.0
-    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    for i in np.flatnonzero(over):
-        k = bisect.bisect_right(bounds, i) - 1
-        matrix = stacks[k][i - bounds[k]]
-        _, exp = np.frexp(max(np.abs(matrix.real).max(), np.abs(matrix.imag).max()))
-        norms[i] = np.ldexp(_gram_norms([matrix[None] * np.ldexp(1.0, -exp)], size)[0][0], exp)
-    return [norms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    gram, exp = _gram_stack(stacks, size)
+    with np.errstate(over="ignore"):
+        norms = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), exp)
+    return np.split(norms, list(itertools.accumulate(len(s) for s in stacks[:-1])))
 
 
 def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
     """An upper bound on the squared norm of each matrix of a non-empty p×m×k stack.
 
-    With G the Gram matrix on the smaller side, as in ``_gram_norms``,
-    ||A||^2 = lam_max(G) <= ||G||_F, which is returned: no eigensolve, only
-    the product. Each matrix is first scaled by a power of two that brings
-    its largest entry into [1/2, 1), so the bound overflows or underflows
-    only where ||A||^2 itself does.
+    ||A||^2 = lam_max(G) <= ||G||_F for its Gram matrix G, which is returned
+    without an eigensolve. G is scaled as in ``operator_norm``, so the bound
+    overflows or underflows only where ||A||^2 itself does.
     """
-    _, exp = np.frexp(np.abs(stack).max(axis=(1, 2)))
-    exp = np.maximum(exp, -1020)  # 2^-exp stays finite for subnormal matrices
-    unit = stack * np.ldexp(1.0, -exp)[:, None, None]
-    if unit.shape[1] >= unit.shape[2]:
-        gram = unit.conj().swapaxes(1, 2) @ unit
-    else:
-        gram = unit @ unit.conj().swapaxes(1, 2)
-    fro = np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2)))
+    gram, exp = _gram_stack([stack], min(stack.shape[1:]))
     with np.errstate(over="ignore"):
-        return np.ldexp(fro, 2 * exp)
+        return np.ldexp(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2))), 2 * exp)
+
+
+def _gram_stack(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size×size Gram matrix on the smaller side of every matrix of ``stacks``, in one buffer.
+
+    Returns it and per matrix the e for which its entry is the Gram matrix of
+    the matrix over 2^e: 0, unless the matrix is nonzero and its Gram trace,
+    which bounds each |g_ij| <= sqrt(g_ii g_jj), is not finite or not in
+    [2^-500, 2^500]; then the exponent of its largest real or imaginary part,
+    at least -1020 so that 2^-e is finite.
+    """
+    bounds = [0, *itertools.accumulate(len(s) for s in stacks)]
+    gram = np.empty((bounds[-1], size, size), dtype=np.complex128)
+    exp = np.zeros(bounds[-1], dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, lo, hi in zip(stacks, bounds, bounds[1:]):
+            _gram(s, out=gram[lo:hi])
+        trace = np.trace(gram, axis1=1, axis2=2).real
+        outside = ~((trace >= 2.0**-500) & (trace <= 2.0**500))
+    for s, lo, hi in zip(stacks, bounds, bounds[1:]):
+        if (pick := np.flatnonzero(outside[lo:hi])).size:
+            top = np.abs(s[pick].view(np.float64)).max(axis=(1, 2))  # real and imaginary parts
+            if (pick := pick[top > 0.0]).size:
+                exp[lo + pick] = np.maximum(np.frexp(top[top > 0.0])[1], -1020)
+                gram[lo + pick] = _gram(s[pick] * np.ldexp(1.0, -exp[lo + pick])[:, None, None])
+    return gram, exp
+
+
+def _gram(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A†A for each matrix A of a p×m×k stack when m >= k, otherwise AA†."""
+    if stack.shape[1] >= stack.shape[2]:
+        return np.matmul(stack.conj().swapaxes(1, 2), stack, out=out)
+    return np.matmul(stack, stack.conj().swapaxes(1, 2), out=out)
 
 
 def gram_schmidt(vectors) -> list[np.ndarray]:

@@ -487,11 +487,15 @@ def write_accepted_csv(result, path: str) -> None:
     """Accepted spectrum points as CSV: coord_1..coord_n, theta_norm.
 
     Rows are formatted and written ``_CHUNK`` at a time, so memory does not
-    grow with the number of points.
+    grow with the number of points. A result without norms raises
+    ValueError before the file is opened.
     """
     n = result.grid.n
     header = ",".join(f"coord_{j + 1}" for j in range(n)) + ",theta_norm"
     accepted = result.accepted
+    if any(nrm is None for _, nrm in accepted):
+        raise ValueError("a CSV needs the norm of every accepted point; "
+                         "a scan(..., norms=False) result has none")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(accepted), _CHUNK):

@@ -183,8 +183,10 @@ class SyntheticSpectrumResult:
         it, and gives the writer the text of every entry's numbers, so a
         chunk of entries is formatted in one pass. The coordinates are grid
         values, so each axis value's text is formatted once; it is keyed with
-        the value's sign, so -0.0 cannot take the text of 0.0. A point off the
-        grid, or a norm that is None, has its chunk written value by value.
+        the value's sign, so -0.0 cannot take the text of 0.0. A chunk whose
+        norms are all None, as a ``norms=False`` scan stores them, spells
+        each ``null``. A point off the grid, or a chunk that mixes None with
+        floats, has its chunk written value by value.
         """
         axis = self.grid.axis_values.tolist()
         known = dict(zip(_signed(axis), map(float.__repr__, axis)))
@@ -192,9 +194,12 @@ class SyntheticSpectrumResult:
         def texts(records):
             points, norms = zip(*records)
             cells = map(known.__getitem__, _signed(list(itertools.chain.from_iterable(points))))
-            norms = list(map(float.__repr__, norms))
-            if "n" in "".join(norms):  # nan or inf, which JSON spells otherwise
-                raise TypeError("norm is not finite")
+            if norms.count(None) == len(norms):
+                norms = ("null",) * len(norms)
+            else:
+                norms = list(map(float.__repr__, norms))
+                if "n" in "".join(norms):  # nan or inf, which JSON spells otherwise
+                    raise TypeError("norm is not finite")
             return zip(*[cells] * self.grid.n, norms)
 
         accepted = JsonRows(self.accepted, _accepted_entry, texts)
@@ -397,20 +402,11 @@ def _gram_runs(order: list[int], widths: list[int], rows: int, count: int):
     ``count``-deep stacks, so each call but the last of a size runs without
     the GIL, and no more cores than that are held at once.
     """
-    run: list[int] = []
-    size = 0
-    for i in order:
-        gram = min(rows, widths[i])
-        if run and gram != size:
-            yield run
-            run = []
-        run.append(i)
-        size = gram
-        if len(run) * count * size > GIL_FREE_ROWS:
-            yield run
-            run = []
-    if run:
-        yield run
+    for size, group in itertools.groupby(order, key=lambda i: min(rows, widths[i])):
+        group = list(group)
+        step = GIL_FREE_ROWS // (count * size) + 1
+        for lo in range(0, len(group), step):
+            yield group[lo:lo + step]
 
 
 def hausdorff(x, y) -> float:

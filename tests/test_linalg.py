@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amu_spectra import (
@@ -186,6 +186,45 @@ def test_operator_norm_scales_matrices_whose_gram_overflows():
     assert abs(norms[0] - 1e200) <= 1e-15 * 1e200 and norms[1] == 2.0
 
 
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       exponent=st.integers(-300, 300))
+@example(seed=0, shape=(5, 7), exponent=-157)
+@example(seed=0, shape=(5, 7), exponent=-162)
+@example(seed=0, shape=(5, 7), exponent=-165)
+def test_operator_norm_is_accurate_at_any_scale(seed, shape, exponent):
+    rng = np.random.default_rng(seed)
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0**exponent
+    expected = np.linalg.norm(a, 2)
+    assert abs(operator_norm(a) - expected) <= 1e-12 * expected
+
+
+def test_operator_norm_scales_matrices_whose_gram_underflows():
+    assert operator_norm(1e-200 * np.eye(2)) == 1e-200
+    assert abs(operator_norm(1e-160 * np.eye(3)) - 1e-160) <= 1e-15 * 1e-160
+
+
+def test_zero_matrices_are_not_formed_again(monkeypatch):
+    # Their trace is 0, outside the range, yet their Gram matrix is exact.
+    shapes = []
+    real = linalg._gram
+
+    def gram(stack, out=None):
+        shapes.append(stack.shape)
+        return real(stack, out=out)
+
+    monkeypatch.setattr(linalg, "_gram", gram)
+    stack = np.zeros((50, 4, 3), dtype=np.complex128)
+    assert operator_norm(stack).tolist() == [0.0] * 50
+    assert linalg._gram_frobenius(stack).tolist() == [0.0] * 50
+    assert shapes == [(50, 4, 3)] * 2
+    # A nonzero member whose Gram matrix underflows is formed again, alone.
+    stack[7, 1, 2] = 1e-200j
+    shapes.clear()
+    norms = operator_norm(stack)
+    assert shapes == [(50, 4, 3), (1, 4, 3)]
+    assert norms[7] == 1e-200 and not np.delete(norms, 7).any()
+
+
 def recording_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
     """Patch ``np.linalg.eigvalsh`` to record the shape of every stack it solves."""
     shapes = []
@@ -212,8 +251,8 @@ def test_operator_norm_of_several_stacks_matches_each_alone(monkeypatch):
             complex_normal(rng, 4, 5, 9), overflowing, complex_normal(rng, 2, 5, 5)]
     shapes = recording_eigvalsh(monkeypatch)
     norms = operator_norm(*args)
-    # One call per Gram size, and one more for the overflowing member, rescaled.
-    assert shapes == [(14, 5, 5), (1, 5, 5), (1, 6, 6)]
+    # One call per Gram size: the overflowing member is rescaled in its buffer.
+    assert shapes == [(14, 5, 5), (1, 6, 6)]
     monkeypatch.undo()
     assert isinstance(norms, tuple) and len(norms) == len(args)
     for a, nrm in zip(args, norms):

@@ -433,6 +433,28 @@ def test_lazy_spectrum_result_writes_the_bytes_of_its_json_dict(tmp_path_factory
     assert path.read_bytes() == (json.dumps(plain, indent=2) + "\n").encode("ascii")
 
 
+def test_lazy_spectrum_result_without_norms_is_written_from_its_template(tmp_path):
+    points = itertools.product(_GRID3.axis_values.tolist(), repeat=3)
+    result = SyntheticSpectrumResult(0.5, _GRID3, tuple((p, None) for p in points), 1e-9)
+    data = result.to_json_dict(lazy=True)
+    rows, made = data["accepted"], []
+    data["accepted"] = JsonRows(rows.records, lambda r: made.append(r) or rows.entry(r), rows.texts)
+    path = tmp_path / "spectrum.json"
+    write_json(data, path)
+    assert path.read_bytes() == (json.dumps(result.to_json_dict(), indent=2) + "\n").encode("ascii")
+    # The 729 entries fill three chunks; only the first entry, read for the
+    # template, is made, so no chunk is written value by value.
+    assert len(result.accepted) > 2 * 256 and made == [result.accepted[0]]
+
+
+def test_write_accepted_csv_refuses_a_result_without_norms(tmp_path):
+    result = SyntheticSpectrumResult(0.5, _GRID3, (((0.5, 0.5, 0.5), None),), 1e-9)
+    path = tmp_path / "accepted.csv"
+    with pytest.raises(ValueError, match=r"scan\(\.\.\., norms=False\)"):
+        write_accepted_csv(result, path)
+    assert not path.exists()
+
+
 def test_json_rows_are_a_read_only_sequence_made_on_read(tmp_path):
     made = []
 
