@@ -60,12 +60,10 @@ from .search import (
 from .essential import (
     EssentialLevel,
     EssentialSpectrumEstimate,
-    TailCompression,
     amu_sequence,
     escape_window,
     essential_spectrum_estimate,
     tail_commutator_decay,
-    tail_compression,
 )
 from .models import (
     FAMILIES,

@@ -24,8 +24,8 @@ from . import __version__
 from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
-from .models import (FAMILIES, JsonRows, ModelSpec, family_name, generate, load_tuple,
-                     save_tuple, write_accepted_csv, write_json)
+from .models import (FAMILIES, JsonRows, ModelSpec, _family_params, family_name, generate,
+                     load_tuple, save_tuple, write_accepted_csv, write_json)
 from .observables import AmuCertificate, as_point, commutator_profile
 from .search import amu_at, amu_batch, uses_band_path
 from .spectrum import scan
@@ -72,16 +72,21 @@ def build_parser() -> argparse.ArgumentParser:
     models_sub = p_models.add_subparsers(dest="models_command", required=True)
     p_gen = models_sub.add_parser("gen", help="generate a model family")
     p_gen.add_argument("family", help="family: " + ", ".join(
-        f"{short} ({full})" for full, (short, _) in FAMILIES.items()))
+        f"{family.short} ({full})" for full, family in FAMILIES.items()))
     p_gen.add_argument("--dim", type=int, default=None,
                        help="matrix dimension; required for every family but file, "
                             "which takes it from its file")
     p_gen.add_argument("--n", type=int, default=None,
                        help="observables per tuple (defaults to the family arity); not for file")
     p_gen.add_argument("--seed", type=int, default=None,
-                       help="draw seed (default 0); only for diag and perturbed")
+                       help="draw seed (default 0); only for " + " and ".join(
+                           family.short for family in FAMILIES.values() if family.seeded))
+    params = "; ".join(f"{family.short}: " + ", ".join(
+        key if default is None else f"{key}={default}" for key, default in family.params.items())
+        for family in FAMILIES.values() if family.params)
     p_gen.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="family-specific parameter, repeatable")
+                       help="family parameter, repeatable; a value takes the type of its "
+                            f"default, and a number must be finite ({params})")
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.add_argument("--format", choices=["json", "npz"], default="json")
 
@@ -118,19 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    params: dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--param needs KEY=VALUE, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        try:
-            params[key] = float(raw)
-        except ValueError:
-            params[key] = raw
-    return params
-
-
 def _parse_list(raw: str, convert, what: str) -> list:
     """The comma-separated entries of ``raw``, each through ``convert``; none may be empty."""
     tokens = raw.split(",")
@@ -155,20 +147,21 @@ def _cmd_models(args) -> int:
                                  f"drop {flag}")
     elif args.dim is None:
         raise ValueError(f"models gen {args.family} needs --dim")
-    if args.seed is not None and family not in ("commuting_diag", "perturbed_commuting"):
+    if args.seed is not None and not FAMILIES[family].seeded:
         raise ValueError(f"models gen {args.family} draws nothing; drop --seed")
     seed = 0 if args.seed is None else args.seed
     n = args.n
     if n is None:
-        n = FAMILIES[family][1] or 2
-    spec = ModelSpec(family=family, dim=args.dim, n=n, seed=seed,
-                     params=_parse_params(args.param))
-    tup = generate(spec)
+        n = FAMILIES[family].n or 2
+    # Values stay strings; a pair without "=" has an empty value, which every key refuses.
+    given = dict(pair.partition("=")[::2] for pair in args.param)
+    params = _family_params(family, given)
+    tup = generate(ModelSpec(family=family, dim=args.dim, n=n, seed=seed, params=params))
     profile = commutator_profile(tup)
     meta = {
         "family": family,
         "seed": seed,
-        "params": {k: v for k, v in sorted(spec.params.items())},
+        "params": {key: params[key] for key in sorted(given)},
         "commutator_norms": [[float(x) for x in row] for row in profile],
     }
     save_tuple(tup, args.output, fmt=args.format, meta=meta)

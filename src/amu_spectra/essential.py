@@ -25,28 +25,19 @@ import numpy as np
 from .constants import GRID_POINT_CAP
 from .linalg import operator_norm
 from .models import JsonRows
-from .observables import AmuCertificate, OperatorTuple, VectorState, amu_check, as_point
+from .observables import (AmuCertificate, OperatorTuple, VectorState, _commutators, amu_check,
+                          as_point)
 from .search import ground_state
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
 
 __all__ = [
-    "TailCompression",
     "EssentialLevel",
     "EssentialSpectrumEstimate",
-    "tail_compression",
     "tail_commutator_decay",
     "essential_spectrum_estimate",
     "amu_sequence",
     "escape_window",
 ]
-
-
-@dataclass(frozen=True)
-class TailCompression:
-    """A tuple compressed to a contiguous index window (0-based, half-open)."""
-
-    window: tuple[int, int]
-    tuple_tail: OperatorTuple
 
 
 def _window(dim: int, m: int, interior: bool) -> tuple[int, int]:
@@ -67,21 +58,13 @@ def _window(dim: int, m: int, interior: bool) -> tuple[int, int]:
 
 
 def _compress(tup: OperatorTuple, window: tuple[int, int]) -> OperatorTuple:
-    """Every observable compressed to the index window [lo, hi); the bound carries over."""
+    """Every observable compressed to the index window [lo, hi).
+
+    Compression cannot grow operator norms, so the bound carries over and
+    grids for compressed scans match the full-space ones.
+    """
     lo, hi = window
     return OperatorTuple([op.array[lo:hi, lo:hi] for op in tup.ops], bound=tup.bound)
-
-
-def tail_compression(tup: OperatorTuple, m: int, interior: bool = False) -> TailCompression:
-    """Compress every observable to the window left after cutting at ``m``.
-
-    One-sided (default): indices m..dim-1. Interior: indices m..dim-m-1,
-    trimming the same amount from both ends. The window must keep at least
-    two dimensions. Compression cannot grow operator norms, so the bound
-    carries over and grids for compressed scans match the full-space ones.
-    """
-    window = _window(tup.dim, m, interior)
-    return TailCompression(window, _compress(tup, window))
 
 
 def tail_commutator_decay(
@@ -94,16 +77,12 @@ def tail_commutator_decay(
     One-sided (default): max over pairs of ||[T_i, T_j] (1 - p_m)||, the
     commutator with its first m columns removed. Interior: the commutator
     compressed to the window from both sides, which also removes
-    far-boundary terms of truncated models. Each cut must leave the window
-    ``tail_compression`` accepts. Values are reported per cut; a
-    nonincreasing trend is expected but not enforced.
+    far-boundary terms of truncated models. Each cut must leave a window
+    of at least two indices. Values are reported per cut; a nonincreasing
+    trend is expected but not enforced.
     """
     windows = [_window(tup.dim, m, interior) for m in cuts]
-    arrs = tup.arrays()
-    commutators = []
-    for i in range(tup.n):
-        for j in range(i + 1, tup.n):
-            commutators.append(arrs[i] @ arrs[j] - arrs[j] @ arrs[i])
+    commutators = [k for _, _, k in _commutators(tup)]
     out: list[tuple[int, float]] = []
     for lo, hi in windows:
         worst = 0.0
@@ -185,13 +164,11 @@ def essential_spectrum_estimate(
         raise ValueError("need at least two cuts to report stability")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts must be strictly increasing, got {cuts}")
-    for m in cuts:  # every window is checked before the first scan runs
-        _window(tup.dim, m, interior)
-    levels = []
-    for m in cuts:
-        comp = tail_compression(tup, m, interior=interior)
-        result = scan(comp.tuple_tail, eta, cap=cap, threads=threads)
-        levels.append(EssentialLevel(cut=m, window=comp.window, result=result))
+    # Every window is checked before the first scan runs.
+    windows = [_window(tup.dim, m, interior) for m in cuts]
+    levels = [EssentialLevel(cut=m, window=window,
+                             result=scan(_compress(tup, window), eta, cap=cap, threads=threads))
+              for m, window in zip(cuts, windows)]
     last = levels[-1].result.accepted_points()
     prev = levels[-2].result.accepted_points()
     stability = None

@@ -19,7 +19,8 @@ lossless alternative (arrays n, dim, M, ops stacked n x dim x dim, and
 meta_json as UTF-8 bytes). Both are decoded into the same five fields and
 validated once, in ``load_tuple``: n and dim are integers, there are n
 finite Hermitian dim x dim operators within M, which is positive and
-finite, and meta is an object. Any violation is a ``TupleFormatError``.
+finite, none of n, dim and M is a boolean, and meta is an object. Any
+violation is a ``TupleFormatError``.
 
 Every JSON file, tuple files and CLI artifacts alike, goes through
 ``write_json``. Its bytes are ``json.dumps(obj, indent=2) + "\n"``, the
@@ -33,13 +34,14 @@ its record only when the writer reads it, a chunk at a time.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import zipfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,12 +112,10 @@ def _shift_pair(dim: int) -> OperatorTuple:
     return OperatorTuple([a1, a2], bound=1.0)
 
 
-def _commuting_diag(spec: ModelSpec) -> OperatorTuple:
-    low = float(spec.params.get("eigen_low", -1.0))
-    high = float(spec.params.get("eigen_high", 1.0))
-    if not (low < high):
+def _commuting_diag(spec: ModelSpec, eigen_low: float, eigen_high: float) -> OperatorTuple:
+    if not (eigen_low < eigen_high):
         raise ValueError("eigen_low must be below eigen_high")
-    draws = uniform_doubles(spec.seed, spec.n * spec.dim, low, high)
+    draws = uniform_doubles(spec.seed, spec.n * spec.dim, eigen_low, eigen_high)
     ops = []
     for j in range(spec.n):
         diag = draws[j * spec.dim : (j + 1) * spec.dim]
@@ -131,22 +131,17 @@ def _random_hermitian(seed: int, dim: int) -> np.ndarray:
     return (r + r.conj().T) / 2.0
 
 
-def _perturbed_commuting(spec: ModelSpec) -> OperatorTuple:
-    size = float(spec.params.get("perturbation", 0.01))
-    if size < 0:
+def _perturbed_commuting(spec: ModelSpec, perturbation: float, eigen_low: float,
+                         eigen_high: float) -> OperatorTuple:
+    if perturbation < 0:
         raise ValueError("perturbation size must be nonnegative")
-    low = float(spec.params.get("eigen_low", -0.95))
-    high = float(spec.params.get("eigen_high", 0.95))
-    base = _commuting_diag(
-        ModelSpec("commuting_diag", spec.dim, spec.n, spec.seed,
-                  {"eigen_low": low, "eigen_high": high})
-    )
+    base = _commuting_diag(spec, eigen_low, eigen_high)
     ops = []
     for j, arr in enumerate(base.arrays()):
         e = _random_hermitian(spec.seed + 1000003 * (j + 1), spec.dim)
         nrm = operator_norm(e)
-        if nrm > 0 and size > 0:
-            arr = arr + e * (size / nrm)
+        if nrm > 0 and perturbation > 0:
+            arr = arr + e * (perturbation / nrm)
         ops.append(arr)
     bound = max(1.0, max(operator_norm(op) for op in ops))
     return OperatorTuple(ops, bound=bound)
@@ -163,49 +158,77 @@ def _clock_shift_triple(dim: int) -> OperatorTuple:
     return OperatorTuple([t1, t2, t3], bound=1.0)
 
 
-# Each family's short CLI name and its fixed n (None: any n >= 1).
+class _Family(NamedTuple):
+    short: str  # the CLI name
+    n: int | None  # the fixed n, or None for any n >= 1
+    seeded: bool  # whether it draws from ModelSpec.seed
+    params: dict[str, object]  # the parameters it reads, with their defaults; None: required
+
+
 FAMILIES = {
-    "shift_pair": ("shift", 2),
-    "commuting_diag": ("diag", None),
-    "perturbed_commuting": ("perturbed", None),
-    "clock_shift_triple": ("clock", 3),
-    "custom_file": ("file", None),
+    "shift_pair": _Family("shift", 2, False, {}),
+    "commuting_diag": _Family("diag", None, True, {"eigen_low": -1.0, "eigen_high": 1.0}),
+    "perturbed_commuting": _Family("perturbed", None, True, {
+        "perturbation": 0.01, "eigen_low": -0.95, "eigen_high": 0.95}),
+    "clock_shift_triple": _Family("clock", 3, False, {}),
+    "custom_file": _Family("file", None, False, {"path": None}),
 }
 
 
 def family_name(name: str) -> str:
     """The full family name for a full or short ``name``."""
-    for full, (short, _) in FAMILIES.items():
-        if name in (full, short):
+    for full, family in FAMILIES.items():
+        if name in (full, family.short):
             return full
     raise ValueError(
         f"unknown family {name!r}; available: "
-        + ", ".join(f"{full} ({short})" for full, (short, _) in FAMILIES.items())
+        + ", ".join(f"{full} ({family.short})" for full, family in FAMILIES.items())
     )
+
+
+def _family_params(family: str, given: Mapping[str, object]) -> dict[str, object]:
+    """The full parameter set of ``family``: its defaults, updated from ``given``.
+
+    A value given for a float default goes through ``float``, so a string
+    such as a command-line value parses as the default's type; any other
+    value is kept as given. A key the family does not read, or a value for
+    a float default that does not parse or is not finite, is a ValueError
+    naming the key.
+    """
+    params = dict(FAMILIES[family].params)
+    for key in sorted(given):
+        if key not in params:
+            raise ValueError(f"{family} reads no parameter {key!r}; its parameters: "
+                             + (", ".join(params) or "none"))
+        value = given[key]
+        if isinstance(params[key], float):
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                value = math.nan  # refused below, as a non-finite number is
+            if not math.isfinite(value):
+                raise ValueError(f"{family} parameter {key!r} must be a finite number, "
+                                 f"got {given[key]!r}")
+        params[key] = value
+    return params
 
 
 def generate(spec: ModelSpec) -> OperatorTuple:
     """Build the observable tuple described by ``spec``.
 
-    Deterministic: equal specs produce bit-identical matrices. A parameter
-    key the family does not read is a ValueError, so a misspelt key cannot
-    fall back to a default unnoticed.
+    Deterministic: equal specs produce bit-identical matrices. The family
+    reads its parameters through ``_family_params``, so a misspelt key
+    cannot fall back to a default unnoticed.
     """
     family = family_name(spec.family)
-    known = {"commuting_diag": ("eigen_low", "eigen_high"),
-             "perturbed_commuting": ("perturbation", "eigen_low", "eigen_high"),
-             "custom_file": ("path",)}.get(family, ())
-    for key in sorted(set(spec.params) - set(known)):
-        raise ValueError(f"{family} reads no parameter {key!r}; its parameters: "
-                         + (", ".join(known) or "none"))
+    params = _family_params(family, spec.params)
     if family == "custom_file":
-        path = spec.params.get("path")
-        if not path:
+        if not params["path"]:
             raise ValueError("custom_file needs a 'path' parameter")
-        return load_tuple(str(path))[0]
+        return load_tuple(str(params["path"]))[0]
     if spec.dim < 2:
         raise ValueError("dim must be at least 2")
-    fixed_n = FAMILIES[family][1]
+    fixed_n = FAMILIES[family].n
     if fixed_n is not None and spec.n != fixed_n:
         raise ValueError(f"{family} has n={fixed_n}; pass n={fixed_n}")
     if spec.n < 1:
@@ -215,8 +238,8 @@ def generate(spec: ModelSpec) -> OperatorTuple:
     if family == "clock_shift_triple":
         return _clock_shift_triple(spec.dim)
     if family == "commuting_diag":
-        return _commuting_diag(spec)
-    return _perturbed_commuting(spec)
+        return _commuting_diag(spec, **params)
+    return _perturbed_commuting(spec, **params)
 
 
 def save_tuple(tup: OperatorTuple, path, fmt: str = "json",
@@ -314,6 +337,9 @@ def load_tuple(path) -> tuple[OperatorTuple, dict]:
         decode = _npz_fields if fh.read(2) == b"PK" else _json_fields
         fh.seek(0)
         n, dim, bound, ops, meta = decode(path, fh)
+    # int and float accept booleans, and numpy's 0-d arrays hold them as bool.
+    if any(isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in (n, dim, bound)):
+        raise TupleFormatError(f"{path}: n, dim and M must be numbers, not booleans")
     try:
         n, dim, bound = operator.index(n), operator.index(dim), float(bound)
     except (TypeError, ValueError, OverflowError) as exc:

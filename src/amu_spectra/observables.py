@@ -280,14 +280,17 @@ def amu_check(
     return AmuCertificate(lam, state, report, float(sigma), float(eps), member, close)
 
 
+def _commutators(tup: OperatorTuple):
+    """Each pair i < j, in order, with its commutator T_i T_j - T_j T_i as an array."""
+    arrs = tup.arrays()
+    for i in range(tup.n):
+        for j in range(i + 1, tup.n):
+            yield i, j, arrs[i] @ arrs[j] - arrs[j] @ arrs[i]
+
+
 def commutator_profile(tup: OperatorTuple) -> np.ndarray:
     """Matrix of commutator norms ||T_i T_j - T_j T_i||, symmetric, zero diagonal."""
-    n = tup.n
-    arrs = tup.arrays()
-    prof = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            nrm = operator_norm(arrs[i] @ arrs[j] - arrs[j] @ arrs[i])
-            prof[i, j] = nrm
-            prof[j, i] = nrm
+    prof = np.zeros((tup.n, tup.n), dtype=float)
+    for i, j, k in _commutators(tup):
+        prof[i, j] = prof[j, i] = operator_norm(k)
     return prof

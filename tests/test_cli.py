@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from amu_spectra import (ModelSpec, OperatorTuple, amu_batch, cli, essential, generate,
-                         load_tuple, save_tuple, scan,
-                         tail_compression)
+                         load_tuple, save_tuple, scan)
+from amu_spectra.essential import _compress
 
 
 def run_cli(*args, env_extra=None):
@@ -106,6 +106,34 @@ def test_models_gen_rejects_options_it_would_ignore(tmp_path, shift_file, argv, 
     assert proc.returncode == 2
     assert named in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["perturbed", "--dim", "8", "--param", "perturbation=nan"], "'perturbation'"),
+    (["perturbed", "--dim", "8", "--param", "perturbation=inf"], "'perturbation'"),
+    (["diag", "--dim", "8", "--param", "eigen_low=-inf"], "'eigen_low'"),
+    (["diag", "--dim", "8", "--param", "eigen_high=abc"], "'eigen_high'"),
+    (["perturbed", "--dim", "8", "--param", "perturbation"], "'perturbation'"),
+])
+def test_models_gen_rejects_parameter_values_that_are_not_finite_numbers(tmp_path, argv, key):
+    out = tmp_path / "x.json"
+    proc = run_cli("models", "gen", *argv, "-o", str(out),
+                   env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == 2
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_models_gen_file_path_is_read_as_given(tmp_path, shift_file, monkeypatch):
+    # A path that looks like a number is still a path.
+    (tmp_path / "2024").write_bytes(shift_file.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["models", "gen", "file", "--param", "path=2024", "-o", "copy.json"]) == 0
+    copy, meta = load_tuple(tmp_path / "copy.json")
+    assert meta["params"] == {"path": "2024"}
+    tup, _ = load_tuple(shift_file)
+    assert all(np.array_equal(a, b) for a, b in zip(copy.arrays(), tup.arrays()))
 
 
 def test_models_gen_seed_defaults_to_zero(tmp_path, shift_file):
@@ -404,7 +432,7 @@ def test_essential_one_sided_levels_rescan_their_tails(tmp_path, shift_file):
     for lvl in levels:
         m = lvl["cut"]
         assert lvl["window"] == [m, tup.dim]
-        ref = scan(tail_compression(tup, m).tuple_tail, 0.5)
+        ref = scan(_compress(tup, (m, tup.dim)), 0.5)
         assert [(tuple(a["point"]), a["norm"]) for a in lvl["spectrum"]["accepted"]] == [
             (tuple(p), nrm) for p, nrm in ref.accepted]
 

@@ -14,37 +14,39 @@ from amu_spectra import (
     essential_spectrum_estimate,
     generate,
     tail_commutator_decay,
-    tail_compression,
 )
+from amu_spectra.essential import _compress, _window
 
 
 def test_tail_compression_one_sided_slices_diagonal():
     d = np.diag([0.0, 0.25, 0.5, 0.75])
     tup = OperatorTuple((d,), bound=1.0)
-    comp = tail_compression(tup, 2)
-    assert comp.window == (2, 4)
-    assert np.array_equal(comp.tuple_tail.ops[0].array, np.diag([0.5, 0.75]))
-    assert comp.tuple_tail.bound == tup.bound
+    window = _window(tup.dim, 2, interior=False)
+    assert window == (2, 4)
+    tail = _compress(tup, window)
+    assert np.array_equal(tail.ops[0].array, np.diag([0.5, 0.75]))
+    assert tail.bound == tup.bound
 
 
 def test_tail_compression_interior_window():
     d = np.diag(np.linspace(-1.0, 1.0, 8))
     tup = OperatorTuple((d,), bound=1.0)
-    comp = tail_compression(tup, 2, interior=True)
-    assert comp.window == (2, 6)
-    assert comp.tuple_tail.dim == 4
+    window = _window(tup.dim, 2, interior=True)
+    assert window == (2, 6)
+    tail = _compress(tup, window)
+    assert tail.dim == 4
     assert np.array_equal(
-        comp.tuple_tail.ops[0].array, np.diag(np.linspace(-1.0, 1.0, 8)[2:6])
+        tail.ops[0].array, np.diag(np.linspace(-1.0, 1.0, 8)[2:6])
     )
 
 
 def test_tail_compression_validates_window():
     tup = generate(ModelSpec("shift_pair", 8))
     with pytest.raises(ValueError):
-        tail_compression(tup, 7)  # one-sided window of size 1
+        _window(tup.dim, 7, interior=False)  # one-sided window of size 1
     with pytest.raises(ValueError):
-        tail_compression(tup, 4, interior=True)  # interior window empty
-    tail_compression(tup, 3, interior=True)  # size-2 window is the floor
+        _window(tup.dim, 4, interior=True)  # interior window empty
+    assert _window(tup.dim, 3, interior=True) == (3, 5)  # size-2 window is the floor
     # The decay uses the same window rule: empty interior windows raise.
     with pytest.raises(ValueError, match="window of size 0"):
         tail_commutator_decay(tup, (4,), interior=True)
@@ -52,7 +54,7 @@ def test_tail_compression_validates_window():
     tup16 = generate(ModelSpec("shift_pair", 16))
     for m in (8, 9, 15):
         with pytest.raises(ValueError, match="window of size"):
-            tail_compression(tup16, m, interior=True)
+            _window(tup16.dim, m, interior=True)
         with pytest.raises(ValueError, match="window of size"):
             tail_commutator_decay(tup16, (2, m), interior=True)
 
@@ -80,8 +82,7 @@ def test_tail_commutator_decay_shift_interior_vanishes():
 
 def test_compressed_shift_commutator_still_half():
     tup = generate(ModelSpec("shift_pair", 64))
-    comp = tail_compression(tup, 8)
-    prof = commutator_profile(comp.tuple_tail)
+    prof = commutator_profile(_compress(tup, _window(tup.dim, 8, interior=False)))
     assert prof[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 

@@ -62,7 +62,7 @@ def test_family_registry():
     with pytest.raises(ValueError, match="unknown family"):
         family_name("shift_pairs")
     # Families with a fixed n reject any other.
-    for name, (_, fixed_n) in FAMILIES.items():
+    for name, (_, fixed_n, _, _) in FAMILIES.items():
         if fixed_n is not None:
             with pytest.raises(ValueError, match=f"pass n={fixed_n}"):
                 generate(ModelSpec(name, 4, n=fixed_n + 1))
@@ -271,11 +271,21 @@ _NPZ = {"n": np.array(1), "dim": np.array(2), "M": np.array(1.0), "ops": np.zero
         ("object_ops.npz", {**_NPZ, "ops": np.array([None, 1], dtype=object)}),
         ("scalar_ops.npz", {**_NPZ, "ops": np.array(0.0)}),
         ("list_meta.npz", {**_NPZ, "meta_json": np.frombuffer(b"[1, 2]", dtype=np.uint8)}),
+        ("bool_n.json", json.dumps({"n": True, "dim": 2, "M": 1.0,
+                                    "ops": [{"re": _SQUARE, "im": _SQUARE}]})),
+        ("bool_dim.json", json.dumps({"n": 1, "dim": True, "M": 1.0,
+                                      "ops": [{"re": [[0.0]], "im": [[0.0]]}]})),
+        ("bool_m.json", json.dumps({"n": 1, "dim": 2, "M": True,
+                                    "ops": [{"re": _SQUARE, "im": _SQUARE}]})),
+        ("bool_n.npz", {**_NPZ, "n": np.array(True)}),
+        ("bool_dim.npz", {**_NPZ, "dim": np.array(True), "ops": np.zeros((1, 1, 1))}),
+        ("bool_m.npz", {**_NPZ, "M": np.array(True)}),
     ],
     ids=["op-without-im", "null-n", "top-level-scalar", "npz-without-ops", "npz-not-a-zip",
          "n-overflows-int", "fractional-dim", "m-overflows-float", "not-utf8", "infinite-m",
          "re-im-shapes-differ", "npz-vector-n", "npz-string-m", "npz-object-ops",
-         "npz-scalar-ops", "npz-meta-not-object"],
+         "npz-scalar-ops", "npz-meta-not-object", "bool-n", "bool-dim", "bool-m",
+         "npz-bool-n", "npz-bool-dim", "npz-bool-m"],
 )
 def test_load_rejects_malformed_files(tmp_path, name, content):
     path = tmp_path / name
@@ -290,6 +300,8 @@ def test_load_rejects_malformed_files(tmp_path, name, content):
     assert str(path) in str(info.value)
     if name == "list_meta.npz":
         assert "meta must be an object" in str(info.value)
+    if name.startswith("bool_"):
+        assert "not booleans" in str(info.value)
 
 
 def test_csv_output_is_stable(tmp_path):
