@@ -5,18 +5,20 @@ acceptance scan, ``amu`` certifies states at target points, ``essential``
 estimates behavior at infinity through compression levels.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 resource cap
-exceeded, 4 numerical failure. Thread count defaults to the
-AMU_SPECTRA_THREADS environment variable, and is capped at the cores the
-process may run on. Output files contain no
+exceeded, 4 numerical failure. An output path that names the input or
+the other output is a configuration error, refused before anything is
+read. Thread count defaults to the AMU_SPECTRA_THREADS environment
+variable, and is capped at the cores the process may run on; at one
+thread nothing runs on a worker. Output files contain no
 timestamps or environment data, so reruns are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .models import (FAMILIES, JsonRows, ModelSpec, _family_params, family_name,
                      load_tuple, save_tuple, write_accepted_csv, write_json)
 from .observables import AmuCertificate, as_point, commutator_profile
 from .search import amu_at, amu_batch, uses_band_path
-from .spectrum import scan
+from .spectrum import _thread_map, scan
 
 __all__ = ["main", "build_parser"]
 
@@ -197,7 +199,7 @@ def _cmd_amu(args) -> int:
     scan_meta = None
     if all_accepted:
         result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads, norms=False)
-        points = [list(p) for p, _ in result.accepted]
+        points = result.accepted_points()
         scan_meta = {"eta": args.eta, "k": result.grid.k,
                      "accepted_count": len(result.accepted)}
     else:
@@ -209,8 +211,7 @@ def _cmd_amu(args) -> int:
         def certify(point):
             return amu_at(tup, point, args.sigma, args.eps)
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            certs = list(pool.map(certify, points))
+        certs = _thread_map(certify, points, threads=args.threads)
 
     certified = 0
     for cert in certs:
@@ -252,12 +253,29 @@ def _cmd_essential(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_paths(args) -> None:
+    """Refuse an output path that names the input or another output, which it would overwrite."""
+    named = [("--input", args.input), ("-o", args.output)]
+    if getattr(args, "csv", None):
+        named.append(("--csv", args.csv))
+    for (flag, path), (other, other_path) in itertools.combinations(named, 2):
+        if _same_file(path, other_path):
+            raise ValueError(f"{other} {other_path!r} names the same file as {flag} {path!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "models":
             return _cmd_models(args)
+        _check_paths(args)
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         if args.command == "amu":

@@ -18,6 +18,7 @@ cuts increase.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,23 @@ __all__ = [
 ]
 
 
+def _cut(m) -> int:
+    """A cut as an int; ValueError naming it unless it is an integer other than a bool."""
+    if not isinstance(m, (bool, np.bool_)):
+        try:
+            return operator.index(m)
+        except TypeError:
+            pass
+    raise ValueError(f"cut {m!r} is not an integer")
+
+
 def _window(dim: int, m: int, interior: bool) -> tuple[int, int]:
     """The window [m, hi) left by the cut at ``m``, at least two indices wide.
 
     One-sided tails keep hi = dim; interior windows trim as much from the
     far end, hi = dim - m.
     """
-    m = int(m)
+    m = _cut(m)
     if m < 0:
         raise ValueError(f"cut {m} is negative")
     if m >= dim:
@@ -157,9 +168,9 @@ def essential_spectrum_estimate(
     fatal; stability is then None. Every level scans at the step count k
     the resolution rule fixes for its tuple; stop refining when stability
     reaches the grid pitch 1/k. The estimate never extrapolates beyond its
-    levels.
+    levels. A cut that is not an integer, or is a bool, raises ValueError.
     """
-    cuts = [int(m) for m in cuts]
+    cuts = [_cut(m) for m in cuts]
     if len(cuts) < 2:
         raise ValueError("need at least two cuts to report stability")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
@@ -189,7 +200,7 @@ def escape_window(dim: int, m: int) -> tuple[int, int]:
     States supported here are orthogonal to the first m basis vectors and
     stay clear of the far boundary; the width grows with m up to dim/3.
     """
-    m = int(m)
+    m = _cut(m)
     if m < 1:
         raise ValueError("cuts must be at least 1")
     stop = min(2 * m, dim - m)

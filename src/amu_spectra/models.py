@@ -512,18 +512,16 @@ def _template(entry, newline: str) -> tuple[str, int]:
 def write_accepted_csv(result, path: str) -> None:
     """Accepted spectrum points as CSV: coord_1..coord_n, theta_norm.
 
-    Rows are formatted and written ``_CHUNK`` at a time, so memory does not
-    grow with the number of points. A result without norms raises
-    ValueError before the file is opened.
+    Each row holds the reprs of a point's coordinates and norm, as its JSON
+    entry does. Rows are formatted and written ``_CHUNK`` at a time, so
+    memory does not grow with the number of points. A result without norms
+    raises ValueError before the file is opened.
     """
-    n = result.grid.n
-    header = ",".join(f"coord_{j + 1}" for j in range(n)) + ",theta_norm"
-    accepted = result.accepted
-    if any(nrm is None for _, nrm in accepted):
+    if result.norms is None:
         raise ValueError("a CSV needs the norm of every accepted point; "
                          "a scan(..., norms=False) result has none")
+    header = ",".join(f"coord_{j + 1}" for j in range(result.grid.n)) + ",theta_norm"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(accepted), _CHUNK):
-            fh.write("".join(",".join(repr(float(x)) for x in point) + f",{nrm!r}\n"
-                             for point, nrm in accepted[lo:lo + _CHUNK]))
+        for lo in range(0, len(result.accepted), _CHUNK):
+            fh.write("".join(",".join(row) + "\n" for row in result._texts(lo, lo + _CHUNK)))

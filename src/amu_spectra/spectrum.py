@@ -28,6 +28,11 @@ an upper bound, the Frobenius norm of the core's Gram matrix, and
 eigensolves only the points near the threshold. ``spectrum`` and
 ``essential`` store every accepted norm, so their scans still eigensolve
 every point.
+
+A ``SyntheticSpectrumResult`` holds its accepted set as two read-only
+arrays: the grid index m of every coordinate (the coordinate is m/k), and
+the float64 norms, or None for a ``norms=False`` scan. A point costs
+4 n + 8 bytes, so the accepted set stays small up to ``GRID_POINT_CAP``.
 """
 from __future__ import annotations
 
@@ -92,12 +97,14 @@ class GridSpec:
         vals.setflags(write=False)
         return vals
 
+    @cached_property
+    def _axis_texts(self) -> list[str]:
+        """The repr of every axis value, in axis order: the text of a coordinate."""
+        return list(map(float.__repr__, self.axis_values.tolist()))
+
     def nearest(self, z) -> np.ndarray:
         """Closest grid point to a finite point ``z`` (coordinatewise rounding, clipped)."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.shape[0] != self.n:
-            raise ValueError(f"point has {z.shape[0]} coordinates, grid has n={self.n}")
-        _check_finite(z, "point")
+        z = _point(z, self.n)
         m = np.clip(np.rint(z * self.k), -self.half, self.half)
         return m / float(self.k)
 
@@ -146,63 +153,74 @@ def is_refinement(coarse: GridSpec, fine: GridSpec) -> bool:
     return fine.k % coarse.k == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticSpectrumResult:
     """Accepted grid points with their theta-product norms.
 
     The synthetic spectrum at resolution eta is the union of closed
-    eta-balls around the accepted points; ``accepted`` is in lexicographic
-    grid order and each entry is ((coordinates...), norm). A scan with
-    ``norms=False`` stores None for every norm.
+    eta-balls around the accepted points, in lexicographic grid order.
+    ``accepted`` is a read-only count×n integer array: the grid index m of
+    every coordinate, whose value is m/k, so |m| <= grid.half.
+    ``norms`` is the read-only float64 array of their norms, or None for a
+    scan with ``norms=False``. Arrays of any other shape, dtype or range
+    raise ValueError.
     """
 
     eta: float
     grid: GridSpec
-    accepted: tuple[tuple[tuple[float, ...], float | None], ...]
+    accepted: np.ndarray
+    norms: np.ndarray | None
     slack: float
 
+    def __post_init__(self):
+        accepted = np.asarray(self.accepted)
+        n, half = self.grid.n, self.grid.half
+        if accepted.dtype.kind not in "iu" or accepted.ndim != 2 or accepted.shape[1] != n:
+            raise ValueError(f"accepted must be a count×{n} integer array, "
+                             f"got {accepted.dtype} of shape {accepted.shape}")
+        if ((accepted < -half) | (accepted > half)).any():
+            raise ValueError(f"accepted holds a grid index beyond ±{half}")
+        object.__setattr__(self, "accepted", _read_only(accepted.astype(np.int32, copy=False)))
+        if self.norms is not None:
+            norms = np.asarray(self.norms, dtype=float)
+            if norms.shape != accepted.shape[:1]:
+                raise ValueError(f"norms must have shape {accepted.shape[:1]}, got {norms.shape}")
+            object.__setattr__(self, "norms", _read_only(norms))
+
     def accepted_points(self) -> np.ndarray:
-        if not self.accepted:
-            return np.zeros((0, self.grid.n))
-        return np.array([p for p, _ in self.accepted], dtype=float)
+        """The accepted points as a count×n float array of grid values."""
+        return self.grid.axis_values[self.accepted + self.grid.half]
 
     def covers(self, z, radius: float | None = None) -> bool:
-        """Whether ``z`` lies within ``radius`` (default eta) of an accepted point."""
-        pts = self.accepted_points()
-        if pts.shape[0] == 0:
-            return False
-        z = np.asarray(z, dtype=float).reshape(-1)
+        """Whether ``z`` lies within ``radius`` (default eta) of an accepted point.
+
+        Like ``GridSpec.nearest``, raises ValueError unless ``z`` is a finite
+        point with n coordinates; so does a NaN or negative ``radius``.
+        """
+        z = _point(z, self.grid.n)
         r = self.eta if radius is None else float(radius)
-        d = np.sqrt(((pts - z) ** 2).sum(axis=1))
+        if not r >= 0.0:
+            raise ValueError(f"radius must be non-negative, got {r}")
+        if not len(self.accepted):
+            return False
+        d = np.sqrt(((self.accepted_points() - z) ** 2).sum(axis=1))
         return bool(d.min() <= r)
 
     def to_json_dict(self, *, lazy: bool = False) -> dict:
         """This result as JSON data; with ``lazy``, ``accepted`` is a ``JsonRows``.
 
         A lazy ``accepted`` makes each entry only when ``write_json`` reads
-        it, and gives the writer the text of every entry's numbers, so a
-        chunk of entries is formatted in one pass. The coordinates are grid
-        values, so each axis value's text is formatted once; it is keyed with
-        the value's sign, so -0.0 cannot take the text of 0.0. A chunk whose
-        norms are all None, as a ``norms=False`` scan stores them, spells
-        each ``null``. A point off the grid, or a chunk that mixes None with
-        floats, has its chunk written value by value.
+        it, and gives the writer the text of every entry's numbers (see
+        ``_texts``), so a chunk of entries is formatted in one pass. A chunk
+        with a non-finite norm, which JSON spells otherwise, is written value
+        by value.
         """
-        axis = self.grid.axis_values.tolist()
-        known = dict(zip(_signed(axis), map(float.__repr__, axis)))
+        def texts(rows: range):
+            if self.norms is not None and not np.isfinite(self.norms[rows.start:rows.stop]).all():
+                raise TypeError("norm is not finite")
+            return self._texts(rows.start, rows.stop)
 
-        def texts(records):
-            points, norms = zip(*records)
-            cells = map(known.__getitem__, _signed(list(itertools.chain.from_iterable(points))))
-            if norms.count(None) == len(norms):
-                norms = ("null",) * len(norms)
-            else:
-                norms = list(map(float.__repr__, norms))
-                if "n" in "".join(norms):  # nan or inf, which JSON spells otherwise
-                    raise TypeError("norm is not finite")
-            return zip(*[cells] * self.grid.n, norms)
-
-        accepted = JsonRows(self.accepted, _accepted_entry, texts)
+        accepted = JsonRows(range(len(self.accepted)), self._entry, texts)
         return {
             "eta": self.eta,
             "M": self.grid.bound,
@@ -216,15 +234,42 @@ class SyntheticSpectrumResult:
             },
         }
 
+    def _entry(self, i: int) -> dict:
+        point = self.grid.axis_values[self.accepted[i] + self.grid.half].tolist()
+        return {"point": point, "norm": None if self.norms is None else float(self.norms[i])}
 
-def _signed(values: list) -> zip:
-    """Each value paired with its sign: a dict key that tells -0.0 from 0.0."""
-    return zip(values, map(math.copysign, itertools.repeat(1.0), values))
+    def _texts(self, lo: int, hi: int):
+        """A tuple per accepted point lo..hi-1: the repr of each coordinate, then of its norm.
+
+        A result without norms gives "null" for each. Each coordinate's text
+        is looked up by its grid index, so no coordinate is formatted twice.
+        """
+        rows = self.accepted[lo:hi]
+        cells = map(self.grid._axis_texts.__getitem__, (rows + self.grid.half).ravel().tolist())
+        if self.norms is None:
+            norms = ["null"] * len(rows)
+        else:
+            norms = map(float.__repr__, self.norms[lo:hi].tolist())
+        return zip(*[cells] * self.grid.n, norms)
 
 
-def _accepted_entry(record: tuple) -> dict:
-    point, nrm = record
-    return {"point": list(point), "norm": nrm}
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def _thread_map(fn, *iterables, threads: int) -> list:
+    """``list(map(fn, *iterables))``, on a pool of ``threads`` workers past one thread.
+
+    At one thread ``fn`` runs inline: a worker would only add its own
+    malloc arena to the peak memory. Results come back in order either way,
+    so no output depends on ``threads``.
+    """
+    if threads == 1:
+        return list(map(fn, *iterables))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 def scan(
@@ -263,13 +308,16 @@ def scan(
     and a bump of width eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every
     point gets the arithmetic ``theta_product`` performs for it alone.
 
-    The blocks are mapped through a pool of ``threads`` workers, also when
-    ``threads`` is 1; results are assembled in grid order, so the output is
-    identical for any thread count. Workers overlap in BLAS, in large
-    elementwise products and in the runs solved without the GIL.
+    Each chunk's accepted points are found with one ``np.nonzero`` over
+    its decisions, and kept as the grid indices and norms the result holds.
+    The blocks are mapped through a pool of ``threads`` workers when
+    ``threads`` is above 1, and run inline at 1; results are assembled in
+    grid order, so the output is identical for any thread count. Workers
+    overlap in BLAS, in large elementwise products and in the runs solved
+    without the GIL.
 
-    With ``norms=False`` the scan decides acceptance only, and every entry
-    stores None as its norm. Each chunk first gets ``_witness``, a lower
+    With ``norms=False`` the scan decides acceptance only, and the result
+    stores no norms. Each chunk first gets ``_witness``, a lower
     bound w on ||C||^2 for every last-axis core C, in a few products with
     the coupled prefixes and without forming the cores. A point with
     w >= (1 - eta)^2 is accepted without an eigensolve: its norm is at
@@ -289,15 +337,16 @@ def scan(
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n
 
-    alive: list[list[float]] = [[] for _ in range(n)]
+    # The grid index m of every center that survives the skip test, per axis.
+    alive: list[list[int]] = [[] for _ in range(n)]
     supports: list[list[tuple[slice, np.ndarray]]] = [[] for _ in range(n)]
     for axis in range(n):
-        for x in grid.axis_values:
-            sl, vals = cache.support(axis, float(x), eta)
+        for m, x in zip(range(-grid.half, grid.half + 1), grid.axis_values.tolist()):
+            sl, vals = cache.support(axis, x, eta)
             if vals.size and vals.max() >= threshold:
-                alive[axis].append(float(x))
+                alive[axis].append(m)
                 supports[axis].append((sl, vals))
-    last = alive[-1]
+    last = np.array(alive[-1], dtype=np.int32)
     # A last-axis core has a Gram matrix of size min(rows, support width), so
     # in this order the cores of equal Gram size are adjacent in every chunk.
     widths = [vals.size for _, vals in supports[-1]]
@@ -311,23 +360,17 @@ def scan(
         # At or below this squared-norm bound a core is rejected unsolved.
         floor = (threshold - TOL.accept_slack) ** 2
 
-    def prefixes(axis: int, coords: tuple[float, ...], prev: slice, core: np.ndarray):
-        """(coordinates, last support, core) for every alive point of axes < n - 1."""
-        if axis == n - 1:
-            yield coords, prev, core
-            return
-        wide = cache.couple(core, axis, prev)
-        for x, (sl, vals) in zip(alive[axis], supports[axis]):
-            yield from prefixes(axis + 1, coords + (x,), sl, wide[:, sl] * vals)
-
-    def scan_block(first: float, support: tuple[slice, np.ndarray]) -> list:
+    def scan_block(first: int, support: tuple[slice, np.ndarray]) -> list:
+        """The (grid indices, norms) of the block's accepted points, a pair per chunk."""
         head = support[1]
         if n == 1:
             nrm = operator_norm(np.diag(head))
-            return [((first,), nrm if norms else None)] if nrm >= threshold else []
+            if nrm < threshold:
+                return []
+            return [(np.array([[first]], dtype=np.int32), np.array([nrm]))]
         rows = head.size
-        out: list[tuple[tuple[float, ...], float | None]] = []
-        walk = prefixes(1, (first,), *support)
+        out: list[tuple[np.ndarray, np.ndarray]] = []
+        walk = _prefixes(cache, alive, supports, 1, (first,), *support)
         per_chunk = max(1, CORE_STACK_BYTES // (16 * rows * tup.dim))
         while chunk := list(itertools.islice(walk, per_chunk)):
             wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
@@ -350,16 +393,35 @@ def scan(
                 solved = operator_norm(*cores)
                 for i, pick, nrm in zip(run, picks, solved if len(run) > 1 else (solved,)):
                     values[i, pick] = nrm
-            accept = witnessed | (values >= threshold)
-            for (coords, _, _), col, ok in zip(chunk, values.T, accept.T):
-                for pos in np.flatnonzero(ok):
-                    out.append((coords + (last[pos],), float(col[pos]) if norms else None))
+            # Prefix-major, then by last-axis center: grid order.
+            prefix, center = np.nonzero((witnessed | (values >= threshold)).T)
+            heads = np.array([coords for coords, _, _ in chunk], dtype=np.int32)
+            out.append((np.column_stack((heads[prefix], last[center])),
+                        values[center, prefix] if norms else None))
         return out
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(scan_block, alive[0], supports[0]))
-    accepted = tuple(entry for block in blocks for entry in block)
-    return SyntheticSpectrumResult(eta, grid, accepted, TOL.accept_slack)
+    parts = [part for block in _thread_map(scan_block, alive[0], supports[0], threads=threads)
+             for part in block]
+    accepted = np.concatenate([np.zeros((0, n), dtype=np.int32), *(p for p, _ in parts)])
+    values = np.concatenate([np.zeros(0), *(v for _, v in parts)]) if norms else None
+    return SyntheticSpectrumResult(eta, grid, accepted, values, TOL.accept_slack)
+
+
+def _prefixes(cache: BumpFactorCache, alive: list, supports: list, axis: int,
+              coords: tuple[int, ...], prev: slice, core: np.ndarray):
+    """(grid indices, last support, core) for every alive point of the axes before the last.
+
+    A module function, not a closure of ``scan``: a closure that calls
+    itself is a reference cycle, which would keep the scan's factor cache
+    alive after it returns, until the garbage collector next runs.
+    """
+    if axis == len(alive) - 1:
+        yield coords, prev, core
+        return
+    wide = cache.couple(core, axis, prev)
+    for m, (sl, vals) in zip(alive[axis], supports[axis]):
+        yield from _prefixes(cache, alive, supports, axis + 1, coords + (m,), sl,
+                             wide[:, sl] * vals)
 
 
 def _witness(wides: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -438,6 +500,15 @@ def hausdorff(x, y) -> float:
     forward = _farthest(_unshared(a, b), b)
     backward = _farthest(_unshared(b, a), a)
     return float(np.sqrt(max(0.0, forward, backward)))
+
+
+def _point(z, n: int) -> np.ndarray:
+    """``z`` as a float vector; ValueError unless it is finite with ``n`` coordinates."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape[0] != n:
+        raise ValueError(f"point has {z.shape[0]} coordinates, grid has n={n}")
+    _check_finite(z, "point")
+    return z
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:

@@ -26,6 +26,16 @@ def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return h * (scale / max(np.linalg.norm(h, 2), 1e-12))
 
 
+def accepted_entries(result) -> tuple:
+    """A scan result's accepted set as ((coordinates...), norm) pairs, in its order.
+
+    The norm is None for a result without norms.
+    """
+    points = map(tuple, result.accepted_points().tolist())
+    norms = [None] * len(result.accepted) if result.norms is None else result.norms.tolist()
+    return tuple(zip(points, norms))
+
+
 @pytest.fixture
 def shift_pair_64() -> OperatorTuple:
     return generate(ModelSpec("shift_pair", 64))

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from amu_spectra import (ModelSpec, OperatorTuple, amu_batch, cli, essential, generate,
-                         load_tuple, save_tuple, scan)
+                         load_tuple, save_tuple, scan, spectrum)
 from amu_spectra.essential import _compress
+from conftest import accepted_entries
 
 
 def run_cli(*args, env_extra=None):
@@ -434,7 +435,7 @@ def test_essential_one_sided_levels_rescan_their_tails(tmp_path, shift_file):
         assert lvl["window"] == [m, tup.dim]
         ref = scan(_compress(tup, (m, tup.dim)), 0.5)
         assert [(tuple(a["point"]), a["norm"]) for a in lvl["spectrum"]["accepted"]] == [
-            (tuple(p), nrm) for p, nrm in ref.accepted]
+            (tuple(p), nrm) for p, nrm in accepted_entries(ref)]
 
 
 def test_essential_rejects_single_cut(tmp_path, shift_file):
@@ -508,7 +509,7 @@ def test_spectrum_artifact_is_the_bytes_of_its_result(tmp_path, n):
     save_tuple(generate(ModelSpec("perturbed_commuting", 8, n=n, seed=1,
                                   params={"perturbation": 0.2})), src)
     result = scan(load_tuple(src)[0], 0.5)
-    assert result.accepted
+    assert len(result.accepted)
     assert _artifact(tmp_path, "spectrum", "--input", str(src), "--eta", "0.5") == _dumped(
         result.to_json_dict())
 
@@ -521,7 +522,7 @@ def test_essential_artifact_is_the_bytes_of_its_estimate(tmp_path):
     src = tmp_path / "paulis.json"
     save_tuple(OperatorTuple((np.kron(np.eye(3), sx), np.kron(np.eye(3), sz)), bound=1.0), src)
     estimate = essential.essential_spectrum_estimate(load_tuple(src)[0], 0.2, [1, 2])
-    assert estimate.levels[0].result.accepted and not estimate.levels[1].result.accepted
+    assert [len(lvl.result.accepted) > 0 for lvl in estimate.levels] == [True, False]
     got = _artifact(tmp_path, "essential", "--input", str(src), "--eta", "0.2", "--cuts", "1,2")
     assert got == _dumped(estimate.to_json_dict())
 
@@ -539,7 +540,7 @@ def test_amu_artifacts_are_the_bytes_of_their_certificates(tmp_path, gen):
     certs = [c.to_json_dict() for c in amu_batch(tup, points, 0.35, 0.35)]
     assert got == _dumped({"sigma": 0.35, "eps": 0.35, "certificates": certs})
     result = scan(tup, 0.5)
-    accepted = [list(p) for p, _ in result.accepted]
+    accepted = result.accepted_points().tolist()
     got = _artifact(tmp_path, *common, "--lambda", "all-accepted", "--eta", "0.5")
     certs = [c.to_json_dict() for c in amu_batch(tup, accepted, 0.35, 0.35)]
     assert len(certs) > 1
@@ -571,7 +572,7 @@ def test_threads_are_capped_at_the_usable_cores(tmp_path, monkeypatch):
     def start(self):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(spectrum, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     argv = ["amu", "--input", str(src), "--lambda", "0.5,0.5", "--lambda=-0.5,0.25",
@@ -585,3 +586,68 @@ def test_threads_are_capped_at_the_usable_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli.main(argv) == 0
     assert workers == [3, 2, 3, 4]
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--eta", "0.5"],
+    ["essential", "--eta", "0.5", "--cuts", "2,4"],
+    ["amu", "--lambda", "all-accepted", "--eta", "0.5", "--sigma", "0.35", "--eps", "0.35"],
+], ids=["spectrum", "essential", "dense-amu"])
+def test_one_thread_runs_inline_and_two_map_through_the_pool(tmp_path, monkeypatch, command):
+    # A one-worker pool would only add its thread's malloc arena to the peak
+    # memory, so at --threads 1 the scans and dense certification run inline.
+    src = tmp_path / "dense.json"
+    save_tuple(generate(ModelSpec("perturbed_commuting", 16, n=2, seed=1)), src)
+    started, mapped = [], []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    class RecordingPool(spectrum.ThreadPoolExecutor):
+        def map(self, fn, *iterables):
+            mapped.append(fn.__name__)
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(spectrum, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    artifacts = []
+    for threads in ("1", "2"):
+        started.clear()
+        mapped.clear()
+        out = tmp_path / f"out_t{threads}.json"
+        argv = [command[0], "--input", str(src), *command[1:], "--threads", threads, "-o", str(out)]
+        assert cli.main(argv) == 0
+        artifacts.append(out.read_bytes())
+        if threads == "1":
+            assert started == [] and mapped == []
+        else:
+            assert started and all(name.startswith("ThreadPoolExecutor-") for name in started)
+            scans = 2 if command[0] == "essential" else 1
+            assert mapped == ["scan_block"] * scans + (["certify"] if command[0] == "amu" else [])
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("case", ["spectrum-csv-is-output", "amu-output-is-input",
+                                  "essential-output-is-input", "spectrum-csv-is-input"])
+def test_outputs_that_name_the_input_or_each_other_exit_2(tmp_path, shift_file, case):
+    # Before anything is loaded or written: the tuple file stays as it was.
+    src = tmp_path / "shift64.json"
+    src.write_bytes(shift_file.read_bytes())
+    out = tmp_path / "out.json"
+    argv = {
+        "spectrum-csv-is-output": ["spectrum", "--eta", "0.5", "-o", str(out), "--csv",
+                                   str(tmp_path / "." / "out.json")],
+        "amu-output-is-input": ["amu", "--lambda", "1.0,0.0", "--sigma", "0.2", "--eps", "0.2",
+                                "-o", str(src)],
+        "essential-output-is-input": ["essential", "--eta", "0.5", "--cuts", "8,16",
+                                      "-o", os.path.relpath(src)],
+        "spectrum-csv-is-input": ["spectrum", "--eta", "0.5", "-o", str(out), "--csv", str(src)],
+    }[case]
+    proc = run_cli(argv[0], "--input", str(src), *argv[1:])
+    assert proc.returncode == 2
+    assert "names the same file as" in proc.stderr
+    assert src.read_bytes() == shift_file.read_bytes()
+    assert not out.exists()

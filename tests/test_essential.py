@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,23 @@ def test_essential_estimate_validates_cuts():
         essential_spectrum_estimate(tup, 0.5, (8,))  # needs two cuts
     with pytest.raises(ValueError):
         essential_spectrum_estimate(tup, 0.5, (8, 8))  # strictly increasing
+
+
+@pytest.mark.parametrize("cut", [1.7, 3.2, 4.0, "4", None, True, np.True_])
+def test_cuts_must_be_integers(cut):
+    # int() would run the cut 1.7 as 1; every entry point takes cuts as integers.
+    tup = generate(ModelSpec("shift_pair", 32))
+    message = f"cut {cut!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        essential_spectrum_estimate(tup, 0.5, [cut, 8])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _window(tup.dim, cut, interior=True)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        escape_window(tup.dim, cut)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tail_commutator_decay(tup, [cut])
+    # numpy integers are integers.
+    assert essential_spectrum_estimate(tup, 0.5, [np.int64(2), np.int32(4)]).cuts == (2, 4)
 
 
 def test_essential_estimate_json_shape():

@@ -24,6 +24,7 @@ from amu_spectra import (
 from amu_spectra.models import (FAMILIES, JsonRows, family_name, splitmix64, uniform_doubles,
                                 write_json)
 from amu_spectra.spectrum import GridSpec, SyntheticSpectrumResult
+from conftest import accepted_entries
 
 
 def test_splitmix64_reference_vector():
@@ -305,12 +306,12 @@ def test_load_rejects_malformed_files(tmp_path, name, content):
 
 
 def test_csv_output_is_stable(tmp_path):
-    from amu_spectra.spectrum import GridSpec, SyntheticSpectrumResult
-
+    # Grid indices m of the points (0.5, -0.25) and (1.0, 0.0) at k = 4.
     result = SyntheticSpectrumResult(
         eta=0.5,
         grid=GridSpec(2, 1.0, 4, 4),
-        accepted=(((0.5, -0.25), 0.9375), ((1.0, 0.0), 1.0)),
+        accepted=np.array([[2, -1], [4, 0]]),
+        norms=np.array([0.9375, 1.0]),
         slack=1e-9,
     )
     path = tmp_path / "accepted.csv"
@@ -395,9 +396,9 @@ def _traced_peak(write) -> int:
 def _grid_result(count: int) -> SyntheticSpectrumResult:
     # ``count`` points of an n = 3 grid, with norms of full-length reprs.
     grid = GridSpec(3, 1.0, 16, 16)
-    points = itertools.islice(itertools.product(grid.axis_values.tolist(), repeat=3), count)
-    accepted = tuple((p, 0.5 + math.pi * i % 0.5) for i, p in enumerate(points))
-    return SyntheticSpectrumResult(0.5, grid, accepted, 1e-9)
+    points = itertools.islice(itertools.product(range(-16, 17), repeat=3), count)
+    norms = [0.5 + math.pi * i % 0.5 for i in range(count)]
+    return SyntheticSpectrumResult(0.5, grid, np.array(list(points)), np.array(norms), 1e-9)
 
 
 def test_write_accepted_csv_streams(tmp_path):
@@ -405,7 +406,8 @@ def test_write_accepted_csv_streams(tmp_path):
     path = tmp_path / "accepted.csv"
     peak = _traced_peak(lambda: write_accepted_csv(result, path))
     lines = path.read_text().splitlines()
-    assert lines[1:] == [",".join(map(repr, p)) + f",{nrm!r}" for p, nrm in result.accepted]
+    assert lines[1:] == [",".join(map(repr, p)) + f",{nrm!r}"
+                         for p, nrm in accepted_entries(result)]
     assert path.stat().st_size >= 1_000_000
     assert peak < 500_000
 
@@ -424,30 +426,39 @@ def test_writing_a_lazy_spectrum_result_takes_memory_independent_of_its_size(tmp
 
 
 _GRID3 = GridSpec(3, 1.0, 4, 4)
-# Grid values, whose texts the lazy entries look up, and values that are not:
-# off the grid, or -0.0, which equals the grid value 0.0.
-_COORDS = st.one_of(st.sampled_from(_GRID3.axis_values.tolist()),
-                    st.sampled_from([-0.0, 0.3, -1e-300]))
-_ACCEPTED = st.tuples(st.tuples(_COORDS, _COORDS, _COORDS), st.one_of(st.none(), _FLOATS))
+_INDEX3 = st.tuples(*[st.integers(-_GRID3.half, _GRID3.half)] * 3)
 
 
-@given(accepted=st.lists(_ACCEPTED, max_size=40))
-@example(accepted=[((0.25, 0.0, -1.0), 0.5 + i / 7) for i in range(600)])
-@example(accepted=[((0.25, -0.0 if i == 300 else 0.0, -1.0), None if i == 590 else 0.75)
-                   for i in range(600)])
-@example(accepted=[((0.5, 0.5, 0.5), x) for x in (math.nan, math.inf, -math.inf, -0.0)])
-def test_lazy_spectrum_result_writes_the_bytes_of_its_json_dict(tmp_path_factory, accepted):
-    result = SyntheticSpectrumResult(0.5, _GRID3, tuple(accepted), 1e-9)
+@st.composite
+def _points_and_norms(draw):
+    """Grid indices of up to 40 points of ``_GRID3``, and their norms or None."""
+    points = draw(st.lists(_INDEX3, max_size=40))
+    norms = draw(st.one_of(st.none(),
+                           st.lists(_FLOATS, min_size=len(points), max_size=len(points))))
+    return points, norms
+
+
+@given(drawn=_points_and_norms())
+@example(drawn=([(1, 0, -4)] * 600, [0.5 + i / 7 for i in range(600)]))
+@example(drawn=([(1, i % 9 - 4, -4) for i in range(600)], None))
+@example(drawn=([(2, 2, 2)] * 4, [math.nan, math.inf, -math.inf, -0.0]))
+def test_lazy_spectrum_result_writes_the_bytes_of_its_json_dict(tmp_path_factory, drawn):
+    points, norms = drawn
+    result = SyntheticSpectrumResult(0.5, _GRID3, np.array(points, dtype=np.int32).reshape(-1, 3),
+                                     norms, 1e-9)
     path = tmp_path_factory.getbasetemp() / "lazy_spectrum.json"
     write_json(result.to_json_dict(lazy=True), path)
     plain = result.to_json_dict()
-    assert plain["accepted"] == [{"point": list(p), "norm": nrm} for p, nrm in accepted]
+    # The value of grid index m is m/k, k = 4; the texts tell NaN and -0.0 apart.
+    expected = [{"point": [m / 4 for m in p], "norm": None if norms is None else norms[i]}
+                for i, p in enumerate(points)]
+    assert json.dumps(plain["accepted"]) == json.dumps(expected)
     assert path.read_bytes() == (json.dumps(plain, indent=2) + "\n").encode("ascii")
 
 
 def test_lazy_spectrum_result_without_norms_is_written_from_its_template(tmp_path):
-    points = itertools.product(_GRID3.axis_values.tolist(), repeat=3)
-    result = SyntheticSpectrumResult(0.5, _GRID3, tuple((p, None) for p in points), 1e-9)
+    points = np.array(list(itertools.product(range(-4, 5), repeat=3)))
+    result = SyntheticSpectrumResult(0.5, _GRID3, points, None, 1e-9)
     data = result.to_json_dict(lazy=True)
     rows, made = data["accepted"], []
     data["accepted"] = JsonRows(rows.records, lambda r: made.append(r) or rows.entry(r), rows.texts)
@@ -456,11 +467,11 @@ def test_lazy_spectrum_result_without_norms_is_written_from_its_template(tmp_pat
     assert path.read_bytes() == (json.dumps(result.to_json_dict(), indent=2) + "\n").encode("ascii")
     # The 729 entries fill three chunks; only the first entry, read for the
     # template, is made, so no chunk is written value by value.
-    assert len(result.accepted) > 2 * 256 and made == [result.accepted[0]]
+    assert len(result.accepted) > 2 * 256 and made == [0]
 
 
 def test_write_accepted_csv_refuses_a_result_without_norms(tmp_path):
-    result = SyntheticSpectrumResult(0.5, _GRID3, (((0.5, 0.5, 0.5), None),), 1e-9)
+    result = SyntheticSpectrumResult(0.5, _GRID3, np.array([[2, 2, 2]]), None, 1e-9)
     path = tmp_path / "accepted.csv"
     with pytest.raises(ValueError, match=r"scan\(\.\.\., norms=False\)"):
         write_accepted_csv(result, path)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from amu_spectra import (
     GridSpec,
     ModelSpec,
     OperatorTuple,
+    SyntheticSpectrumResult,
     build_grid,
     generate,
     grid_step_count,
@@ -30,7 +33,7 @@ from amu_spectra import (
     theta_product,
 )
 from amu_spectra import TOL, spectrum
-from conftest import random_hermitian
+from conftest import accepted_entries, random_hermitian
 
 
 def test_grid_step_count_known_values():
@@ -138,7 +141,7 @@ def test_scan_matches_bruteforce_commuting():
     res = scan(tup, 0.5)
     expected = brute_scan(tup, 0.5)
     assert len(res.accepted) == len(expected)
-    for (got_pt, got_norm), (exp_pt, exp_norm) in zip(res.accepted, expected):
+    for (got_pt, got_norm), (exp_pt, exp_norm) in zip(accepted_entries(res), expected):
         assert got_pt == exp_pt
         assert got_norm == exp_norm
 
@@ -148,7 +151,7 @@ def test_scan_matches_bruteforce_noncommuting():
     tup = OperatorTuple(ops, bound=1.0)
     res = scan(tup, 0.45)
     expected = brute_scan(tup, 0.45)
-    assert res.accepted == tuple(expected)
+    assert accepted_entries(res) == tuple(expected)
 
 
 def perturbed_triple():
@@ -160,7 +163,7 @@ def test_scan_matches_bruteforce_perturbed_triple():
     res = scan(tup, 0.9)
     expected = brute_scan(tup, 0.9)
     assert len(expected) > 100
-    assert res.accepted == tuple(expected)
+    assert accepted_entries(res) == tuple(expected)
 
 
 def dense_reference_norm(eig, point, eta) -> float:
@@ -199,7 +202,7 @@ def test_scan_matches_dense_reference(make, eta):
         nrm = dense_reference_norm(eig, row, eta)
         if nrm >= threshold:
             expected[tuple(float(c) for c in row)] = nrm
-    got = dict(res.accepted)
+    got = dict(accepted_entries(res))
     assert expected
     assert list(got) == list(expected)
     for pt, nrm in got.items():
@@ -219,18 +222,18 @@ def test_theta_product_empty_support_has_zero_norm():
 def test_scan_thread_counts_agree(shift_pair_64):
     one = scan(shift_pair_64, 0.5, threads=1)
     four = scan(shift_pair_64, 0.5, threads=4)
-    assert one.accepted == four.accepted
+    assert accepted_entries(one) == accepted_entries(four)
     single = OperatorTuple((random_hermitian(12, seed=5),), bound=1.0)  # n = 1
     one = scan(single, 0.5, threads=1)
     four = scan(single, 0.5, threads=4)
-    assert one.accepted and one.accepted == four.accepted
+    assert len(one.accepted) and accepted_entries(one) == accepted_entries(four)
 
 
 def test_scan_thread_counts_agree_triple():
     tup = perturbed_triple()
     one = scan(tup, 0.9, threads=1)
     two = scan(tup, 0.9, threads=2)
-    assert one.accepted and one.accepted == two.accepted
+    assert len(one.accepted) and accepted_entries(one) == accepted_entries(two)
 
 
 def recording_operator_norm(monkeypatch) -> list[np.ndarray]:
@@ -266,9 +269,9 @@ def test_scan_without_norms_accepts_the_same_points(monkeypatch, make, eta, thre
     full = scan(tup, eta, threads=threads)
     solved = recording_operator_norm(monkeypatch)
     decided = scan(tup, eta, threads=threads, norms=False)
-    assert full.accepted
-    assert [p for p, _ in decided.accepted] == [p for p, _ in full.accepted]
-    assert all(nrm is None for _, nrm in decided.accepted)
+    assert len(full.accepted)
+    assert np.array_equal(decided.accepted, full.accepted)
+    assert decided.norms is None
     if tup.n > 1:
         # The witnesses accept most points, so fewer cores reach eigvalsh.
         assert sum(x.size for x in solved) < len(full.accepted)
@@ -289,11 +292,11 @@ def test_scan_without_norms_defers_points_at_the_threshold(monkeypatch, offset):
     full = scan(tup, eta)
     solved = recording_operator_norm(monkeypatch)
     decided = scan(tup, eta, norms=False)
-    assert [p for p, _ in decided.accepted] == [p for p, _ in full.accepted]
+    assert np.array_equal(decided.accepted, full.accepted)
     near = np.concatenate(solved)
     near = near[np.abs(near - (1.0 - eta - TOL.accept_slack)) <= 1e-12]
     assert near.size == 9  # x = m/12 for |m| <= 4
-    assert ((0.0, 0.0) in dict(full.accepted)) == (offset > 0)
+    assert ((0.0, 0.0) in dict(accepted_entries(full))) == (offset > 0)
 
 
 @pytest.mark.parametrize("offset", [5e-13, -5e-13])
@@ -311,8 +314,8 @@ def test_scan_without_norms_rejects_cores_below_the_gram_floor_unsolved(monkeypa
     full = scan(tup, eta)
     solved = recording_operator_norm(monkeypatch)
     decided = scan(tup, eta, norms=False)
-    assert [p for p, _ in decided.accepted] == [p for p, _ in full.accepted]
-    assert (0.0, 0.0) not in dict(full.accepted)
+    assert np.array_equal(decided.accepted, full.accepted)
+    assert (0.0, 0.0) not in dict(accepted_entries(full))
     near = np.concatenate([np.zeros(0), *solved])
     assert np.count_nonzero(np.abs(near - target) <= 1e-12) == (9 if offset > 0 else 0)
 
@@ -361,13 +364,13 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     budget = 4096
     monkeypatch.setattr(spectrum, "CORE_STACK_BYTES", budget)
     small = scan(tup, 0.9)
-    assert small.accepted == default.accepted
+    assert accepted_entries(small) == accepted_entries(default)
     # Every block now spans several prefix chunks; no stack exceeds the budget.
     assert len(stacks) > 3 * default_calls
     assert max(16 * int(np.prod(shape)) for shape in stacks) <= budget
     # The witnesses then take a few last-axis centers at a time.
     decided = scan(tup, 0.9, norms=False)
-    assert [p for p, _ in decided.accepted] == [p for p, _ in default.accepted]
+    assert np.array_equal(decided.accepted, default.accepted)
 
 
 def test_scan_solves_each_gram_size_once_per_chunk(monkeypatch, shift_pair_64):
@@ -387,7 +390,7 @@ def test_scan_solves_each_gram_size_once_per_chunk(monkeypatch, shift_pair_64):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     for tup, eta in ((triple, 0.9), (shift_pair_64, 0.5)):
         events.clear()
-        assert scan(tup, eta, threads=1).accepted
+        assert len(scan(tup, eta, threads=1).accepted)
         # A chunk couples its prefixes to the last axis, then takes the norms.
         chunks = []
         for kind, what in events:
@@ -460,7 +463,7 @@ def test_scan_accepts_plateau_points():
     d2 = np.diag([0.5, -0.5])
     tup = OperatorTuple((d1, d2), bound=1.0)
     res = scan(tup, 0.5)  # k = 12: +-0.5 are grid values
-    accepted = dict(res.accepted)
+    accepted = dict(accepted_entries(res))
     assert accepted[(-0.5, 0.5)] == pytest.approx(1.0, abs=1e-12)
     assert accepted[(0.5, -0.5)] == pytest.approx(1.0, abs=1e-12)
 
@@ -482,10 +485,66 @@ def test_result_json_roundtrip(commuting_16):
     assert d["n"] == 2
     assert d["k"] == res.grid.k
     back = json.loads(json.dumps(d))
-    assert [(tuple(e["point"]), e["norm"]) for e in back["accepted"]] == list(res.accepted)
+    assert [(tuple(e["point"]), e["norm"]) for e in back["accepted"]] == list(accepted_entries(res))
     assert back["M"] == res.grid.bound
     assert back["meta"] == {"slack": res.slack, "grid_points": res.grid.count,
                             "accepted_count": len(res.accepted)}
+
+
+def test_covers_validates_its_point_and_radius(commuting_16):
+    res = scan(commuting_16, 0.5)
+    empty = SyntheticSpectrumResult(0.5, res.grid, np.zeros((0, 2), dtype=np.int32), None, 1e-9)
+    for result in (res, empty):
+        for point in ([0.5], [0.5, 0.5, 0.5]):
+            message = f"point has {len(point)} coordinates, grid has n=2"
+            with pytest.raises(ValueError, match=message):
+                result.covers(point)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"non-finite coordinate 1: {bad}")):
+                result.covers([0.5, bad])
+        for radius in (math.nan, -0.25):
+            message = f"radius must be non-negative, got {radius}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                result.covers([0.5, 0.5], radius=radius)
+    assert res.covers(res.accepted_points()[0], radius=0.0)
+    assert not empty.covers([0.5, 0.5], radius=math.inf)
+
+
+def test_result_holds_read_only_grid_indices_and_norms(commuting_16):
+    res = scan(commuting_16, 0.5)
+    assert res.accepted.dtype == np.int32 and res.norms.dtype == np.float64
+    assert not res.accepted.flags.writeable and not res.norms.flags.writeable
+    assert np.array_equal(res.accepted_points(), res.accepted / res.grid.k)
+    grid, half = res.grid, res.grid.half
+    for accepted, norms in (([[0.5, 0.0]], None),  # values, not grid indices
+                            ([[half + 1, 0]], None),  # off the grid
+                            ([[-half - 1, 0]], [1.0]),
+                            ([[0, 0, 0]], None),  # n = 3 on an n = 2 grid
+                            ([[0, 0]], [1.0, 1.0])):  # a norm too many
+        with pytest.raises(ValueError):
+            SyntheticSpectrumResult(0.5, grid, np.array(accepted), norms, 1e-9)
+
+
+@pytest.mark.parametrize("norms", [True, False])
+def test_scan_result_takes_4n_plus_8_bytes_per_accepted_point(norms):
+    # Grid indices as int32 and float64 norms; a point held as Python tuples
+    # took about 140 bytes. Two grid sizes of one tuple; the constant covers
+    # the result object and allocator caches.
+    tup = generate(ModelSpec("perturbed_commuting", 12, n=3, seed=2, params={"perturbation": 0.3}))
+    scan(tup, 0.9)  # the tuple's own eigendecompositions are built once, untraced
+    per_point = 4 * tup.n + (8 if norms else 0)
+    counts = []
+    for eta in (0.9, 0.5):
+        tracemalloc.start()
+        try:
+            result = scan(tup, eta, norms=norms)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        counts.append(len(result.accepted))
+        assert retained <= per_point * len(result.accepted) + 64_000, (eta, retained)
+        del result
+    assert counts[1] > 2 * counts[0] > 8_000
 
 
 def test_scan_validates_eta(commuting_16):
