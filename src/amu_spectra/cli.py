@@ -72,25 +72,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_models = sub.add_parser("models", help="generate observable tuples")
     models_sub = p_models.add_subparsers(dest="models_command", required=True)
-    p_gen = models_sub.add_parser("gen", help="generate a model family")
+    p_gen = models_sub.add_parser("gen", help="generate a model family as a JSON tuple file")
     p_gen.add_argument("family", help="family: " + ", ".join(
         f"{family.short} ({full})" for full, family in FAMILIES.items()))
-    p_gen.add_argument("--dim", type=int, default=None,
-                       help="matrix dimension; required for every family but file, "
-                            "which takes it from its file")
+    p_gen.add_argument("--dim", type=int, required=True, help="matrix dimension")
     p_gen.add_argument("--n", type=int, default=None,
-                       help="observables per tuple (defaults to the family arity); not for file")
+                       help="observables per tuple (defaults to the family arity)")
     p_gen.add_argument("--seed", type=int, default=None,
-                       help="draw seed (default 0); only for " + " and ".join(
+                       help="draw seed in [0, 2**64) (default 0); only for " + " and ".join(
                            family.short for family in FAMILIES.values() if family.seeded))
     params = "; ".join(f"{family.short}: " + ", ".join(
-        key if default is None else f"{key}={default}" for key, default in family.params.items())
+        f"{key}={default}" for key, default in family.params.items())
         for family in FAMILIES.values() if family.params)
     p_gen.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="family parameter, repeatable; a value takes the type of its "
-                            f"default, and a number must be finite ({params})")
-    p_gen.add_argument("-o", "--output", required=True)
-    p_gen.add_argument("--format", choices=["json", "npz"], default="json")
+                       help=f"family parameter, repeatable; a finite number ({params})")
+    p_gen.add_argument("-o", "--output", required=True, help="JSON tuple file path")
 
     # Options of every command that scans a tuple file.
     scanning = argparse.ArgumentParser(add_help=False)
@@ -142,13 +138,6 @@ def _parse_point(raw: str, n: int) -> tuple[float, ...]:
 
 def _cmd_models(args) -> int:
     family = family_name(args.family)
-    if family == "custom_file":
-        for flag, value in (("--dim", args.dim), ("--n", args.n)):
-            if value is not None:
-                raise ValueError(f"models gen {args.family} takes n and dim from the file; "
-                                 f"drop {flag}")
-    elif args.dim is None:
-        raise ValueError(f"models gen {args.family} needs --dim")
     if args.seed is not None and not FAMILIES[family].seeded:
         raise ValueError(f"models gen {args.family} draws nothing; drop --seed")
     seed = 0 if args.seed is None else args.seed
@@ -166,7 +155,7 @@ def _cmd_models(args) -> int:
         "params": {key: params[key] for key in sorted(given)},
         "commutator_norms": [[float(x) for x in row] for row in profile],
     }
-    save_tuple(tup, args.output, fmt=args.format, meta=meta)
+    save_tuple(tup, args.output, meta=meta)
     print(f"wrote {family} tuple (n={tup.n}, dim={tup.dim}) to {args.output}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Model families, deterministic pseudo-randomness, and file formats.
+"""Model families, deterministic pseudo-randomness, and JSON tuple files and artifacts.
 
 Randomized families draw from a counter-based SplitMix64 stream rather
 than the platform generator so that the same seed yields bit-identical
@@ -13,14 +13,13 @@ same three-constant mixer:
 Doubles take the top 53 bits: (out >> 11) * 2^-53 in [0, 1).
 
 Tuple files are JSON with shape {n, dim, M, ops: [{re: [[...]], im:
-[[...]]}], meta?: {...}} (floats round-trip exactly through their
-shortest decimal representation) or NumPy .npz archives for a binary
-lossless alternative (arrays n, dim, M, ops stacked n x dim x dim, and
-meta_json as UTF-8 bytes). Both are decoded into the same five fields and
-validated once, in ``load_tuple``: n and dim are integers, there are n
-finite Hermitian dim x dim operators within M, which is positive and
-finite, none of n, dim and M is a boolean, and meta is an object. Any
-violation is a ``TupleFormatError``.
+[[...]]}], meta?: {...}}; floats round-trip exactly through their
+shortest decimal representation. ``save_tuple`` writes them and
+``load_tuple`` reads and validates them: n and dim are integers and M is a
+number, none of them a boolean; there are n finite Hermitian dim x dim
+operators, each given as lists of rows of numbers, within M, which is
+positive and finite; and meta, when present, is an object. Any violation
+is a ``TupleFormatError``.
 
 Every JSON file, tuple files and CLI artifacts alike, goes through
 ``write_json``. Its bytes are ``json.dumps(obj, indent=2) + "\n"``, the
@@ -35,9 +34,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
-import zipfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -162,7 +161,7 @@ class _Family(NamedTuple):
     short: str  # the CLI name
     n: int | None  # the fixed n, or None for any n >= 1
     seeded: bool  # whether it draws from ModelSpec.seed
-    params: dict[str, object]  # the parameters it reads, with their defaults; None: required
+    params: dict[str, float]  # the parameters it reads, with their defaults
 
 
 FAMILIES = {
@@ -171,7 +170,6 @@ FAMILIES = {
     "perturbed_commuting": _Family("perturbed", None, True, {
         "perturbation": 0.01, "eigen_low": -0.95, "eigen_high": 0.95}),
     "clock_shift_triple": _Family("clock", 3, False, {}),
-    "custom_file": _Family("file", None, False, {"path": None}),
 }
 
 
@@ -186,29 +184,26 @@ def family_name(name: str) -> str:
     )
 
 
-def _family_params(family: str, given: Mapping[str, object]) -> dict[str, object]:
+def _family_params(family: str, given: Mapping[str, object]) -> dict[str, float]:
     """The full parameter set of ``family``: its defaults, updated from ``given``.
 
-    A value given for a float default goes through ``float``, so a string
-    such as a command-line value parses as the default's type; any other
-    value is kept as given. A key the family does not read, or a value for
-    a float default that does not parse or is not finite, is a ValueError
-    naming the key.
+    A given value goes through ``float``, so a string such as a
+    command-line value parses as a number. A key the family does not read,
+    or a value that does not parse or is not finite, is a ValueError naming
+    the key.
     """
     params = dict(FAMILIES[family].params)
     for key in sorted(given):
         if key not in params:
             raise ValueError(f"{family} reads no parameter {key!r}; its parameters: "
                              + (", ".join(params) or "none"))
-        value = given[key]
-        if isinstance(params[key], float):
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                value = math.nan  # refused below, as a non-finite number is
-            if not math.isfinite(value):
-                raise ValueError(f"{family} parameter {key!r} must be a finite number, "
-                                 f"got {given[key]!r}")
+        try:
+            value = float(given[key])
+        except (TypeError, ValueError):
+            value = math.nan  # refused below, as a non-finite number is
+        if not math.isfinite(value):
+            raise ValueError(f"{family} parameter {key!r} must be a finite number, "
+                             f"got {given[key]!r}")
         params[key] = value
     return params
 
@@ -218,14 +213,15 @@ def generate(spec: ModelSpec) -> OperatorTuple:
 
     Deterministic: equal specs produce bit-identical matrices. The family
     reads its parameters through ``_family_params``, so a misspelt key
-    cannot fall back to a default unnoticed.
+    cannot fall back to a default unnoticed. The seed is an integer in
+    [0, 2^64), not a boolean: SplitMix64 reads it modulo 2^64, so any other
+    value would draw the matrices of another seed.
     """
     family = family_name(spec.family)
     params = _family_params(family, spec.params)
-    if family == "custom_file":
-        if not params["path"]:
-            raise ValueError("custom_file needs a 'path' parameter")
-        return load_tuple(str(params["path"]))[0]
+    seed = spec.seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if spec.dim < 2:
         raise ValueError("dim must be at least 2")
     fixed_n = FAMILIES[family].n
@@ -242,52 +238,57 @@ def generate(spec: ModelSpec) -> OperatorTuple:
     return _perturbed_commuting(spec, **params)
 
 
-def save_tuple(tup: OperatorTuple, path, fmt: str = "json",
-               meta: dict | None = None) -> None:
-    """Write ``tup`` to ``path`` as JSON (default) or a binary .npz archive.
+def save_tuple(tup: OperatorTuple, path, meta: dict | None = None) -> None:
+    """Write ``tup`` to ``path`` as a JSON tuple file, with ``meta`` if it is not empty.
 
-    Both formats round-trip the matrices exactly: JSON through shortest
-    decimal float representations, npz through raw IEEE bytes.
+    The matrices round-trip exactly, through the shortest decimal
+    representation of each float, so a file written here, loaded and saved
+    again with its meta, keeps its bytes.
     """
-    path = os.fspath(path)
-    if fmt == "json":
-        payload = {
-            "n": tup.n,
-            "dim": tup.dim,
-            "M": tup.bound,
-            "ops": [{"re": op.array.real.tolist(), "im": op.array.imag.tolist()}
-                    for op in tup.ops],
-        }
-        if meta:
-            payload["meta"] = meta
-        write_json(payload, path)
-    elif fmt == "npz":
-        payload = {
-            "n": np.array(tup.n),
-            "dim": np.array(tup.dim),
-            "M": np.array(tup.bound),
-            "ops": np.stack(tup.arrays()),
-        }
-        if meta:
-            payload["meta_json"] = np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            )
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; use 'json' or 'npz'")
+    payload = {
+        "n": tup.n,
+        "dim": tup.dim,
+        "M": tup.bound,
+        "ops": [{"re": op.array.real.tolist(), "im": op.array.imag.tolist()}
+                for op in tup.ops],
+    }
+    if meta:
+        payload["meta"] = meta
+    write_json(payload, path)
 
 
-def _json_fields(path: str, fh) -> tuple:
-    """Decode UTF-8 JSON into n, dim, M, ops and meta, left unchecked."""
-    try:
-        d = json.loads(fh.read().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise TupleFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TupleFormatError(
-            f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
+# The types of the numbers json decodes; bool is its own type, not int.
+_NUMBERS = {int, float}
+
+
+def _real_matrix(rows) -> np.ndarray:
+    """A JSON list of rows of numbers as a float array; anything else is a ValueError.
+
+    An integer beyond the float range is an OverflowError.
+    """
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and set(map(type, row)) <= _NUMBERS for row in rows)):
+        raise ValueError("re and im must be lists of rows of numbers")
+    return np.array(rows, dtype=float)
+
+
+def _json_fields(path: str) -> tuple:
+    """Decode a UTF-8 JSON tuple file into n, dim, M, ops and meta, left unchecked.
+
+    Each operator's ``re`` and ``im`` become one complex array here. The
+    decoded document, which holds every entry as a Python float, several
+    times the memory of the arrays, is freed on return, before
+    ``load_tuple`` checks the operators.
+    """
+    with open(path, "rb") as fh:
+        try:
+            d = json.loads(fh.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise TupleFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise TupleFormatError(
+                f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
+            ) from exc
     if not isinstance(d, dict):
         raise TupleFormatError(f"{path}: top level must be an object")
     for key in ("n", "dim", "M", "ops"):
@@ -300,49 +301,34 @@ def _json_fields(path: str, fh) -> tuple:
         if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
             raise TupleFormatError(f"{path}: operator {j} needs 're' and 'im' arrays")
         try:
-            re, im = (np.asarray(entry[key], dtype=float) for key in ("re", "im"))
+            re, im = _real_matrix(entry["re"]), _real_matrix(entry["im"])
             if re.shape != im.shape:  # adding would broadcast them
                 raise ValueError(f"re has shape {re.shape} but im has {im.shape}")
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
         ops.append(re + 1j * im)
-    return d["n"], d["dim"], d["M"], ops, d.get("meta")
-
-
-def _npz_fields(path: str, fh) -> tuple:
-    """Decode an npz archive into n, dim, M, ops and meta, left unchecked."""
-    try:
-        with np.load(fh) as archive:
-            n, dim, bound, stack = [archive[key] for key in ("n", "dim", "M", "ops")]
-            meta = bytes(archive["meta_json"]) if "meta_json" in archive else b"null"
-        return n, dim, bound, list(stack), json.loads(meta.decode("utf-8"))
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise TupleFormatError(f"{path}: not a valid tuple archive: {exc}") from exc
+    return d["n"], d["dim"], d["M"], ops, d.get("meta", {})
 
 
 def load_tuple(path) -> tuple[OperatorTuple, dict]:
-    """Read a tuple file; returns the tuple and its metadata mapping.
+    """Read a JSON tuple file; returns the tuple and its metadata mapping.
 
-    The file is opened once; zip magic picks the npz decoder, anything else
-    is decoded as UTF-8 JSON. The decoded fields are validated here, the same
-    for both: see the module docstring for the rules. Every failure is a
-    ``TupleFormatError`` naming the path. A missing meta block yields an
-    empty mapping.
+    The fields ``_json_fields`` decodes are validated here: see the module
+    docstring for the rules. Every failure is a ``TupleFormatError`` naming
+    the path. A missing meta block yields an empty mapping.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
         raise TupleFormatError(f"{path}: no such file")
-    with open(path, "rb") as fh:
-        # Zip magic identifies npz archives regardless of extension.
-        decode = _npz_fields if fh.read(2) == b"PK" else _json_fields
-        fh.seek(0)
-        n, dim, bound, ops, meta = decode(path, fh)
-    # int and float accept booleans, and numpy's 0-d arrays hold them as bool.
-    if any(isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in (n, dim, bound)):
+    n, dim, bound, ops, meta = _json_fields(path)
+    # operator.index and float accept booleans, and float parses strings.
+    if any(isinstance(v, bool) for v in (n, dim, bound)):
         raise TupleFormatError(f"{path}: n, dim and M must be numbers, not booleans")
     try:
+        if type(bound) not in _NUMBERS:
+            raise TypeError(f"M is a {type(bound).__name__}")
         n, dim, bound = operator.index(n), operator.index(dim), float(bound)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise TupleFormatError(f"{path}: n and dim must be integers, M a number: {exc}") from exc
     if len(ops) != n:
         raise TupleFormatError(f"{path}: declared n={n} but found {len(ops)} operators")
@@ -354,7 +340,6 @@ def load_tuple(path) -> tuple[OperatorTuple, dict]:
             matrices.append(HermitianMatrix(op))
         except ValueError as exc:
             raise TupleFormatError(f"{path}: operator {j}: {exc}") from exc
-    meta = meta or {}
     if not isinstance(meta, dict):
         raise TupleFormatError(f"{path}: meta must be an object")
     try:

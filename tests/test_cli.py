@@ -54,9 +54,10 @@ def test_models_gen_family_aliases(tmp_path):
 
 
 def test_models_gen_unknown_family(tmp_path):
-    proc = run_cli("models", "gen", "nope", "--dim", "8", "-o", str(tmp_path / "x.json"))
-    assert proc.returncode == 2
-    assert "unknown family" in proc.stderr
+    for family in ("nope", "file"):
+        proc = run_cli("models", "gen", family, "--dim", "8", "-o", str(tmp_path / "x.json"))
+        assert proc.returncode == 2
+        assert "unknown family" in proc.stderr
 
 
 def test_models_gen_param_parsing(tmp_path):
@@ -75,15 +76,7 @@ def test_models_gen_param_parsing(tmp_path):
         assert d.min() >= -0.5 and d.max() <= 0.5
 
 
-def test_models_gen_needs_dim_only_for_generated_families(tmp_path, shift_file):
-    path = tmp_path / "copy.npz"
-    proc = run_cli("models", "gen", "file", "--param", f"path={shift_file}",
-                   "--format", "npz", "-o", str(path))
-    assert proc.returncode == 0, proc.stderr
-    copy, meta = load_tuple(path)
-    tup, _ = load_tuple(shift_file)
-    assert meta["family"] == "custom_file"
-    assert all(np.array_equal(a, b) for a, b in zip(copy.arrays(), tup.arrays()))
+def test_models_gen_needs_dim(tmp_path):
     for family in ("shift", "diag", "perturbed", "clock"):
         proc = run_cli("models", "gen", family, "-o", str(tmp_path / "x.json"))
         assert proc.returncode == 2
@@ -95,15 +88,13 @@ def test_models_gen_needs_dim_only_for_generated_families(tmp_path, shift_file):
     (["perturbed", "--dim", "8", "--param", "pertubation=0.2"], "'pertubation'"),
     (["shift", "--dim", "8", "--param", "perturbation=0.2"], "'perturbation'"),
     (["diag", "--dim", "8", "--param", "path=x.json"], "'path'"),
-    (["file", "--param", "path={src}", "--dim", "99"], "--dim"),
-    (["file", "--param", "path={src}", "--n", "5"], "--n"),
+    (["shift", "--dim", "8", "--format", "npz"], "--format"),
     (["shift", "--dim", "8", "--seed", "5"], "--seed"),
     (["clock", "--dim", "8", "--seed", "0"], "--seed"),
-    (["file", "--param", "path={src}", "--seed", "9"], "--seed"),
 ])
-def test_models_gen_rejects_options_it_would_ignore(tmp_path, shift_file, argv, named):
+def test_models_gen_rejects_options_it_would_ignore(tmp_path, argv, named):
     out = tmp_path / "x.json"
-    proc = run_cli("models", "gen", *(a.format(src=shift_file) for a in argv), "-o", str(out))
+    proc = run_cli("models", "gen", *argv, "-o", str(out))
     assert proc.returncode == 2
     assert named in proc.stderr
     assert not out.exists()
@@ -126,15 +117,15 @@ def test_models_gen_rejects_parameter_values_that_are_not_finite_numbers(tmp_pat
     assert not out.exists()
 
 
-def test_models_gen_file_path_is_read_as_given(tmp_path, shift_file, monkeypatch):
-    # A path that looks like a number is still a path.
-    (tmp_path / "2024").write_bytes(shift_file.read_bytes())
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["models", "gen", "file", "--param", "path=2024", "-o", "copy.json"]) == 0
-    copy, meta = load_tuple(tmp_path / "copy.json")
-    assert meta["params"] == {"path": "2024"}
-    tup, _ = load_tuple(shift_file)
-    assert all(np.array_equal(a, b) for a, b in zip(copy.arrays(), tup.arrays()))
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_models_gen_refuses_seeds_outside_the_splitmix_range(tmp_path, seed):
+    # Either would draw the matrices of another seed, 2**64 - 1 or 0.
+    out = tmp_path / "x.json"
+    proc = run_cli("models", "gen", "diag", "--dim", "4", "--seed", seed, "-o", str(out))
+    assert proc.returncode == 2
+    assert f"got {seed}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_models_gen_seed_defaults_to_zero(tmp_path, shift_file):
@@ -308,14 +299,16 @@ def test_amu_all_accepted_prints_only_failing_points(tmp_path, shift_file, capsy
 def test_malformed_tuple_file_exit_code(tmp_path):
     no_im = tmp_path / "no_im.json"
     no_im.write_text(json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": [[0.0]]}]}))
-    vector_n = tmp_path / "vector_n.npz"
-    np.savez(vector_n, n=np.array([1, 2]), dim=np.array(2), M=np.array(1.0),
-             ops=np.zeros((1, 2, 2)))
-    infinite_m = tmp_path / "infinite_m.json"
+    vector_n = tmp_path / "vector_n.json"
+    vector_n.write_text(json.dumps({"n": [1, 2], "dim": 2, "M": 1.0, "ops": []}))
+    infinite_m, huge_entry = tmp_path / "infinite_m.json", tmp_path / "huge_entry.json"
     save_tuple(generate(ModelSpec("shift_pair", 4)), infinite_m)
-    infinite_m.write_text(infinite_m.read_text().replace('"M": 1.0', '"M": Infinity'))
+    text = infinite_m.read_text()
+    infinite_m.write_text(text.replace('"M": 1.0', '"M": Infinity'))
+    # An integer beyond the float range, where 1e400 would parse as infinity.
+    huge_entry.write_text(text.replace("0.0", "1" + "0" * 400, 1))
     for path, message in ((no_im, "operator 0"), (vector_n, "n and dim must be integers"),
-                          (infinite_m, "positive and finite")):
+                          (infinite_m, "positive and finite"), (huge_entry, "operator 0")):
         proc = run_cli(
             "spectrum", "--input", str(path), "--eta", "0.5", "-o", str(tmp_path / "out.json"),
         )

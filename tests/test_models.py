@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,7 +56,6 @@ def test_family_registry():
         "commuting_diag",
         "perturbed_commuting",
         "clock_shift_triple",
-        "custom_file",
     }
     with pytest.raises(ValueError, match="unknown family"):
         generate(ModelSpec("no_such_family", 8))
@@ -74,11 +74,20 @@ def test_family_registry():
     (ModelSpec("commuting_diag", 8, params={"perturbation": 0.2}), "perturbation"),
     (ModelSpec("shift_pair", 8, params={"eigen_low": -0.5}), "eigen_low"),
     (ModelSpec("clock_shift_triple", 8, n=3, params={"seed": 1}), "seed"),
-    (ModelSpec("custom_file", 8, params={"path": "x.json", "dim": 8}), "dim"),
 ])
 def test_generate_rejects_parameters_the_family_does_not_read(spec, key):
     with pytest.raises(ValueError, match=f"no parameter '{key}'"):
         generate(spec)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.0, "0"])
+def test_generate_refuses_seeds_outside_the_splitmix_range(seed):
+    # SplitMix64 reads a seed modulo 2^64, so 2^64 would draw seed 0's matrices.
+    for family in ("commuting_diag", "shift_pair"):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            generate(ModelSpec(family, 4, seed=seed))
+    last, first = (generate(ModelSpec("commuting_diag", 4, seed=s)) for s in (2 ** 64 - 1, 0))
+    assert not np.array_equal(last.ops[0].array, first.ops[0].array)
 
 
 def test_shift_pair_dim2_exact():
@@ -167,33 +176,25 @@ def test_clock_shift_requires_n3():
         generate(ModelSpec("clock_shift_triple", 16, n=2))
 
 
-def test_custom_file_roundtrip_json(tmp_path, commuting_16):
-    path = tmp_path / "tuple.json"
-    save_tuple(commuting_16, path, meta={"label": "fixture"})
-    loaded, meta = load_tuple(path)
-    assert meta["label"] == "fixture"
-    assert loaded.bound == commuting_16.bound
-    for a, b in zip(loaded.ops, commuting_16.ops):
-        assert np.array_equal(a.array, b.array)
-    via_family = generate(
-        ModelSpec("custom_file", commuting_16.dim, params={"path": str(path)})
-    )
-    assert np.array_equal(via_family.ops[0].array, commuting_16.ops[0].array)
-
-
-def test_roundtrip_npz(tmp_path, shift_pair_64):
-    path = tmp_path / "tuple.npz"
-    save_tuple(shift_pair_64, path, fmt="npz", meta={"family": "shift_pair"})
-    loaded, meta = load_tuple(path)
-    assert meta == {"family": "shift_pair"}
-    for a, b in zip(loaded.ops, shift_pair_64.ops):
-        assert np.array_equal(a.array, b.array)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_resaving_a_loaded_tuple_writes_its_bytes(tmp_path, family):
+    fixed_n = FAMILIES[family].n
+    tup = generate(ModelSpec(family, 6, n=fixed_n or 3, seed=5 if FAMILIES[family].seeded else 0))
+    meta = {"family": family, "label": "\u00e9t\u00e9", "params": {}, "norms": [[0.1, 1e-300]]}
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_tuple(tup, first, meta=meta)
+    loaded, loaded_meta = load_tuple(first)
+    assert loaded_meta == meta
+    assert loaded.bound == tup.bound
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.arrays(), tup.arrays()))
+    save_tuple(loaded, again, meta=loaded_meta)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_load_sniffs_content_not_extension(tmp_path, commuting_16):
-    # JSON content behind an .npz name still loads as JSON.
+    # Every tuple file is JSON, whatever its name.
     path = tmp_path / "mislabeled.npz"
-    save_tuple(commuting_16, path, fmt="json")
+    save_tuple(commuting_16, path)
     loaded, _ = load_tuple(path)
     assert np.array_equal(loaded.ops[0].array, commuting_16.ops[0].array)
 
@@ -240,7 +241,12 @@ def test_load_rejects_shape_mismatch(tmp_path):
 
 
 _SQUARE = [[0.0, 0.0], [0.0, 0.0]]
-_NPZ = {"n": np.array(1), "dim": np.array(2), "M": np.array(1.0), "ops": np.zeros((1, 2, 2))}
+
+
+def _tuple_text(**fields) -> str:
+    """A one-operator 2 x 2 tuple file's text, with ``fields`` in place of its own."""
+    return json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE, "im": _SQUARE}],
+                       **fields})
 
 
 @pytest.mark.parametrize(
@@ -252,8 +258,6 @@ _NPZ = {"n": np.array(1), "dim": np.array(2), "M": np.array(1.0), "ops": np.zero
             json.dumps({"n": None, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE, "im": _SQUARE}]}),
         ),
         ("scalar.json", "7"),
-        ("no_ops.npz", {key: _NPZ[key] for key in ("n", "dim", "M")}),
-        ("truncated.npz", "PK\x03\x04garbage"),
         ("huge_n.json", '{"n": 1e400, "dim": 2, "M": 1.0, "ops": []}'),
         (
             "fractional_dim.json",
@@ -267,42 +271,45 @@ _NPZ = {"n": np.array(1), "dim": np.array(2), "M": np.array(1.0), "ops": np.zero
         ),
         ("re_im_shapes.json", json.dumps(
             {"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": _SQUARE, "im": [[0.0, 0.0]]}]})),
-        ("vector_n.npz", {**_NPZ, "n": np.array([1, 2])}),
-        ("string_m.npz", {**_NPZ, "M": np.array("big")}),
-        ("object_ops.npz", {**_NPZ, "ops": np.array([None, 1], dtype=object)}),
-        ("scalar_ops.npz", {**_NPZ, "ops": np.array(0.0)}),
-        ("list_meta.npz", {**_NPZ, "meta_json": np.frombuffer(b"[1, 2]", dtype=np.uint8)}),
         ("bool_n.json", json.dumps({"n": True, "dim": 2, "M": 1.0,
                                     "ops": [{"re": _SQUARE, "im": _SQUARE}]})),
         ("bool_dim.json", json.dumps({"n": 1, "dim": True, "M": 1.0,
                                       "ops": [{"re": [[0.0]], "im": [[0.0]]}]})),
         ("bool_m.json", json.dumps({"n": 1, "dim": 2, "M": True,
                                     "ops": [{"re": _SQUARE, "im": _SQUARE}]})),
-        ("bool_n.npz", {**_NPZ, "n": np.array(True)}),
-        ("bool_dim.npz", {**_NPZ, "dim": np.array(True), "ops": np.zeros((1, 1, 1))}),
-        ("bool_m.npz", {**_NPZ, "M": np.array(True)}),
+        ("vector_n.json", _tuple_text(n=[1, 2])),
+        ("string_m.json", _tuple_text(M="1.0")),
+        ("scalar_ops.json", _tuple_text(ops=0)),
+        ("huge_entry.json", _tuple_text().replace("[[0.0, 0.0]", "[[1" + "0" * 400 + ", 0.0]", 1)),
+        ("string_entry.json", _tuple_text(ops=[{"re": [["0", "1"], ["1", "0"]], "im": _SQUARE}])),
+        ("true_entry.json", _tuple_text(ops=[{"re": [[0.0, True], [True, 0.0]], "im": _SQUARE}])),
+        ("list_meta.json", _tuple_text(meta=[1, 2])),
+        ("empty_list_meta.json", _tuple_text(meta=[])),
+        ("zero_meta.json", _tuple_text(meta=0)),
+        ("empty_string_meta.json", _tuple_text(meta="")),
+        ("null_meta.json", _tuple_text(meta=None)),
     ],
-    ids=["op-without-im", "null-n", "top-level-scalar", "npz-without-ops", "npz-not-a-zip",
-         "n-overflows-int", "fractional-dim", "m-overflows-float", "not-utf8", "infinite-m",
-         "re-im-shapes-differ", "npz-vector-n", "npz-string-m", "npz-object-ops",
-         "npz-scalar-ops", "npz-meta-not-object", "bool-n", "bool-dim", "bool-m",
-         "npz-bool-n", "npz-bool-dim", "npz-bool-m"],
+    ids=["op-without-im", "null-n", "top-level-scalar", "n-overflows-int", "fractional-dim",
+         "m-overflows-float", "not-utf8", "infinite-m", "re-im-shapes-differ", "bool-n",
+         "bool-dim", "bool-m", "vector-n", "string-m", "ops-not-a-list", "entry-overflows-float",
+         "string-entries", "bool-entries", "meta-not-object", "meta-empty-list", "meta-zero",
+         "meta-empty-string", "meta-null"],
 )
 def test_load_rejects_malformed_files(tmp_path, name, content):
     path = tmp_path / name
-    if isinstance(content, dict):
-        np.savez(path, **content)
-    elif isinstance(content, bytes):
+    if isinstance(content, bytes):
         path.write_bytes(content)
     else:
         path.write_text(content)
     with pytest.raises(TupleFormatError) as info:
         load_tuple(path)
     assert str(path) in str(info.value)
-    if name == "list_meta.npz":
+    if name.endswith("_meta.json"):
         assert "meta must be an object" in str(info.value)
     if name.startswith("bool_"):
         assert "not booleans" in str(info.value)
+    if name.endswith("_entry.json"):
+        assert "operator 0" in str(info.value)
 
 
 def test_csv_output_is_stable(tmp_path):
