@@ -84,13 +84,16 @@ def test_models_gen_needs_dim(tmp_path):
         assert not (tmp_path / "x.json").exists()
 
 
+# The ids are fixed so that each case keeps its name when others come or go.
 @pytest.mark.parametrize("argv, named", [
-    (["perturbed", "--dim", "8", "--param", "pertubation=0.2"], "'pertubation'"),
-    (["shift", "--dim", "8", "--param", "perturbation=0.2"], "'perturbation'"),
-    (["diag", "--dim", "8", "--param", "path=x.json"], "'path'"),
-    (["shift", "--dim", "8", "--format", "npz"], "--format"),
-    (["shift", "--dim", "8", "--seed", "5"], "--seed"),
-    (["clock", "--dim", "8", "--seed", "0"], "--seed"),
+    pytest.param(["perturbed", "--dim", "8", "--param", "pertubation=0.2"], "'pertubation'",
+                 id="argv0-'pertubation'"),
+    pytest.param(["shift", "--dim", "8", "--param", "perturbation=0.2"], "'perturbation'",
+                 id="argv1-'perturbation'"),
+    pytest.param(["diag", "--dim", "8", "--param", "path=x.json"], "'path'", id="argv2-'path'"),
+    pytest.param(["shift", "--dim", "8", "--format", "npz"], "--format", id="argv3---format"),
+    pytest.param(["shift", "--dim", "8", "--seed", "5"], "--seed", id="argv5---seed"),
+    pytest.param(["clock", "--dim", "8", "--seed", "0"], "--seed", id="argv6---seed"),
 ])
 def test_models_gen_rejects_options_it_would_ignore(tmp_path, argv, named):
     out = tmp_path / "x.json"

@@ -241,6 +241,7 @@ def test_load_rejects_shape_mismatch(tmp_path):
 
 
 _SQUARE = [[0.0, 0.0], [0.0, 0.0]]
+_NPZ = {"n": np.array(1), "dim": np.array(2), "M": np.array(1.0), "ops": np.zeros((1, 2, 2))}
 
 
 def _tuple_text(**fields) -> str:
@@ -288,16 +289,24 @@ def _tuple_text(**fields) -> str:
         ("zero_meta.json", _tuple_text(meta=0)),
         ("empty_string_meta.json", _tuple_text(meta="")),
         ("null_meta.json", _tuple_text(meta=None)),
+        # Archives in the former npz layout: they are not JSON, and are refused.
+        ("old_no_ops.npz", {key: _NPZ[key] for key in ("n", "dim", "M")}),
+        ("old_bool_n.npz", {**_NPZ, "n": np.array(True)}),
+        ("old_bool_dim.npz", {**_NPZ, "dim": np.array(True), "ops": np.zeros((1, 1, 1))}),
+        ("old_bool_m.npz", {**_NPZ, "M": np.array(True)}),
     ],
     ids=["op-without-im", "null-n", "top-level-scalar", "n-overflows-int", "fractional-dim",
          "m-overflows-float", "not-utf8", "infinite-m", "re-im-shapes-differ", "bool-n",
          "bool-dim", "bool-m", "vector-n", "string-m", "ops-not-a-list", "entry-overflows-float",
          "string-entries", "bool-entries", "meta-not-object", "meta-empty-list", "meta-zero",
-         "meta-empty-string", "meta-null"],
+         "meta-empty-string", "meta-null", "npz-without-ops", "npz-bool-n", "npz-bool-dim",
+         "npz-bool-m"],
 )
 def test_load_rejects_malformed_files(tmp_path, name, content):
     path = tmp_path / name
-    if isinstance(content, bytes):
+    if isinstance(content, dict):
+        np.savez(path, **content)
+    elif isinstance(content, bytes):
         path.write_bytes(content)
     else:
         path.write_text(content)
