@@ -44,14 +44,12 @@ from .spectrum import (
     build_grid,
     grid_step_count,
     hausdorff,
-    is_refinement,
     scan,
 )
 from .search import (
     SuperpositionPlan,
     amu_at,
     amu_batch,
-    ground_state,
     localization_operator,
     solve_simplex_lsq,
     superpose,

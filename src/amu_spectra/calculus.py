@@ -153,13 +153,14 @@ def theta_product(
         cache = BumpFactorCache(tup)
     elif cache.tuple is not tup:
         raise ValueError("cache was built for a different tuple")
-    fnorms = tuple(cache.factor_norm(j, centers[j], eta) for j in range(tup.n))
+    supports = [cache.support(j, centers[j], eta) for j in range(tup.n)]
+    # A factor's norm is the largest bump value on its spectrum (``factor_norm``).
+    fnorms = tuple(float(np.max(vals)) if vals.size else 0.0 for _, vals in supports)
     if min(fnorms) == 0.0:
         norm = 0.0  # some support is empty, so the product is zero
     else:
-        prev, core = cache.support(0, centers[0], eta)
-        for j in range(1, tup.n):
-            sl, vals = cache.support(j, centers[j], eta)
+        prev, core = supports[0]
+        for j, (sl, vals) in enumerate(supports[1:], 1):
             core = cache.couple(core, j, prev)[:, sl] * vals
             prev = sl
         norm = operator_norm(np.diag(core) if core.ndim == 1 else core)

@@ -163,7 +163,7 @@ def _cmd_models(args) -> int:
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
     result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
-    write_json(result.to_json_dict(lazy=True), args.output)
+    write_json(result.to_json_dict(), args.output)
     if args.csv:
         write_accepted_csv(result, args.csv)
     print(
@@ -233,7 +233,7 @@ def _cmd_essential(args) -> int:
         tup, args.eta, cuts, interior=not args.one_sided, cap=args.grid_cap,
         threads=args.threads,
     )
-    write_json(estimate.to_json_dict(lazy=True), args.output)
+    write_json(estimate.to_json_dict(), args.output)
     for lvl in estimate.levels:
         print(f"cut={lvl.cut} window={lvl.window} accepted={len(lvl.result.accepted)}")
     stability = "n/a" if estimate.stability is None else f"{estimate.stability:.6f}"

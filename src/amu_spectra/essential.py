@@ -28,7 +28,7 @@ from .linalg import operator_norm
 from .models import JsonRows
 from .observables import (AmuCertificate, OperatorTuple, VectorState, _commutators, amu_check,
                           as_point)
-from .search import ground_state
+from .search import _ground_states
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
 
 __all__ = [
@@ -127,14 +127,8 @@ class EssentialSpectrumEstimate:
     stabilized: np.ndarray
     stability: float | None
 
-    def to_json_dict(self, *, lazy: bool = False) -> dict:
-        """This estimate as JSON data.
-
-        With ``lazy``, every level's spectrum is lazy (see
-        ``SyntheticSpectrumResult.to_json_dict``), and so are the rows of
-        ``stabilized``.
-        """
-        stabilized = JsonRows(self.stabilized, np.ndarray.tolist)
+    def to_json_dict(self) -> dict:
+        """This estimate as JSON data; ``stabilized`` and each level's ``accepted`` stream."""
         return {
             "eta": self.eta,
             "cuts": list(self.cuts),
@@ -142,11 +136,11 @@ class EssentialSpectrumEstimate:
                 {
                     "cut": lvl.cut,
                     "window": list(lvl.window),
-                    "spectrum": lvl.result.to_json_dict(lazy=lazy),
+                    "spectrum": lvl.result.to_json_dict(),
                 }
                 for lvl in self.levels
             ],
-            "stabilized": stabilized if lazy else list(stabilized),
+            "stabilized": JsonRows(self.stabilized, np.ndarray.tolist),
             "stability": self.stability,
         }
 
@@ -218,12 +212,12 @@ def amu_sequence(tup: OperatorTuple, lam, cuts, sigma: float, eps: float) -> lis
     The state for cut m is the localization ground state computed inside
     the escaping window and embedded back with exact zeros elsewhere.
     """
-    lam_arr = np.array(as_point(lam, tup.n))
+    lam = as_point(lam, tup.n)
     certs: list[AmuCertificate] = []
     for m in cuts:
         lo, hi = escape_window(tup.dim, m)
-        inner_state, _ = ground_state(_compress(tup, (lo, hi)), lam_arr)
+        inner_state = _ground_states(_compress(tup, (lo, hi)), [lam])[0]
         full = np.zeros(tup.dim, dtype=np.complex128)
         full[lo:hi] = inner_state.vector
-        certs.append(amu_check(tup, VectorState(full), lam_arr, sigma, eps))
+        certs.append(amu_check(tup, VectorState(full), lam, sigma, eps))
     return certs

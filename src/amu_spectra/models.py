@@ -104,8 +104,8 @@ def _shift_matrix(dim: int) -> np.ndarray:
     return s
 
 
-def _shift_pair(dim: int) -> OperatorTuple:
-    s = _shift_matrix(dim)
+def _shift_pair(spec: ModelSpec) -> OperatorTuple:
+    s = _shift_matrix(spec.dim)
     a1 = (s + s.conj().T) / 2.0
     a2 = -(s - s.conj().T) / 2.0j
     return OperatorTuple([a1, a2], bound=1.0)
@@ -146,7 +146,8 @@ def _perturbed_commuting(spec: ModelSpec, perturbation: float, eigen_low: float,
     return OperatorTuple(ops, bound=bound)
 
 
-def _clock_shift_triple(dim: int) -> OperatorTuple:
+def _clock_shift_triple(spec: ModelSpec) -> OperatorTuple:
+    dim = spec.dim
     angles = 2.0 * np.pi * np.arange(dim) / dim
     t1 = np.diag(np.cos(angles).astype(np.complex128))
     t2 = np.diag(np.sin(angles).astype(np.complex128))
@@ -162,14 +163,16 @@ class _Family(NamedTuple):
     n: int | None  # the fixed n, or None for any n >= 1
     seeded: bool  # whether it draws from ModelSpec.seed
     params: dict[str, float]  # the parameters it reads, with their defaults
+    build: Callable[..., OperatorTuple]  # build(spec, **params)
 
 
 FAMILIES = {
-    "shift_pair": _Family("shift", 2, False, {}),
-    "commuting_diag": _Family("diag", None, True, {"eigen_low": -1.0, "eigen_high": 1.0}),
+    "shift_pair": _Family("shift", 2, False, {}, _shift_pair),
+    "commuting_diag": _Family("diag", None, True, {"eigen_low": -1.0, "eigen_high": 1.0},
+                              _commuting_diag),
     "perturbed_commuting": _Family("perturbed", None, True, {
-        "perturbation": 0.01, "eigen_low": -0.95, "eigen_high": 0.95}),
-    "clock_shift_triple": _Family("clock", 3, False, {}),
+        "perturbation": 0.01, "eigen_low": -0.95, "eigen_high": 0.95}, _perturbed_commuting),
+    "clock_shift_triple": _Family("clock", 3, False, {}, _clock_shift_triple),
 }
 
 
@@ -229,13 +232,7 @@ def generate(spec: ModelSpec) -> OperatorTuple:
         raise ValueError(f"{family} has n={fixed_n}; pass n={fixed_n}")
     if spec.n < 1:
         raise ValueError("n must be at least 1")
-    if family == "shift_pair":
-        return _shift_pair(spec.dim)
-    if family == "clock_shift_triple":
-        return _clock_shift_triple(spec.dim)
-    if family == "commuting_diag":
-        return _commuting_diag(spec, **params)
-    return _perturbed_commuting(spec, **params)
+    return FAMILIES[family].build(spec, **params)
 
 
 def save_tuple(tup: OperatorTuple, path, meta: dict | None = None) -> None:

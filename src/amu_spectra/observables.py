@@ -37,14 +37,15 @@ __all__ = [
 def as_point(values, n: int, name: str = "lambda") -> tuple[float, ...]:
     """Coordinates of a point in R^n as floats; ``name`` labels the errors.
 
-    Raises DimensionMismatch when the count is not ``n`` and ValueError when
-    a coordinate is not finite.
+    Raises DimensionMismatch when the count is not ``n`` and ValueError
+    naming the first coordinate that is not finite.
     """
     point = tuple(float(x) for x in np.asarray(values, dtype=float).reshape(-1))
     if len(point) != n:
         raise DimensionMismatch(f"{name} has {len(point)} coordinates, tuple has n={n}")
-    if not all(np.isfinite(point)):
-        raise ValueError(f"{name} has a non-finite coordinate: {point}")
+    for i, x in enumerate(point):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} has non-finite coordinate {i}: {x}")
     return point
 
 

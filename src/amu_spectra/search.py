@@ -6,19 +6,20 @@ dominates the total variance of the state, so a small ground energy
 certifies small standard deviations. Q is built as the pencil
 S - 2 sum_j lambda_j T_j + |lambda|^2 I from the tuple's cached
 S = sum_j T_j^2. ``amu_batch`` is the one certification routine;
-``amu_at`` and ``ground_state`` are its one-point forms, with the same
-bytes per point. Its lowest pairs come from one of two solvers, chosen per
-tuple by ``uses_band_path`` from its half-bandwidth and dimension:
+``amu_at`` is its one-point form, with the same bytes per point. Its
+lowest pairs come from one of two solvers, chosen per tuple by
+``uses_band_path`` from its half-bandwidth and dimension:
 
 - dense: one ``eigh`` per point, checked by ``linalg.ground_eigenpair``;
 - band (the shift pair's Q is tridiagonal): only the bands of Q are built,
   and ``linalg.band_ground_eigenpairs`` certifies every point of a batch
   at once with band Cholesky factorizations, no ``eigh`` and no dense Q.
 
-Either way only the lowest pair is verified, the energy is summed as
-sum_j ||(T_j - lambda_j) v||^2 so the pencil's cancellation never reaches
-it, and the state's global phase is fixed (largest-magnitude entry real
-and positive) rather than left to the solver.
+Either way only the lowest pair is verified, and the state's global phase
+is fixed (largest-magnitude entry real and positive) rather than left to
+the solver. The certificate measures the state against each T_j, so the
+pencil's cancellation never reaches its report; the ground energy
+sum_j ||(T_j - lambda_j) v||^2 is sum_j var_j + (exp_j - lambda_j)^2 there.
 
 Superposition mixes orthonormalized certified states toward a convex
 combination of their expectation points. The weights are the nearest point
@@ -65,7 +66,6 @@ __all__ = [
     "SuperpositionPlan",
     "localization_operator",
     "uses_band_path",
-    "ground_state",
     "amu_at",
     "amu_batch",
     "solve_simplex_lsq",
@@ -150,26 +150,6 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     out.imag = v.real * s + v.imag * c
     out[k] = r
     return out
-
-
-def ground_state(tup: OperatorTuple, lam) -> tuple[VectorState, float]:
-    """Lowest eigenpair of the localization operator at ``lam``.
-
-    Returns (state, energy). The state is the one ``amu_batch`` certifies
-    at ``lam``, its global phase fixed so that its largest-magnitude entry
-    is real and positive. The energy is
-    sum_j ||(T_j - lambda_j) v||^2 = sum_j var_j + |exp - lam|^2, a sum of
-    squares. It bounds from above the total variance of the state and,
-    since exp lies in the joint numerical range, the squared distance from
-    lam to that range.
-    """
-    lam = as_point(lam, tup.n)
-    state = _ground_states(tup, [lam])[0]
-    energy = 0.0
-    for op, l in zip(tup.ops, lam):
-        r = op.array @ state.vector - l * state.vector
-        energy += float(np.vdot(r, r).real)
-    return state, energy
 
 
 def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
@@ -281,18 +261,6 @@ class SuperpositionPlan:
     report: MeasurementReport
     achieved_distance: float
     cross_bound: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": list(self.target),
-            "weights": [float(w) for w in self.weights],
-            "source_points": [[float(x) for x in row] for row in self.source_points],
-            "exp": list(self.report.exp),
-            "sd": list(self.report.sd),
-            "achieved_distance": self.achieved_distance,
-            "cross_bound": list(self.cross_bound),
-            "state": self.state.to_json_list(),
-        }
 
 
 def superpose(tup: OperatorTuple, certs, mu) -> SuperpositionPlan:

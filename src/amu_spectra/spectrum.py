@@ -49,7 +49,7 @@ from .calculus import BumpFactorCache
 from .errors import GridCapExceeded
 from .linalg import _gram_frobenius, operator_norm
 from .models import JsonRows
-from .observables import OperatorTuple
+from .observables import OperatorTuple, as_point
 
 # Largest |rows|×|B|×n float64 difference tensor ``hausdorff`` forms at once.
 HAUSDORFF_BLOCK_BYTES = 32 * 2**20
@@ -68,7 +68,6 @@ __all__ = [
     "SyntheticSpectrumResult",
     "build_grid",
     "grid_step_count",
-    "is_refinement",
     "scan",
     "hausdorff",
 ]
@@ -101,12 +100,6 @@ class GridSpec:
     def _axis_texts(self) -> list[str]:
         """The repr of every axis value, in axis order: the text of a coordinate."""
         return list(map(float.__repr__, self.axis_values.tolist()))
-
-    def nearest(self, z) -> np.ndarray:
-        """Closest grid point to a finite point ``z`` (coordinatewise rounding, clipped)."""
-        z = _point(z, self.n)
-        m = np.clip(np.rint(z * self.k), -self.half, self.half)
-        return m / float(self.k)
 
 
 def grid_step_count(n: int, bound: float, eta: float) -> int:
@@ -141,18 +134,6 @@ def build_grid(n: int, bound: float, eta: float, *, cap: int = GRID_POINT_CAP) -
     return GridSpec(n=n, bound=bound, k=k, half=half)
 
 
-def is_refinement(coarse: GridSpec, fine: GridSpec) -> bool:
-    """Whether every point of ``coarse`` is also a point of ``fine``.
-
-    Holds exactly when the step counts nest (coarse.k divides fine.k) for
-    grids with the same n and bound. Grids at a smaller resolution are not
-    automatically refinements: the step rule can produce non-nesting k.
-    """
-    if coarse.n != fine.n or coarse.bound != fine.bound:
-        return False
-    return fine.k % coarse.k == 0
-
-
 @dataclass(frozen=True, eq=False)
 class SyntheticSpectrumResult:
     """Accepted grid points with their theta-product norms.
@@ -170,7 +151,6 @@ class SyntheticSpectrumResult:
     grid: GridSpec
     accepted: np.ndarray
     norms: np.ndarray | None
-    slack: float
 
     def __post_init__(self):
         accepted = np.asarray(self.accepted)
@@ -194,10 +174,10 @@ class SyntheticSpectrumResult:
     def covers(self, z, radius: float | None = None) -> bool:
         """Whether ``z`` lies within ``radius`` (default eta) of an accepted point.
 
-        Like ``GridSpec.nearest``, raises ValueError unless ``z`` is a finite
-        point with n coordinates; so does a NaN or negative ``radius``.
+        Raises ValueError unless ``z`` is a finite point with n coordinates
+        (``as_point``); so does a NaN or negative ``radius``.
         """
-        z = _point(z, self.grid.n)
+        z = as_point(z, self.grid.n, "point")
         r = self.eta if radius is None else float(radius)
         if not r >= 0.0:
             raise ValueError(f"radius must be non-negative, got {r}")
@@ -206,29 +186,27 @@ class SyntheticSpectrumResult:
         d = np.sqrt(((self.accepted_points() - z) ** 2).sum(axis=1))
         return bool(d.min() <= r)
 
-    def to_json_dict(self, *, lazy: bool = False) -> dict:
-        """This result as JSON data; with ``lazy``, ``accepted`` is a ``JsonRows``.
+    def to_json_dict(self) -> dict:
+        """This result as JSON data; ``accepted`` is a ``JsonRows``.
 
-        A lazy ``accepted`` makes each entry only when ``write_json`` reads
-        it, and gives the writer the text of every entry's numbers (see
-        ``_texts``), so a chunk of entries is formatted in one pass. A chunk
-        with a non-finite norm, which JSON spells otherwise, is written value
-        by value.
+        Each entry is made only when ``write_json`` reads it, and the writer
+        gets the text of every entry's numbers (see ``_texts``), so a chunk of
+        entries is formatted in one pass. A chunk with a non-finite norm,
+        which JSON spells otherwise, is written value by value.
         """
         def texts(rows: range):
             if self.norms is not None and not np.isfinite(self.norms[rows.start:rows.stop]).all():
                 raise TypeError("norm is not finite")
             return self._texts(rows.start, rows.stop)
 
-        accepted = JsonRows(range(len(self.accepted)), self._entry, texts)
         return {
             "eta": self.eta,
             "M": self.grid.bound,
             "n": self.grid.n,
             "k": self.grid.k,
-            "accepted": accepted if lazy else list(accepted),
+            "accepted": JsonRows(range(len(self.accepted)), self._entry, texts),
             "meta": {
-                "slack": self.slack,
+                "slack": TOL.accept_slack,
                 "grid_points": self.grid.count,
                 "accepted_count": len(self.accepted),
             },
@@ -404,7 +382,7 @@ def scan(
              for part in block]
     accepted = np.concatenate([np.zeros((0, n), dtype=np.int32), *(p for p, _ in parts)])
     values = np.concatenate([np.zeros(0), *(v for _, v in parts)]) if norms else None
-    return SyntheticSpectrumResult(eta, grid, accepted, values, TOL.accept_slack)
+    return SyntheticSpectrumResult(eta, grid, accepted, values)
 
 
 def _prefixes(cache: BumpFactorCache, alive: list, supports: list, axis: int,
@@ -502,23 +480,12 @@ def hausdorff(x, y) -> float:
     return float(np.sqrt(max(0.0, forward, backward)))
 
 
-def _point(z, n: int) -> np.ndarray:
-    """``z`` as a float vector; ValueError unless it is finite with ``n`` coordinates."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != n:
-        raise ValueError(f"point has {z.shape[0]} coordinates, grid has n={n}")
-    _check_finite(z, "point")
-    return z
-
-
-def _check_finite(values: np.ndarray, name: str) -> None:
-    """Raise ValueError naming the first non-finite coordinate of a point or of rows of points."""
-    bad = np.argwhere(~np.isfinite(values))
+def _check_finite(rows: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first non-finite coordinate of rows of points."""
+    bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
-        *row, col = bad[0]
-        where = f" in point {row[0]}" if row else ""
-        value = values[tuple(bad[0])]
-        raise ValueError(f"{name} has non-finite coordinate {col}{where}: {value}")
+        row, col = bad[0]
+        raise ValueError(f"{name} has non-finite coordinate {col} in point {row}: {rows[row, col]}")
 
 
 def _unshared(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -36,6 +36,17 @@ def accepted_entries(result) -> tuple:
     return tuple(zip(points, norms))
 
 
+def ground_energy(tup: OperatorTuple, cert) -> float:
+    """<Q(lambda) v, v> = sum_j ||(T_j - lambda_j) v||^2 for a certificate's state v and lambda.
+
+    Summed from the state itself, not from the certificate's report, so
+    comparing it with the report's variances compares two computations.
+    """
+    v = cert.state.vector
+    residuals = (op.array @ v - l * v for op, l in zip(tup.ops, cert.lam))
+    return sum(float(np.vdot(r, r).real) for r in residuals)
+
+
 @pytest.fixture
 def shift_pair_64() -> OperatorTuple:
     return generate(ModelSpec("shift_pair", 64))

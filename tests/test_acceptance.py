@@ -19,7 +19,6 @@ import pytest
 
 from amu_spectra import (
     BumpFactorCache,
-    HermitianMatrix,
     ModelSpec,
     OperatorTuple,
     TOL,
@@ -30,15 +29,13 @@ from amu_spectra import (
     commutator_profile,
     generate,
     grid_step_count,
-    ground_state,
     hausdorff,
-    is_refinement,
     measure,
     scan,
     superpose,
     theta_product,
 )
-from conftest import random_hermitian
+from conftest import ground_energy, random_hermitian
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,7 +59,7 @@ def test_criterion_1_commuting_containment():
         cache = BumpFactorCache(tup)
         joint = np.stack([np.diagonal(op.array).real for op in tup.ops], axis=1)
         for row in joint:
-            nearest = grid.nearest(row)
+            nearest = np.clip(np.rint(row * grid.k), -grid.half, grid.half) / grid.k
             tp = theta_product(tup, tuple(float(c) for c in nearest), eta, cache=cache)
             assert tp.norm >= 1.0 - eta - TOL.accept_slack
             assert float(np.linalg.norm(row - nearest)) <= eta
@@ -96,7 +93,7 @@ def test_criterion_2_grid_law():
         fine = build_grid(1, 1.0, delta)
         assert delta < eta
         assert fine.k == want_k
-        assert is_refinement(coarse, fine)
+        assert fine.k % coarse.k == 0
         coarse_pts = {float(x) for x in coarse.axis_values}
         fine_pts = {float(x) for x in fine.axis_values}
         assert coarse_pts <= fine_pts
@@ -126,7 +123,8 @@ def test_criterion_3_variance_domination():
         else:
             tup = generate(ModelSpec(family, dim, n=n, seed=case))
         lam = tuple(rng.uniform(-1.0, 1.0, size=tup.n))
-        state, energy = ground_state(tup, lam)
+        cert = amu_at(tup, lam, 0.5, 0.5)
+        state, energy = cert.state, ground_energy(tup, cert)
         rep = measure(tup, state)
         gap = sum(rep.var) - energy
         worst_gap = max(worst_gap, gap)
@@ -186,7 +184,7 @@ def test_criterion_5_clock_shift_obstructed_family():
     # frozen here; acceptance only needs one member of the eta=0.3 scan.
     lam = (-0.625, -0.75, 19.0 / 24.0)
     grid = build_grid(3, tup.bound, eta)
-    on_grid = grid.nearest(lam)
+    on_grid = np.clip(np.rint(np.array(lam) * grid.k), -grid.half, grid.half) / grid.k
     assert np.allclose(on_grid, lam, atol=1e-12)
     tp = theta_product(tup, lam, eta)
     assert tp.norm >= 1.0 - eta - TOL.accept_slack
@@ -213,8 +211,7 @@ def test_criterion_6_superposition_targets():
     certs = []
     for th in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
         lam = (float(np.cos(th)), float(np.sin(th)))
-        state, _ = ground_state(shift, lam)
-        certs.append(amu_check(shift, state, lam, 0.2, 0.2))
+        certs.append(amu_at(shift, lam, 0.2, 0.2))
     plan_shift = superpose(shift, certs, (0.0, 0.0))
     assert plan_shift.achieved_distance <= 0.15
     verdict(

@@ -13,9 +13,9 @@ from amu_spectra import (
     BumpFactorCache,
     ModelSpec,
     OperatorTuple,
+    amu_at,
     bump_values,
     generate,
-    ground_state,
     operator_norm,
     theta_product,
 )
@@ -93,6 +93,7 @@ def test_theta_product_submultiplicative_random_pairs(seed):
     direct = operator_norm(cache.factor_matrix(0, 0.1, 0.5) @ cache.factor_matrix(1, -0.2, 0.5))
     assert tp.norm == pytest.approx(direct, abs=1e-10)
     assert tp.norm <= min(tp.factor_norms) + 1e-10
+    assert tp.factor_norms == (cache.factor_norm(0, 0.1, 0.5), cache.factor_norm(1, -0.2, 0.5))
 
 
 def test_factor_cache_reuses_and_guards_identity():
@@ -128,7 +129,7 @@ def test_witness_ground_state_near_circle(shift_pair_64):
     eta = 0.3
     cache = BumpFactorCache(shift_pair_64)
     product = cache.factor_matrix(0, 1.0, eta) @ cache.factor_matrix(1, 0.0, eta)
-    v, _ = ground_state(shift_pair_64, (1.0, 0.0))
+    v = amu_at(shift_pair_64, (1.0, 0.0), 0.5, 0.5).state
     witness = complex(np.vdot(v.vector, product @ v.vector))
     assert witness.real > 1.0 - eta
     # ||F_1 F_2|| >= |<F_1 F_2 v, v>|, up to rounding between the two paths.

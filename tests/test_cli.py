@@ -496,7 +496,8 @@ def _artifact(tmp_path, *argv) -> bytes:
 
 
 def _dumped(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode("ascii")
+    """The bytes of ``json.dumps`` of ``obj``, each ``JsonRows`` as its plain list of rows."""
+    return (json.dumps(obj, indent=2, default=list) + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

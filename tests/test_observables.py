@@ -14,11 +14,11 @@ from amu_spectra import (
     NumericalError,
     OperatorTuple,
     VectorState,
+    amu_at,
     amu_check,
     amu_sequence,
     commutator_profile,
     generate,
-    ground_state,
     measure,
     superpose,
     theta_product,
@@ -169,7 +169,7 @@ class _SkewedArray(np.ndarray):
 @pytest.mark.parametrize("skew, disagrees", [(1e-14, False), (1e-6, True)])
 def test_measure_variance_cross_check_at_large_bound(skew, disagrees):
     tup = large_bound_pair()
-    state, _ = ground_state(tup, (1000.0, 2000.0))
+    state = amu_at(tup, (1000.0, 2000.0), 1.0, 1.0).state
     skewed = HermitianMatrix(tup.ops[1].array)
     object.__setattr__(skewed, "array", tup.ops[1].array.view(_SkewedArray))
     single = OperatorTuple((skewed,), bound=tup.bound)
@@ -252,7 +252,7 @@ def test_as_point_checks_count_and_finiteness():
     with pytest.raises(ValueError, match="non-finite") as info:
         as_point((np.nan, 0.0), 2)
     assert not isinstance(info.value, DimensionMismatch)
-    with pytest.raises(ValueError, match="target has a non-finite"):
+    with pytest.raises(ValueError, match="target has non-finite coordinate 1: inf"):
         as_point((0.0, np.inf), 2, "target")
 
 
@@ -262,7 +262,7 @@ def _point_entry_points():
     cert = amu_check(tup, state, (0.0, 0.0), 0.1, 0.1)
     return {
         "amu_check": lambda p: amu_check(tup, state, p, 0.1, 0.1),
-        "ground_state": lambda p: ground_state(tup, p),
+        "amu_at": lambda p: amu_at(tup, p, 0.1, 0.1),
         "superpose": lambda p: superpose(tup, [cert], p),
         "amu_sequence": lambda p: amu_sequence(tup, p, (1,), 0.1, 0.1),
         "theta_product": lambda p: theta_product(tup, p, 0.5),
@@ -270,7 +270,7 @@ def _point_entry_points():
 
 
 @pytest.mark.parametrize(
-    "name", ["amu_check", "ground_state", "superpose", "amu_sequence", "theta_product"]
+    "name", ["amu_check", "amu_at", "superpose", "amu_sequence", "theta_product"]
 )
 def test_point_arguments_reject_wrong_count_and_nan(name):
     call = _point_entry_points()[name]

@@ -23,7 +23,6 @@ from amu_spectra import (
     amu_batch,
     amu_check,
     generate,
-    ground_state,
     localization_operator,
     measure,
     solve_simplex_lsq,
@@ -31,7 +30,7 @@ from amu_spectra import (
 )
 from amu_spectra import observables, search
 from amu_spectra.search import _canonical_phase
-from conftest import random_hermitian
+from conftest import ground_energy, random_hermitian
 
 
 def diag_tuple(*columns) -> OperatorTuple:
@@ -102,10 +101,15 @@ def test_square_sum_is_cached_and_thread_independent():
 )
 def test_ground_energy_equals_lowest_eigenvalue(spec, lam):
     tup = generate(spec)
-    v, energy = ground_state(tup, lam)
+    cert = amu_at(tup, lam, 0.5, 0.5)
+    v, energy = cert.state, ground_energy(tup, cert)
     q = dense_localization(tup, lam)
     assert energy == pytest.approx(float(np.linalg.eigvalsh(q)[0]), abs=1e-12)
     assert energy == pytest.approx(float(np.vdot(v.vector, q @ v.vector).real), abs=1e-12)
+    # The report holds the same energy as sum_j var_j + (exp_j - lambda_j)^2.
+    rep = cert.report
+    assert energy == pytest.approx(
+        sum(var + (e - l) ** 2 for var, e, l in zip(rep.var, rep.exp, lam)), abs=1e-12)
 
 
 def _rotate_eigh(monkeypatch, phase):
@@ -124,21 +128,22 @@ def test_ground_state_phase_is_canonical(monkeypatch, clock_32, phase):
     # Multiplying by -1 or +-i is exact, so the canonical state must come
     # back bit for bit whatever phase the eigensolver picked.
     lam = (0.3, -0.2, 0.1)
-    v0, e0 = ground_state(clock_32, lam)
+    c0 = amu_at(clock_32, lam, 0.5, 0.5)
+    v0 = c0.state
     k = int(np.argmax(np.abs(v0.vector)))
     assert v0.vector[k].imag == 0.0 and v0.vector[k].real > 0.0
     _rotate_eigh(monkeypatch, phase)
-    v1, e1 = ground_state(clock_32, lam)
-    assert v1.vector.tobytes() == v0.vector.tobytes()
-    assert e1 == e0
+    c1 = amu_at(clock_32, lam, 0.5, 0.5)
+    assert c1.state.vector.tobytes() == v0.vector.tobytes()
+    assert c1.report == c0.report
 
 
 def test_ground_state_phase_generic_rotation(monkeypatch, clock_32):
     lam = (0.8, 0.3, -0.1)
     assert not search.uses_band_path(clock_32)
-    v0, _ = ground_state(clock_32, lam)
+    v0 = amu_at(clock_32, lam, 0.5, 0.5).state
     _rotate_eigh(monkeypatch, np.exp(0.7j))
-    v1, _ = ground_state(clock_32, lam)
+    v1 = amu_at(clock_32, lam, 0.5, 0.5).state
     assert np.max(np.abs(v1.vector - v0.vector)) <= 1e-14
 
 
@@ -148,7 +153,8 @@ def test_band_ground_state_phase_is_canonical(monkeypatch, shift_pair_64, phase)
     # +-i, to rounding for a generic phase.
     lam = (0.8, 0.3)
     assert search.uses_band_path(shift_pair_64)
-    v0, e0 = ground_state(shift_pair_64, lam)
+    c0 = amu_at(shift_pair_64, lam, 0.5, 0.5)
+    v0 = c0.state
     k = int(np.argmax(np.abs(v0.vector)))
     assert v0.vector[k].imag == 0.0 and v0.vector[k].real > 0.0
     real = search.band_ground_eigenpairs
@@ -158,9 +164,10 @@ def test_band_ground_state_phase_is_canonical(monkeypatch, shift_pair_64, phase)
         return energies, vectors * phase
 
     monkeypatch.setattr(search, "band_ground_eigenpairs", rotated)
-    v1, e1 = ground_state(shift_pair_64, lam)
+    c1 = amu_at(shift_pair_64, lam, 0.5, 0.5)
+    v1 = c1.state
     if phase in (1j, -1.0, -1j):
-        assert v1.vector.tobytes() == v0.vector.tobytes() and e1 == e0
+        assert v1.vector.tobytes() == v0.vector.tobytes() and c1.report == c0.report
     else:
         assert np.max(np.abs(v1.vector - v0.vector)) <= 1e-14
 
@@ -180,7 +187,7 @@ def test_amu_at_builds_one_localization_operator(monkeypatch, clock_32):
     cases = [(clock_32, (1.0, 0.0, 0.0)), (clock_32, (0.3, -0.2, 0.1)),
              (perturbed, (0.1, -0.3, 0.4))]
     assert not any(search.uses_band_path(tup) for tup, _ in cases)
-    expected = [amu_check(tup, ground_state(tup, lam)[0], lam, 0.5, 0.5)
+    expected = [amu_check(tup, search._ground_states(tup, [lam])[0], lam, 0.5, 0.5)
                 for tup, lam in cases]
     calls = []
     real = search.localization_operator
@@ -219,9 +226,10 @@ def _count_band_solves(monkeypatch):
 
 def test_amu_at_band_path_one_point_one_solve(monkeypatch, shift_pair_64):
     # On the band path a point costs one band solve of one matrix and no
-    # dense Q, and gives amu_check of ground_state's state.
+    # dense Q, and gives amu_check of the ground state.
     points = [(0.8, 0.3), (1.0, 0.0), (0.0, 0.5)]
-    expected = [amu_check(shift_pair_64, ground_state(shift_pair_64, lam)[0], lam, 0.5, 0.5)
+    expected = [amu_check(shift_pair_64, search._ground_states(shift_pair_64, [lam])[0], lam,
+                          0.5, 0.5)
                 for lam in points]
     sizes = _count_band_solves(monkeypatch)
     for lam, want in zip(points, expected):
@@ -264,7 +272,8 @@ def test_band_path_reads_the_wider_band_of_s():
     tup = OperatorTuple(ops, bound=1.0)
     assert tup.half_bandwidth == 2 and search.uses_band_path(tup)
     lam = (0.1, -0.2)
-    v, energy = ground_state(tup, lam)
+    cert = amu_at(tup, lam, 0.5, 0.5)
+    v, energy = cert.state, ground_energy(tup, cert)
     q = dense_localization(tup, lam)
     assert energy == pytest.approx(float(np.linalg.eigvalsh(q)[0]), abs=1e-12)
     assert energy == pytest.approx(float(np.vdot(v.vector, q @ v.vector).real), abs=1e-12)
@@ -292,7 +301,8 @@ def test_band_path_rule(monkeypatch, spec, half_bandwidth, band):
 
 def test_ground_state_picks_minimal_entry():
     tup = diag_tuple([0.0, 1.0, 0.2], [0.5, -0.5, 0.1])
-    v, energy = ground_state(tup, (0.2, 0.1))
+    cert = amu_at(tup, (0.2, 0.1), 0.5, 0.5)
+    v, energy = cert.state, ground_energy(tup, cert)
     assert abs(v.vector[2]) == pytest.approx(1.0, abs=1e-12)
     assert energy == pytest.approx(0.0, abs=1e-15)
 
@@ -303,7 +313,8 @@ def test_ground_energy_dominates_total_variance(seed):
     ops = (random_hermitian(dim, seed=seed), random_hermitian(dim, seed=seed + 500))
     tup = OperatorTuple(ops, bound=1.0)
     lam = (0.1, -0.2)
-    v, energy = ground_state(tup, lam)
+    cert = amu_at(tup, lam, 0.5, 0.5)
+    v, energy = cert.state, ground_energy(tup, cert)
     rep = measure(tup, v)
     # Total variance <= <Q v, v> with equality iff exp(v) == lam.
     assert sum(rep.var) <= energy + 1e-10
@@ -481,8 +492,7 @@ def test_superpose_shift_circle_centroid():
     certs = []
     for th in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
         lam = (float(np.cos(th)), float(np.sin(th)))
-        v, _ = ground_state(tup, lam)
-        certs.append(amu_check(tup, v, lam, 0.3, 0.3))
+        certs.append(amu_at(tup, lam, 0.3, 0.3))
     plan = superpose(tup, certs, (0.0, 0.0))
     assert plan.achieved_distance <= 0.15
     # The nearest-point weights are not unique here (the four points are
@@ -499,8 +509,7 @@ def shift_circle_certs(dim: int):
     certs = []
     for th in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
         lam = (float(np.cos(th)), float(np.sin(th)))
-        v, _ = ground_state(tup, lam)
-        certs.append(amu_check(tup, v, lam, 0.2, 0.2))
+        certs.append(amu_at(tup, lam, 0.2, 0.2))
     return tup, certs
 
 
@@ -533,14 +542,14 @@ def test_superpose_orthonormalizes_slightly_overlapping_sources():
     assert np.abs(gram - np.eye(2)).max() <= 1e-15
 
 
-def test_superpose_plan_json_shape():
+def test_superpose_plan_of_joint_eigenvectors():
     tup = diag_tuple([0.0, 1.0], [0.0, 1.0])
     c0 = amu_check(tup, VectorState(np.array([1.0, 0.0])), (0.0, 0.0), 0.1, 0.1)
     c1 = amu_check(tup, VectorState(np.array([0.0, 1.0])), (1.0, 1.0), 0.1, 0.1)
-    d = superpose(tup, [c0, c1], (0.5, 0.5)).to_json_dict()
-    assert d["target"] == [0.5, 0.5]
-    assert len(d["weights"]) == 2
-    assert len(d["state"]) == 2 * tup.dim
-    assert d["achieved_distance"] <= 1e-10
+    plan = superpose(tup, [c0, c1], (0.5, 0.5))
+    assert plan.target == (0.5, 0.5)
+    assert len(plan.weights) == 2
+    assert plan.state.dim == tup.dim
+    assert plan.achieved_distance <= 1e-10
     # e0 and e1 are eigenvectors of both observables: no cross term.
-    assert d["cross_bound"] == [0.0, 0.0]
+    assert plan.cross_bound == (0.0, 0.0)

@@ -27,7 +27,6 @@ from amu_spectra import (
     generate,
     grid_step_count,
     hausdorff,
-    is_refinement,
     operator_norm,
     scan,
     theta_product,
@@ -100,28 +99,22 @@ def test_default_cap_value():
     assert GRID_POINT_CAP == 2_000_000
 
 
-def test_nearest_rounds_and_clips():
-    g = GridSpec(2, 1.0, 2, 2)
-    assert np.allclose(g.nearest((0.26, -0.9)), [0.5, -1.0])
-    assert np.allclose(g.nearest((7.0, -7.0)), [1.0, -1.0])
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_nearest_rejects_nonfinite_points(value):
-    with pytest.raises(ValueError, match=f"non-finite coordinate 1: {value}"):
-        GridSpec(2, 1.0, 2, 2).nearest((0.5, value))
-
-
 def test_is_refinement_divisibility():
+    # Grids of one n and bound nest exactly when the step counts divide; the
+    # points are the n-fold products of the axis values, so those must nest.
     fine = GridSpec(2, 1.0, 12, 12)
     coarse = GridSpec(2, 1.0, 4, 4)
     incompatible = GridSpec(2, 1.0, 5, 5)
-    assert is_refinement(coarse, fine)
-    assert not is_refinement(fine, coarse)
-    assert not is_refinement(incompatible, fine)
+
+    def nests(a, b):
+        return set(a.axis_values.tolist()) <= set(b.axis_values.tolist())
+
+    assert fine.k % coarse.k == 0 and nests(coarse, fine)
+    assert not nests(fine, coarse)
+    assert fine.k % incompatible.k != 0 and not nests(incompatible, fine)
     # Explicit witness for the non-nesting case: 1/5 is not a 12th.
-    assert 0.2 in GridSpec(1, 1.0, 5, 5).axis_values
-    assert 0.2 not in GridSpec(1, 1.0, 12, 12).axis_values
+    assert 0.2 in incompatible.axis_values
+    assert 0.2 not in fine.axis_values
 
 
 def brute_scan(tup, eta):
@@ -484,19 +477,19 @@ def test_result_json_roundtrip(commuting_16):
     assert d["eta"] == 0.5
     assert d["n"] == 2
     assert d["k"] == res.grid.k
-    back = json.loads(json.dumps(d))
+    back = json.loads(json.dumps(d, default=list))
     assert [(tuple(e["point"]), e["norm"]) for e in back["accepted"]] == list(accepted_entries(res))
     assert back["M"] == res.grid.bound
-    assert back["meta"] == {"slack": res.slack, "grid_points": res.grid.count,
+    assert back["meta"] == {"slack": TOL.accept_slack, "grid_points": res.grid.count,
                             "accepted_count": len(res.accepted)}
 
 
 def test_covers_validates_its_point_and_radius(commuting_16):
     res = scan(commuting_16, 0.5)
-    empty = SyntheticSpectrumResult(0.5, res.grid, np.zeros((0, 2), dtype=np.int32), None, 1e-9)
+    empty = SyntheticSpectrumResult(0.5, res.grid, np.zeros((0, 2), dtype=np.int32), None)
     for result in (res, empty):
         for point in ([0.5], [0.5, 0.5, 0.5]):
-            message = f"point has {len(point)} coordinates, grid has n=2"
+            message = f"point has {len(point)} coordinates, tuple has n=2"
             with pytest.raises(ValueError, match=message):
                 result.covers(point)
         for bad in (math.nan, math.inf, -math.inf):
@@ -522,7 +515,7 @@ def test_result_holds_read_only_grid_indices_and_norms(commuting_16):
                             ([[0, 0, 0]], None),  # n = 3 on an n = 2 grid
                             ([[0, 0]], [1.0, 1.0])):  # a norm too many
         with pytest.raises(ValueError):
-            SyntheticSpectrumResult(0.5, grid, np.array(accepted), norms, 1e-9)
+            SyntheticSpectrumResult(0.5, grid, np.array(accepted), norms)
 
 
 @pytest.mark.parametrize("norms", [True, False])
