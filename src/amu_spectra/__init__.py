@@ -69,7 +69,6 @@ from .models import (
     generate,
     load_tuple,
     save_tuple,
-    write_accepted_csv,
 )
 
 __version__ = "0.1.0"

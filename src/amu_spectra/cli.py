@@ -5,17 +5,16 @@ acceptance scan, ``amu`` certifies states at target points, ``essential``
 estimates behavior at infinity through compression levels.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 resource cap
-exceeded, 4 numerical failure. An output path that names the input or
-the other output is a configuration error, refused before anything is
-read. Thread count defaults to the AMU_SPECTRA_THREADS environment
-variable, and is capped at the cores the process may run on; at one
-thread nothing runs on a worker. Output files contain no
-timestamps or environment data, so reruns are byte-identical.
+exceeded, 4 numerical failure. Each command writes one JSON artifact; an
+output path that names the input is a configuration error, refused before
+anything is read. The thread count comes from ``--threads`` alone,
+defaults to 1 and is capped at the cores the process may run on; at one
+thread nothing runs on a worker. Output files contain no timestamps or
+environment data, so reruns are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -27,7 +26,7 @@ from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
 from .models import (FAMILIES, JsonRows, ModelSpec, _family_params, family_name, generate,
-                     load_tuple, save_tuple, write_accepted_csv, write_json)
+                     load_tuple, save_tuple, write_json)
 from .observables import AmuCertificate, as_point, commutator_profile
 from .search import amu_at, amu_batch, uses_band_path
 from .spectrum import _thread_map, scan
@@ -52,7 +51,7 @@ def _thread_count(raw: str) -> int:
     point. The cores are the process's CPU affinity, or the machine's count
     where the system does not report one.
     """
-    count = _positive_int("--threads or AMU_SPECTRA_THREADS")(raw)
+    count = _positive_int("--threads")(raw)
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -92,16 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     scanning = argparse.ArgumentParser(add_help=False)
     scanning.add_argument("--input", required=True, help="tuple file")
     scanning.add_argument("--grid-cap", type=_positive_int("--grid-cap"), default=GRID_POINT_CAP)
-    # A string default goes through ``type`` too, so one parse checks both.
-    scanning.add_argument("--threads", type=_thread_count,
-                          default=os.environ.get("AMU_SPECTRA_THREADS", "1"),
-                          help="worker threads (default: AMU_SPECTRA_THREADS, else 1), "
-                               "at most the usable cores")
+    scanning.add_argument("--threads", type=_thread_count, default=1,
+                          help="worker threads (default 1), at most the usable cores")
     scanning.add_argument("-o", "--output", required=True, help="JSON result path")
 
     p_spec = sub.add_parser("spectrum", parents=[scanning], help="scan a synthetic spectrum")
     p_spec.add_argument("--eta", type=float, required=True)
-    p_spec.add_argument("--csv", default=None, help="also write accepted points as CSV")
 
     p_amu = sub.add_parser("amu", parents=[scanning], help="certify AMU states at target points")
     p_amu.add_argument("--lambda", dest="lambdas", action="append", required=True,
@@ -116,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="essential-spectrum estimate via compressions")
     p_ess.add_argument("--eta", type=float, required=True)
     p_ess.add_argument("--cuts", required=True, help="comma-separated strictly increasing cuts")
-    p_ess.add_argument("--one-sided", action="store_true",
-                       help="use one-sided tails instead of interior windows")
     return parser
 
 
@@ -164,8 +157,6 @@ def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
     result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
     write_json(result.to_json_dict(), args.output)
-    if args.csv:
-        write_accepted_csv(result, args.csv)
     print(
         f"scanned {result.grid.count} grid points (k={result.grid.k}), "
         f"accepted {len(result.accepted)}"
@@ -229,10 +220,8 @@ def _cmd_amu(args) -> int:
 def _cmd_essential(args) -> int:
     tup, _ = load_tuple(args.input)
     cuts = _parse_list(args.cuts, int, "cuts")
-    estimate = essential_spectrum_estimate(
-        tup, args.eta, cuts, interior=not args.one_sided, cap=args.grid_cap,
-        threads=args.threads,
-    )
+    estimate = essential_spectrum_estimate(tup, args.eta, cuts, cap=args.grid_cap,
+                                           threads=args.threads)
     write_json(estimate.to_json_dict(), args.output)
     for lvl in estimate.levels:
         print(f"cut={lvl.cut} window={lvl.window} accepted={len(lvl.result.accepted)}")
@@ -249,13 +238,9 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_paths(args) -> None:
-    """Refuse an output path that names the input or another output, which it would overwrite."""
-    named = [("--input", args.input), ("-o", args.output)]
-    if getattr(args, "csv", None):
-        named.append(("--csv", args.csv))
-    for (flag, path), (other, other_path) in itertools.combinations(named, 2):
-        if _same_file(path, other_path):
-            raise ValueError(f"{other} {other_path!r} names the same file as {flag} {path!r}")
+    """Refuse an output path that names the input, which it would overwrite."""
+    if _same_file(args.input, args.output):
+        raise ValueError(f"-o {args.output!r} names the same file as --input {args.input!r}")
 
 
 def main(argv=None) -> int:

@@ -26,8 +26,13 @@ class GridCapExceeded(SpectraError):
     """A requested grid would have more points than the configured cap."""
 
     def __init__(self, size: int, cap: int):
+        count = size
+        if isinstance(size, int) and size >= 10**15:
+            from decimal import Decimal  # only here: float() of a count past 1.8e308 overflows
+
+            count = f"{Decimal(size):.2e}"
         super().__init__(
-            f"grid would have {size} points, above the cap {cap}; "
+            f"grid would have {count} points, above the cap {cap}; "
             "use a larger eta (coarser grid) or raise the cap explicitly"
         )
         self.size = size

@@ -5,10 +5,11 @@ first m basis vectors. One-sided tails keep indices m+1..dim; interior
 windows keep m+1..dim-m and avoid the far boundary as well, which matters
 for truncated models whose commutators carry boundary terms at both ends.
 
-``essential_spectrum_estimate`` scans compressed tuples at a fixed
+``essential_spectrum_estimate`` scans interior windows at a fixed
 resolution across increasing cuts and reports the Hausdorff distance
 between the last two accepted sets as the stability of the estimate. The
-estimate is reported as-is and never extrapolated.
+estimate is reported as-is and never extrapolated. One-sided tails serve
+``tail_commutator_decay`` only.
 
 ``amu_sequence`` builds one state per cut, supported in the escaping
 window [m+1, min(2m, dim-m)], and certifies each at the same sigma and
@@ -117,15 +118,25 @@ class EssentialSpectrumEstimate:
     """Accepted sets across compression levels with a stability figure.
 
     ``stability`` is the Hausdorff distance between the accepted sets of
-    the last two levels, or None when either of them is empty.
-    ``stabilized`` is the accepted point set of the deepest level.
+    the last two levels, or None when either of them is empty. The
+    resolution, the cuts and the stabilized set are read from the levels.
     """
 
-    eta: float
-    cuts: tuple[int, ...]
     levels: tuple[EssentialLevel, ...]
-    stabilized: np.ndarray
     stability: float | None
+
+    @property
+    def eta(self) -> float:
+        return float(self.levels[0].result.eta)
+
+    @property
+    def cuts(self) -> tuple[int, ...]:
+        return tuple(lvl.cut for lvl in self.levels)
+
+    @property
+    def stabilized(self) -> np.ndarray:
+        """The accepted point set of the deepest level."""
+        return self.levels[-1].result.accepted_points()
 
     def to_json_dict(self) -> dict:
         """This estimate as JSON data; ``stabilized`` and each level's ``accepted`` stream."""
@@ -150,15 +161,13 @@ def essential_spectrum_estimate(
     eta: float,
     cuts,
     *,
-    interior: bool = True,
     cap: int = GRID_POINT_CAP,
     threads: int = 1,
 ) -> EssentialSpectrumEstimate:
-    """Scan compressed tuples across increasing cuts at one resolution.
+    """Scan interior windows [m, dim - m) across increasing cuts m at one resolution.
 
     ``cuts`` must be strictly increasing and leave at least two dimensions
-    at the deepest level. Interior windows are the default model of
-    behavior away from the boundary. Empty accepted sets are recorded, not
+    at the deepest level. Empty accepted sets are recorded, not
     fatal; stability is then None. Every level scans at the step count k
     the resolution rule fixes for its tuple; stop refining when stability
     reaches the grid pitch 1/k. The estimate never extrapolates beyond its
@@ -170,7 +179,7 @@ def essential_spectrum_estimate(
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts must be strictly increasing, got {cuts}")
     # Every window is checked before the first scan runs.
-    windows = [_window(tup.dim, m, interior) for m in cuts]
+    windows = [_window(tup.dim, m, interior=True) for m in cuts]
     levels = [EssentialLevel(cut=m, window=window,
                              result=scan(_compress(tup, window), eta, cap=cap, threads=threads))
               for m, window in zip(cuts, windows)]
@@ -179,13 +188,7 @@ def essential_spectrum_estimate(
     stability = None
     if last.shape[0] > 0 and prev.shape[0] > 0:
         stability = hausdorff(last, prev)
-    return EssentialSpectrumEstimate(
-        eta=float(eta),
-        cuts=tuple(cuts),
-        levels=tuple(levels),
-        stabilized=last,
-        stability=stability,
-    )
+    return EssentialSpectrumEstimate(levels=tuple(levels), stability=stability)
 
 
 def escape_window(dim: int, m: int) -> tuple[int, int]:

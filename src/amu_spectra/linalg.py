@@ -577,6 +577,12 @@ def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2))), 2 * exp)
 
 
+# Gram traces above this, or nonzero below its inverse, are rescaled before
+# they are squared again; ``search.amu_batch`` refuses points whose |lambda|^2,
+# Q(lambda)'s diagonal shift, lies above it.
+_SQUARE_RANGE = 2.0**500
+
+
 def _gram_stack(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray]:
     """The size×size Gram matrix on the smaller side of every matrix of ``stacks``, in one buffer.
 
@@ -593,7 +599,7 @@ def _gram_stack(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, np.nda
         for s, lo, hi in zip(stacks, bounds, bounds[1:]):
             _gram(s, out=gram[lo:hi])
         trace = np.trace(gram, axis1=1, axis2=2).real
-        outside = ~((trace >= 2.0**-500) & (trace <= 2.0**500))
+        outside = ~((trace >= 1.0 / _SQUARE_RANGE) & (trace <= _SQUARE_RANGE))
     for s, lo, hi in zip(stacks, bounds, bounds[1:]):
         if (pick := np.flatnonzero(outside[lo:hi])).size:
             top = np.abs(s[pick].view(np.float64)).max(axis=(1, 2))  # real and imaginary parts

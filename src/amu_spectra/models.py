@@ -58,7 +58,6 @@ __all__ = [
     "save_tuple",
     "load_tuple",
     "JsonRows",
-    "write_accepted_csv",
     "write_json",
 ]
 
@@ -275,11 +274,16 @@ def _json_fields(path: str) -> tuple:
     Each operator's ``re`` and ``im`` become one complex array here. The
     decoded document, which holds every entry as a Python float, several
     times the memory of the arrays, is freed on return, before
-    ``load_tuple`` checks the operators.
+    ``load_tuple`` checks the operators. NaN, Infinity and -Infinity,
+    which ``json`` reads but strict JSON lacks, are refused wherever they
+    stand, meta included, so a tuple saved back is strict JSON too.
     """
+    def refuse(constant: str):
+        raise TupleFormatError(f"{path}: {constant} is not a JSON number")
+
     with open(path, "rb") as fh:
         try:
-            d = json.loads(fh.read().decode("utf-8"))
+            d = json.loads(fh.read().decode("utf-8"), parse_constant=refuse)
         except UnicodeDecodeError as exc:
             raise TupleFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -489,21 +493,3 @@ def _template(entry, newline: str) -> tuple[str, int]:
     _write_value(pieces.append, skeleton(entry), newline)
     text = "".join(pieces)
     return text.replace("%", "%%").replace("\0", "%s"), text.count("\0")
-
-
-def write_accepted_csv(result, path: str) -> None:
-    """Accepted spectrum points as CSV: coord_1..coord_n, theta_norm.
-
-    Each row holds the reprs of a point's coordinates and norm, as its JSON
-    entry does. Rows are formatted and written ``_CHUNK`` at a time, so
-    memory does not grow with the number of points. A result without norms
-    raises ValueError before the file is opened.
-    """
-    if result.norms is None:
-        raise ValueError("a CSV needs the norm of every accepted point; "
-                         "a scan(..., norms=False) result has none")
-    header = ",".join(f"coord_{j + 1}" for j in range(result.grid.n)) + ",theta_norm"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(result.accepted), _CHUNK):
-            fh.write("".join(",".join(row) + "\n" for row in result._texts(lo, lo + _CHUNK)))

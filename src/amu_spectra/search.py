@@ -38,8 +38,8 @@ import numpy as np
 
 from .constants import TOL
 from .errors import DimensionMismatch, HullDistanceError, NumericalError
-from .linalg import (HermitianMatrix, band_ground_eigenpairs, gram_schmidt, ground_eigenpair,
-                     lower_band)
+from .linalg import (_SQUARE_RANGE, HermitianMatrix, band_ground_eigenpairs, gram_schmidt,
+                     ground_eigenpair, lower_band)
 from .observables import (
     AmuCertificate,
     MeasurementReport,
@@ -164,8 +164,16 @@ def amu_batch(tup: OperatorTuple, points, sigma: float, eps: float) -> list[AmuC
     point (a single band solve for all of them where ``uses_band_path``
     holds), then ``amu_check`` of that state at (lambda, sigma, eps). A
     point's certificate is bit for bit the same alone as in any batch.
+
+    Before any solve, a point whose |lambda|^2, the diagonal shift of
+    Q(lambda), lies above 2^500 raises ValueError naming it: past that the
+    solvers' squares leave the float range (points beyond about 1.8e75).
     """
     lams = [as_point(p, tup.n) for p in points]
+    for lam in lams:
+        if sum(l * l for l in lam) > _SQUARE_RANGE:
+            raise ValueError(f"lambda {lam} lies too far out: |lambda|^2 is above 2^500, "
+                             "past which Q(lambda) cannot be solved in floating point")
     states = _ground_states(tup, lams)
     return [amu_check(tup, state, lam, sigma, eps) for state, lam in zip(states, lams)]
 

@@ -190,14 +190,24 @@ class SyntheticSpectrumResult:
         """This result as JSON data; ``accepted`` is a ``JsonRows``.
 
         Each entry is made only when ``write_json`` reads it, and the writer
-        gets the text of every entry's numbers (see ``_texts``), so a chunk of
-        entries is formatted in one pass. A chunk with a non-finite norm,
-        which JSON spells otherwise, is written value by value.
+        gets the text of every entry's numbers, so a chunk of entries is
+        formatted in one pass: a tuple per entry, the repr of each coordinate,
+        then of its norm, or "null" for each in a result without norms. Each
+        coordinate's text is looked up by its grid index, so no coordinate is
+        formatted twice. A chunk with a non-finite norm, which JSON spells
+        otherwise, is written value by value.
         """
         def texts(rows: range):
-            if self.norms is not None and not np.isfinite(self.norms[rows.start:rows.stop]).all():
+            lo, hi = rows.start, rows.stop
+            cells = map(self.grid._axis_texts.__getitem__,
+                        (self.accepted[lo:hi] + self.grid.half).ravel().tolist())
+            if self.norms is None:
+                norms = ["null"] * len(rows)
+            elif np.isfinite(self.norms[lo:hi]).all():
+                norms = map(float.__repr__, self.norms[lo:hi].tolist())
+            else:
                 raise TypeError("norm is not finite")
-            return self._texts(rows.start, rows.stop)
+            return zip(*[cells] * self.grid.n, norms)
 
         return {
             "eta": self.eta,
@@ -215,20 +225,6 @@ class SyntheticSpectrumResult:
     def _entry(self, i: int) -> dict:
         point = self.grid.axis_values[self.accepted[i] + self.grid.half].tolist()
         return {"point": point, "norm": None if self.norms is None else float(self.norms[i])}
-
-    def _texts(self, lo: int, hi: int):
-        """A tuple per accepted point lo..hi-1: the repr of each coordinate, then of its norm.
-
-        A result without norms gives "null" for each. Each coordinate's text
-        is looked up by its grid index, so no coordinate is formatted twice.
-        """
-        rows = self.accepted[lo:hi]
-        cells = map(self.grid._axis_texts.__getitem__, (rows + self.grid.half).ravel().tolist())
-        if self.norms is None:
-            norms = ["null"] * len(rows)
-        else:
-            norms = map(float.__repr__, self.norms[lo:hi].tolist())
-        return zip(*[cells] * self.grid.n, norms)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ with wall clocks.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -244,12 +243,9 @@ def test_criterion_7_hausdorff_metric_axioms():
 
 
 def run_cli(*args, threads: str) -> bytes:
-    env = dict(os.environ)
-    env["AMU_SPECTRA_THREADS"] = threads
     proc = subprocess.run(
-        [sys.executable, "-m", "amu_spectra.cli", *args],
+        [sys.executable, "-m", "amu_spectra.cli", *args, "--threads", threads],
         capture_output=True,
-        env=env,
         cwd=str(REPO_ROOT),
     )
     assert proc.returncode == 0, proc.stderr.decode()
@@ -266,12 +262,8 @@ def test_criterion_8_cli_determinism(tmp_path):
     amu_bytes = {}
     for threads in ("1", "4"):
         out = tmp_path / f"spec_{threads}.json"
-        csv = tmp_path / f"spec_{threads}.csv"
-        run_cli(
-            "spectrum", "--input", str(src), "--eta", "0.5",
-            "-o", str(out), "--csv", str(csv), threads=threads,
-        )
-        spectrum_bytes[threads] = out.read_bytes() + csv.read_bytes()
+        run_cli("spectrum", "--input", str(src), "--eta", "0.5", "-o", str(out), threads=threads)
+        spectrum_bytes[threads] = out.read_bytes()
         out_amu = tmp_path / f"amu_{threads}.json"
         run_cli(
             "amu", "--input", str(src), "--lambda", "all-accepted",

@@ -143,20 +143,19 @@ def test_models_gen_seed_defaults_to_zero(tmp_path, shift_file):
 
 
 def test_spectrum_json_and_csv(tmp_path, shift_file):
+    # The JSON artifact holds every accepted point and norm; there is no CSV.
     out = tmp_path / "spec.json"
-    csv = tmp_path / "spec.csv"
-    proc = run_cli(
-        "spectrum", "--input", str(shift_file), "--eta", "0.5",
-        "-o", str(out), "--csv", str(csv),
-    )
+    proc = run_cli("spectrum", "--input", str(shift_file), "--eta", "0.5", "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     assert payload["eta"] == 0.5
     assert payload["k"] == 12
     assert len(payload["accepted"]) == 544
-    lines = csv.read_text().splitlines()
-    assert lines[0] == "coord_1,coord_2,theta_norm"
-    assert len(lines) == 545
+    csv = tmp_path / "spec.csv"
+    proc = run_cli("spectrum", "--input", str(shift_file), "--eta", "0.5",
+                   "-o", str(tmp_path / "again.json"), "--csv", str(csv))
+    assert proc.returncode == 2 and "unrecognized arguments: --csv" in proc.stderr
+    assert not csv.exists() and not (tmp_path / "again.json").exists()
 
 
 def test_spectrum_deterministic_across_threads(tmp_path, shift_file):
@@ -172,26 +171,12 @@ def test_spectrum_deterministic_across_threads(tmp_path, shift_file):
     assert outputs[0] == outputs[1]
 
 
-def test_spectrum_thread_env_default(tmp_path, shift_file):
-    out = tmp_path / "spec_env.json"
-    proc = run_cli(
-        "spectrum", "--input", str(shift_file), "--eta", "0.5", "-o", str(out),
-        env_extra={"AMU_SPECTRA_THREADS": "3"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    ref = tmp_path / "spec_ref.json"
-    assert run_cli(
-        "spectrum", "--input", str(shift_file), "--eta", "0.5", "-o", str(ref)
-    ).returncode == 0
-    assert out.read_bytes() == ref.read_bytes()
-
-
 def test_thread_count_must_be_positive_integer(tmp_path, shift_file):
     args = ("spectrum", "--input", str(shift_file), "--eta", "0.5", "-o", str(tmp_path / "x.json"))
-    for proc in (run_cli(*args, env_extra={"AMU_SPECTRA_THREADS": "abc"}),
-                 run_cli(*args, "--threads", "0")):
+    for threads in ("abc", "0"):
+        proc = run_cli(*args, "--threads", threads)
         assert proc.returncode == 2
-        assert "--threads" in proc.stderr and "AMU_SPECTRA_THREADS" in proc.stderr
+        assert f"{threads!r} is not a positive integer (from --threads)" in proc.stderr
         assert "Traceback" not in proc.stderr
     assert not (tmp_path / "x.json").exists()
 
@@ -213,18 +198,36 @@ def test_spectrum_grid_cap_exit_code(tmp_path, shift_file):
     )
     assert proc.returncode == 3
     assert "cap" in proc.stderr.lower()
-    # Grids whose step count or half-width is beyond float range, and the
-    # 625-point scan of ``amu --lambda all-accepted``, which bounds its eigensolves.
+    # Grids whose step count or half-width is beyond float range, one of a
+    # 603-digit count, which the message abbreviates, and the 625-point scan
+    # of ``amu --lambda all-accepted``, which bounds its eigensolves.
     huge_m = tmp_path / "huge_m.json"
     huge_m.write_text(shift_file.read_text().replace('"M": 1.0', '"M": 1e300'))
     for args in (["spectrum", "--input", str(shift_file), "--eta", "1e-320"],
+                 ["spectrum", "--input", str(shift_file), "--eta", "1e-300"],
                  ["spectrum", "--input", str(huge_m), "--eta", "0.5"],
                  ["essential", "--input", str(huge_m), "--eta", "0.5", "--cuts", "8,16"],
                  ["amu", "--input", str(shift_file), "--lambda", "all-accepted", "--eta", "0.5",
                   "--sigma", "0.35", "--eps", "0.35", "--grid-cap", "100"]):
         proc = run_cli(*args, "-o", str(tmp_path / "never.json"))
         assert proc.returncode == 3, proc.stderr
-        assert "cap" in proc.stderr.lower() and "Traceback" not in proc.stderr
+        assert "points, above the cap" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 200
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [32, 64], ids=["dense", "band"])
+def test_amu_refuses_points_too_far_out(tmp_path, capsys, dim):
+    # Before this check a band solve turned to nan near 1e90, a dense one
+    # overflowed near 1e150, and 1e160 gave Q(lambda) non-finite entries.
+    src = tmp_path / f"shift{dim}.json"
+    save_tuple(generate(ModelSpec("shift_pair", dim)), src)
+    for far in ("1e90", "1e150", "1e160"):
+        argv = ["amu", "--input", str(src), "--lambda", f"{far},0", "--sigma", "0.35",
+                "--eps", "0.35", "-o", str(tmp_path / "never.json")]
+        assert cli.main(argv) == 2
+        assert f"error: lambda ({float(far)!r}, 0.0) lies too far out" in capsys.readouterr().err
     assert not (tmp_path / "never.json").exists()
 
 
@@ -307,11 +310,16 @@ def test_malformed_tuple_file_exit_code(tmp_path):
     infinite_m, huge_entry = tmp_path / "infinite_m.json", tmp_path / "huge_entry.json"
     save_tuple(generate(ModelSpec("shift_pair", 4)), infinite_m)
     text = infinite_m.read_text()
-    infinite_m.write_text(text.replace('"M": 1.0', '"M": Infinity'))
+    # 1e400 parses as infinity; the constant Infinity is not JSON at all.
+    infinite_m.write_text(text.replace('"M": 1.0', '"M": 1e400'))
+    constant_m = tmp_path / "constant_m.json"
+    constant_m.write_text(text.replace('"M": 1.0', '"M": Infinity'))
     # An integer beyond the float range, where 1e400 would parse as infinity.
     huge_entry.write_text(text.replace("0.0", "1" + "0" * 400, 1))
     for path, message in ((no_im, "operator 0"), (vector_n, "n and dim must be integers"),
-                          (infinite_m, "positive and finite"), (huge_entry, "operator 0")):
+                          (infinite_m, "positive and finite"),
+                          (constant_m, "Infinity is not a JSON number"),
+                          (huge_entry, "operator 0")):
         proc = run_cli(
             "spectrum", "--input", str(path), "--eta", "0.5", "-o", str(tmp_path / "out.json"),
         )
@@ -419,19 +427,26 @@ def test_essential_command(tmp_path, shift_file):
     assert "stability" in proc.stdout
 
 
-def test_essential_one_sided_levels_rescan_their_tails(tmp_path, shift_file):
-    out = tmp_path / "one_sided.json"
+def test_essential_levels_rescan_their_interior_windows(tmp_path, shift_file, capsys):
+    out = tmp_path / "essential.json"
     assert cli.main(["essential", "--input", str(shift_file), "--eta", "0.5", "--cuts", "8,16",
-                     "--one-sided", "-o", str(out)]) == 0
+                     "-o", str(out)]) == 0
     tup, _ = load_tuple(shift_file)
     levels = json.loads(out.read_text())["levels"]
     assert [lvl["cut"] for lvl in levels] == [8, 16]
     for lvl in levels:
         m = lvl["cut"]
-        assert lvl["window"] == [m, tup.dim]
-        ref = scan(_compress(tup, (m, tup.dim)), 0.5)
+        assert lvl["window"] == [m, tup.dim - m]
+        ref = scan(_compress(tup, (m, tup.dim - m)), 0.5)
         assert [(tuple(a["point"]), a["norm"]) for a in lvl["spectrum"]["accepted"]] == [
             (tuple(p), nrm) for p, nrm in accepted_entries(ref)]
+    # Every estimate uses interior windows; one-sided tails are not an option.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["essential", "--input", str(shift_file), "--eta", "0.5", "--cuts", "8,16",
+                  "--one-sided", "-o", str(tmp_path / "one_sided.json")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --one-sided" in capsys.readouterr().err
+    assert not (tmp_path / "one_sided.json").exists()
 
 
 def test_essential_rejects_single_cut(tmp_path, shift_file):
@@ -576,13 +591,12 @@ def test_threads_are_capped_at_the_usable_cores(tmp_path, monkeypatch):
             "--sigma", "0.35", "--eps", "0.35", "-o", str(tmp_path / "amu.json")]
     assert cli.main([*argv, "--threads", "5000"]) == 0
     assert cli.main([*argv, "--threads", "2"]) == 0
-    monkeypatch.setenv("AMU_SPECTRA_THREADS", "5000")
-    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0  # one thread by default, which runs inline
     # Where the system reports no affinity, the machine's core count caps.
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert cli.main(argv) == 0
-    assert workers == [3, 2, 3, 4]
+    assert cli.main([*argv, "--threads", "5000"]) == 0
+    assert workers == [3, 2, 4]
 
 
 @pytest.mark.parametrize("command", [
@@ -627,21 +641,20 @@ def test_one_thread_runs_inline_and_two_map_through_the_pool(tmp_path, monkeypat
     assert artifacts[0] == artifacts[1]
 
 
-@pytest.mark.parametrize("case", ["spectrum-csv-is-output", "amu-output-is-input",
-                                  "essential-output-is-input", "spectrum-csv-is-input"])
+@pytest.mark.parametrize("case", ["spectrum-output-is-input", "amu-output-is-input",
+                                  "essential-output-is-input"])
 def test_outputs_that_name_the_input_or_each_other_exit_2(tmp_path, shift_file, case):
     # Before anything is loaded or written: the tuple file stays as it was.
     src = tmp_path / "shift64.json"
     src.write_bytes(shift_file.read_bytes())
     out = tmp_path / "out.json"
     argv = {
-        "spectrum-csv-is-output": ["spectrum", "--eta", "0.5", "-o", str(out), "--csv",
-                                   str(tmp_path / "." / "out.json")],
+        "spectrum-output-is-input": ["spectrum", "--eta", "0.5",
+                                     "-o", str(tmp_path / "." / "shift64.json")],
         "amu-output-is-input": ["amu", "--lambda", "1.0,0.0", "--sigma", "0.2", "--eps", "0.2",
                                 "-o", str(src)],
         "essential-output-is-input": ["essential", "--eta", "0.5", "--cuts", "8,16",
                                       "-o", os.path.relpath(src)],
-        "spectrum-csv-is-input": ["spectrum", "--eta", "0.5", "-o", str(out), "--csv", str(src)],
     }[case]
     proc = run_cli(argv[0], "--input", str(src), *argv[1:])
     assert proc.returncode == 2

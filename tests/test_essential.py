@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from amu_spectra import (
+    EssentialSpectrumEstimate,
     ModelSpec,
     OperatorTuple,
     amu_sequence,
@@ -142,6 +143,23 @@ def test_essential_estimate_json_shape():
     assert d["cuts"] == [16, 32]
     assert len(d["levels"]) == 2
     assert d["stability"] == est.stability
+
+
+def test_essential_estimate_reads_its_facts_from_its_levels():
+    # The resolution, the cuts and the stabilized set are stored once, in the
+    # levels, so an estimate cannot disagree with them.
+    est = essential_spectrum_estimate(generate(ModelSpec("shift_pair", 48)), np.float64(0.5),
+                                      (np.int64(4), 8))
+    assert type(est.eta) is float and est.eta == est.levels[0].result.eta == 0.5
+    assert est.cuts == (4, 8) == tuple(lvl.cut for lvl in est.levels)
+    assert len(est.stabilized) > 0
+    assert np.array_equal(est.stabilized, est.levels[-1].result.accepted_points())
+    for name in ("eta", "cuts", "stabilized"):
+        with pytest.raises(AttributeError):
+            setattr(est, name, None)
+    with pytest.raises(TypeError):
+        EssentialSpectrumEstimate(eta=0.5, cuts=(4, 8), levels=est.levels,
+                                  stabilized=est.stabilized, stability=est.stability)
 
 
 def test_amu_sequence_sharpens_along_cuts():

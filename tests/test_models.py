@@ -20,12 +20,10 @@ from amu_spectra import (
     generate,
     load_tuple,
     save_tuple,
-    write_accepted_csv,
 )
 from amu_spectra.models import (FAMILIES, JsonRows, family_name, splitmix64, uniform_doubles,
                                 write_json)
 from amu_spectra.spectrum import GridSpec, SyntheticSpectrumResult
-from conftest import accepted_entries
 
 
 def test_splitmix64_reference_vector():
@@ -289,6 +287,10 @@ def _tuple_text(**fields) -> str:
         ("zero_meta.json", _tuple_text(meta=0)),
         ("empty_string_meta.json", _tuple_text(meta="")),
         ("null_meta.json", _tuple_text(meta=None)),
+        # Non-finite constants: json reads them, strict JSON has none.
+        ("constant_in_meta_value.json", _tuple_text(meta={"note": math.nan, "x": math.inf})),
+        ("constant_in_re.json", _tuple_text(ops=[{"re": [[0.0, -math.inf], [-math.inf, 0.0]],
+                                                  "im": _SQUARE}])),
         # Archives in the former npz layout: they are not JSON, and are refused.
         ("old_no_ops.npz", {key: _NPZ[key] for key in ("n", "dim", "M")}),
         ("old_bool_n.npz", {**_NPZ, "n": np.array(True)}),
@@ -299,7 +301,7 @@ def _tuple_text(**fields) -> str:
          "m-overflows-float", "not-utf8", "infinite-m", "re-im-shapes-differ", "bool-n",
          "bool-dim", "bool-m", "vector-n", "string-m", "ops-not-a-list", "entry-overflows-float",
          "string-entries", "bool-entries", "meta-not-object", "meta-empty-list", "meta-zero",
-         "meta-empty-string", "meta-null", "npz-without-ops", "npz-bool-n", "npz-bool-dim",
+         "meta-empty-string", "meta-null", "meta-nan", "re-minus-infinity", "npz-without-ops", "npz-bool-n", "npz-bool-dim",
          "npz-bool-m"],
 )
 def test_load_rejects_malformed_files(tmp_path, name, content):
@@ -319,23 +321,9 @@ def test_load_rejects_malformed_files(tmp_path, name, content):
         assert "not booleans" in str(info.value)
     if name.endswith("_entry.json"):
         assert "operator 0" in str(info.value)
-
-
-def test_csv_output_is_stable(tmp_path):
-    # Grid indices m of the points (0.5, -0.25) and (1.0, 0.0) at k = 4.
-    result = SyntheticSpectrumResult(
-        eta=0.5,
-        grid=GridSpec(2, 1.0, 4, 4),
-        accepted=np.array([[2, -1], [4, 0]]),
-        norms=np.array([0.9375, 1.0]),
-    )
-    path = tmp_path / "accepted.csv"
-    write_accepted_csv(result, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "coord_1,coord_2,theta_norm"
-    assert text.splitlines()[1] == "0.5,-0.25,0.9375"
-    write_accepted_csv(result, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_text() == text
+    if name.startswith("constant_"):
+        assert str(info.value).endswith(("NaN is not a JSON number",
+                                         "-Infinity is not a JSON number"))
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
@@ -416,17 +404,6 @@ def _grid_result(count: int) -> SyntheticSpectrumResult:
     return SyntheticSpectrumResult(0.5, grid, np.array(list(points)), np.array(norms))
 
 
-def test_write_accepted_csv_streams(tmp_path):
-    result = _grid_result(30_000)
-    path = tmp_path / "accepted.csv"
-    peak = _traced_peak(lambda: write_accepted_csv(result, path))
-    lines = path.read_text().splitlines()
-    assert lines[1:] == [",".join(map(repr, p)) + f",{nrm!r}"
-                         for p, nrm in accepted_entries(result)]
-    assert path.stat().st_size >= 1_000_000
-    assert peak < 500_000
-
-
 def test_writing_a_lazy_spectrum_result_takes_memory_independent_of_its_size(tmp_path):
     # Eight times the entries may not cost more memory: a chunk at a time.
     peaks = []
@@ -485,14 +462,6 @@ def test_lazy_spectrum_result_without_norms_is_written_from_its_template(tmp_pat
     # The 729 entries fill three chunks; only the first entry, read for the
     # template, is made, so no chunk is written value by value.
     assert len(result.accepted) > 2 * 256 and made == [0]
-
-
-def test_write_accepted_csv_refuses_a_result_without_norms(tmp_path):
-    result = SyntheticSpectrumResult(0.5, _GRID3, np.array([[2, 2, 2]]), None)
-    path = tmp_path / "accepted.csv"
-    with pytest.raises(ValueError, match=r"scan\(\.\.\., norms=False\)"):
-        write_accepted_csv(result, path)
-    assert not path.exists()
 
 
 def test_json_rows_are_a_read_only_sequence_made_on_read(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -238,6 +239,21 @@ def test_amu_at_band_path_one_point_one_solve(monkeypatch, shift_pair_64):
         assert sizes == [1]
         assert cert.state.vector.tobytes() == want.state.vector.tobytes()
         assert cert.report == want.report
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_amu_batch_refuses_points_past_the_solvers_range(monkeypatch, shift_pair_64, clock_32):
+    # |lambda|^2 is Q(lambda)'s diagonal shift; above 2^500 the solvers'
+    # squares leave the float range, so the whole batch is refused first.
+    edge = 2.0**250
+    for tup in (shift_pair_64, clock_32):
+        near = (edge,) + (0.0,) * (tup.n - 1)
+        assert amu_at(tup, near, 0.35, 0.35).lam == near
+        far = (edge * (1 + 2**-52),) + (0.0,) * (tup.n - 1)
+        monkeypatch.setattr(search, "_ground_states", None)  # no solve may run
+        with pytest.raises(ValueError, match=re.escape(f"lambda {far} lies too far out")):
+            amu_batch(tup, [(0.5,) * tup.n, far], 0.35, 0.35)
+        monkeypatch.undo()
 
 
 def test_amu_batch_equals_amu_at_point_by_point(monkeypatch, shift_pair_64, clock_32):

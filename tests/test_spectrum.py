@@ -78,6 +78,12 @@ def test_build_grid_respects_cap():
         build_grid(3, 1.0, 0.1, cap=1000)
     assert info.value.size == 141**3
     assert info.value.cap == 1000
+    # A count past float range keeps its exact size; the message gives its
+    # leading digits, not all 603 of them.
+    with pytest.raises(GridCapExceeded) as info:
+        build_grid(2, 1.0, 1e-300)
+    assert len(str(info.value.size)) == 603
+    assert "grid would have 1.28e+602 points, above the cap 2000000" in str(info.value)
 
 
 def test_build_grid_beyond_float_range():
