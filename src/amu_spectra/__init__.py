@@ -3,7 +3,7 @@
 Numerics for n-tuples of Hermitian matrices: ordered bump products and
 their acceptance scans, AMU state search via the ground states of
 localization operators, superpositions aimed at convex targets, and
-essential-spectrum estimates through tail compressions.
+essential-spectrum estimates through interior-window compressions.
 """
 from .constants import GRID_POINT_CAP, TOL, Tolerances
 from .errors import (
@@ -61,7 +61,6 @@ from .essential import (
     amu_sequence,
     escape_window,
     essential_spectrum_estimate,
-    tail_commutator_decay,
 )
 from .models import (
     FAMILIES,

@@ -28,7 +28,7 @@ from .essential import essential_spectrum_estimate
 from .models import (FAMILIES, JsonRows, ModelSpec, _family_params, family_name, generate,
                      load_tuple, save_tuple, write_json)
 from .observables import AmuCertificate, as_point, commutator_profile
-from .search import amu_at, amu_batch, uses_band_path
+from .search import _solvable_point, amu_at, amu_batch, uses_band_path
 from .spectrum import _thread_map, scan
 
 __all__ = ["main", "build_parser"]
@@ -164,6 +164,27 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _certificate_texts(certs):
+    """The JSON text of each certificate's scalars, in ``AmuCertificate.to_json_dict`` order.
+
+    Numbers are ``float.__repr__`` and flags ``true`` or ``false``, as
+    ``write_json`` writes them. A certificate holding a value that is not
+    finite, which JSON spells otherwise, raises TypeError, so its chunk is
+    written value by value.
+    """
+    for cert in certs:
+        report = cert.report
+        values = (*cert.lam, cert.sigma, cert.eps, *report.exp, *report.var, *report.sd,
+                  *cert.state.to_json_list())
+        if not math.isfinite(sum(values)):
+            raise TypeError("a certificate value is not finite")
+        texts = tuple(map(float.__repr__, values))
+        flags = tuple("true" if flag else "false"
+                      for flag in (cert.amu_member, cert.expectation_close))
+        k = len(cert.lam) + 2
+        yield texts[:k] + flags + texts[k:]
+
+
 def _cmd_amu(args) -> int:
     # Before any scan or eigensolve; an infinite sigma would also not be JSON.
     if not (0.0 < args.sigma < math.inf and 0.0 < args.eps < math.inf):
@@ -184,6 +205,8 @@ def _cmd_amu(args) -> int:
                      "accepted_count": len(result.accepted)}
     else:
         points = [_parse_point(raw, tup.n) for raw in args.lambdas]
+    for point in points:  # every point is checked before the first solve
+        _solvable_point(point, tup.n)
 
     if uses_band_path(tup):
         certs = amu_batch(tup, points, args.sigma, args.eps)
@@ -208,7 +231,7 @@ def _cmd_amu(args) -> int:
     payload = {
         "sigma": args.sigma,
         "eps": args.eps,
-        "certificates": JsonRows(certs, AmuCertificate.to_json_dict),
+        "certificates": JsonRows(certs, AmuCertificate.to_json_dict, _certificate_texts),
     }
     if scan_meta is not None:
         payload["scan"] = scan_meta

@@ -1,15 +1,14 @@
-"""Finite models of behavior at infinity: compressions, decay, state sequences.
+"""Finite models of behavior at infinity: compressions and state sequences.
 
-For a tuple on C^dim with basis u_1, ..., u_dim, the cut at m drops the
-first m basis vectors. One-sided tails keep indices m+1..dim; interior
-windows keep m+1..dim-m and avoid the far boundary as well, which matters
-for truncated models whose commutators carry boundary terms at both ends.
+For a tuple on C^dim with basis u_1, ..., u_dim, the cut at m keeps the
+interior window of indices m+1..dim-m: it drops the first m basis vectors
+and as many at the far end, which matters for truncated models whose
+commutators carry boundary terms at both ends.
 
 ``essential_spectrum_estimate`` scans interior windows at a fixed
 resolution across increasing cuts and reports the Hausdorff distance
 between the last two accepted sets as the stability of the estimate. The
-estimate is reported as-is and never extrapolated. One-sided tails serve
-``tail_commutator_decay`` only.
+estimate is reported as-is and never extrapolated.
 
 ``amu_sequence`` builds one state per cut, supported in the escaping
 window [m+1, min(2m, dim-m)], and certifies each at the same sigma and
@@ -25,17 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GRID_POINT_CAP
-from .linalg import operator_norm
 from .models import JsonRows
-from .observables import (AmuCertificate, OperatorTuple, VectorState, _commutators, amu_check,
-                          as_point)
+from .observables import AmuCertificate, OperatorTuple, VectorState, amu_check, as_point
 from .search import _ground_states
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
 
 __all__ = [
     "EssentialLevel",
     "EssentialSpectrumEstimate",
-    "tail_commutator_decay",
     "essential_spectrum_estimate",
     "amu_sequence",
     "escape_window",
@@ -52,18 +48,14 @@ def _cut(m) -> int:
     raise ValueError(f"cut {m!r} is not an integer")
 
 
-def _window(dim: int, m: int, interior: bool) -> tuple[int, int]:
-    """The window [m, hi) left by the cut at ``m``, at least two indices wide.
-
-    One-sided tails keep hi = dim; interior windows trim as much from the
-    far end, hi = dim - m.
-    """
+def _window(dim: int, m: int) -> tuple[int, int]:
+    """The interior window [m, dim - m) left by the cut at ``m``, at least two indices wide."""
     m = _cut(m)
     if m < 0:
         raise ValueError(f"cut {m} is negative")
     if m >= dim:
         raise ValueError(f"cut {m} must be below dim {dim}")
-    hi = dim - m if interior else dim
+    hi = dim - m
     if hi - m < 2:
         raise ValueError(f"cut {m} leaves a window of size {hi - m}; need at least 2")
     return m, hi
@@ -77,31 +69,6 @@ def _compress(tup: OperatorTuple, window: tuple[int, int]) -> OperatorTuple:
     """
     lo, hi = window
     return OperatorTuple([op.array[lo:hi, lo:hi] for op in tup.ops], bound=tup.bound)
-
-
-def tail_commutator_decay(
-    tup: OperatorTuple,
-    cuts,
-    interior: bool = False,
-) -> list[tuple[int, float]]:
-    """Worst commutator norm surviving each cut.
-
-    One-sided (default): max over pairs of ||[T_i, T_j] (1 - p_m)||, the
-    commutator with its first m columns removed. Interior: the commutator
-    compressed to the window from both sides, which also removes
-    far-boundary terms of truncated models. Each cut must leave a window
-    of at least two indices. Values are reported per cut; a nonincreasing
-    trend is expected but not enforced.
-    """
-    windows = [_window(tup.dim, m, interior) for m in cuts]
-    commutators = [k for _, _, k in _commutators(tup)]
-    out: list[tuple[int, float]] = []
-    for lo, hi in windows:
-        worst = 0.0
-        for k in commutators:
-            worst = max(worst, operator_norm(k[lo:hi, lo:hi] if interior else k[:, lo:]))
-        out.append((lo, worst))
-    return out
 
 
 @dataclass(frozen=True)
@@ -179,7 +146,7 @@ def essential_spectrum_estimate(
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts must be strictly increasing, got {cuts}")
     # Every window is checked before the first scan runs.
-    windows = [_window(tup.dim, m, interior=True) for m in cuts]
+    windows = [_window(tup.dim, m) for m in cuts]
     levels = [EssentialLevel(cut=m, window=window,
                              result=scan(_compress(tup, window), eta, cap=cap, threads=threads))
               for m, window in zip(cuts, windows)]

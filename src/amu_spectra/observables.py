@@ -9,10 +9,12 @@ measurement functionals are
     sd_T(v)   = sqrt(var_T(v))
 
 and a state is an AMU member at level sigma when every sd is strictly
-below sigma.
+below sigma. ``commutator_profile`` gives the norm of each commutator
+[T_i, T_j], which ``models gen`` records in a tuple file's meta.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -281,17 +283,10 @@ def amu_check(
     return AmuCertificate(lam, state, report, float(sigma), float(eps), member, close)
 
 
-def _commutators(tup: OperatorTuple):
-    """Each pair i < j, in order, with its commutator T_i T_j - T_j T_i as an array."""
-    arrs = tup.arrays()
-    for i in range(tup.n):
-        for j in range(i + 1, tup.n):
-            yield i, j, arrs[i] @ arrs[j] - arrs[j] @ arrs[i]
-
-
 def commutator_profile(tup: OperatorTuple) -> np.ndarray:
     """Matrix of commutator norms ||T_i T_j - T_j T_i||, symmetric, zero diagonal."""
+    arrs = tup.arrays()
     prof = np.zeros((tup.n, tup.n), dtype=float)
-    for i, j, k in _commutators(tup):
-        prof[i, j] = prof[j, i] = operator_norm(k)
+    for i, j in itertools.combinations(range(tup.n), 2):
+        prof[i, j] = prof[j, i] = operator_norm(arrs[i] @ arrs[j] - arrs[j] @ arrs[i])
     return prof

@@ -152,6 +152,20 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solvable_point(p, n: int) -> tuple[float, ...]:
+    """``p`` as a point of R^n (``as_point``), refused when Q(p) cannot be solved.
+
+    A point whose |lambda|^2, the diagonal shift of Q(lambda), lies above
+    2^500 raises ValueError naming it: past that the solvers' squares leave
+    the float range (points beyond about 1.8e75).
+    """
+    lam = as_point(p, n)
+    if sum(l * l for l in lam) > _SQUARE_RANGE:
+        raise ValueError(f"lambda {lam} lies too far out: |lambda|^2 is above 2^500, "
+                         "past which Q(lambda) cannot be solved in floating point")
+    return lam
+
+
 def amu_at(tup: OperatorTuple, lam, sigma: float, eps: float) -> AmuCertificate:
     """AMU certificate of the localization ground state at ``lam``; one point of ``amu_batch``."""
     return amu_batch(tup, [lam], sigma, eps)[0]
@@ -165,15 +179,10 @@ def amu_batch(tup: OperatorTuple, points, sigma: float, eps: float) -> list[AmuC
     holds), then ``amu_check`` of that state at (lambda, sigma, eps). A
     point's certificate is bit for bit the same alone as in any batch.
 
-    Before any solve, a point whose |lambda|^2, the diagonal shift of
-    Q(lambda), lies above 2^500 raises ValueError naming it: past that the
-    solvers' squares leave the float range (points beyond about 1.8e75).
+    Before any solve, a point too far out for Q(lambda) to be solved
+    raises ValueError naming it (``_solvable_point``).
     """
-    lams = [as_point(p, tup.n) for p in points]
-    for lam in lams:
-        if sum(l * l for l in lam) > _SQUARE_RANGE:
-            raise ValueError(f"lambda {lam} lies too far out: |lambda|^2 is above 2^500, "
-                             "past which Q(lambda) cannot be solved in floating point")
+    lams = [_solvable_point(p, tup.n) for p in points]
     states = _ground_states(tup, lams)
     return [amu_check(tup, state, lam, sigma, eps) for state, lam in zip(states, lams)]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import threading
 import numpy as np
 import pytest
 
-from amu_spectra import (ModelSpec, OperatorTuple, amu_batch, cli, essential, generate,
-                         load_tuple, save_tuple, scan, spectrum)
+from amu_spectra import (AmuCertificate, ModelSpec, OperatorTuple, amu_batch, cli, essential,
+                         generate, load_tuple, save_tuple, scan, search, spectrum)
 from amu_spectra.essential import _compress
 from conftest import accepted_entries
 
@@ -229,6 +230,25 @@ def test_amu_refuses_points_too_far_out(tmp_path, capsys, dim):
         assert cli.main(argv) == 2
         assert f"error: lambda ({float(far)!r}, 0.0) lies too far out" in capsys.readouterr().err
     assert not (tmp_path / "never.json").exists()
+
+
+def test_amu_refuses_a_far_point_before_any_solve(tmp_path, capsys, monkeypatch):
+    # A dense tuple is certified point by point, so every point is checked
+    # before the first one is solved, not only the points of one batch.
+    src = tmp_path / "shift32.json"
+    save_tuple(generate(ModelSpec("shift_pair", 32)), src)
+    solves = []
+    solve = search.ground_eigenpair
+    monkeypatch.setattr(search, "ground_eigenpair", lambda q: solves.append(q) or solve(q))
+    near = ["--lambda", "0.5,0.5", "--lambda", "0.1,0.1"]
+    common = ["amu", "--input", str(src), "--sigma", "0.3", "--eps", "0.3"]
+    assert cli.main([*common, *near, "-o", str(tmp_path / "near.json")]) == 0
+    assert len(solves) == 2
+    solves.clear()
+    out = tmp_path / "never.json"
+    assert cli.main([*common, *near, "--lambda", "1e90,0", "-o", str(out)]) == 2
+    assert "error: lambda (1e+90, 0.0) lies too far out" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
 
 
 def test_spectrum_missing_input_exit_code(tmp_path):
@@ -547,7 +567,9 @@ def test_amu_artifacts_are_the_bytes_of_their_certificates(tmp_path, gen):
     assert run_cli("models", "gen", *gen, "-o", str(src)).returncode == 0
     tup, _ = load_tuple(src)
     common = ["amu", "--input", str(src), "--sigma", "0.35", "--eps", "0.35"]
-    points = [(0.5, 0.5), (-0.25, 0.75)]
+    # Each flag is written as true and as false: (0, 0) fails sigma on the
+    # shift pair, and all-accepted points fail eps on both tuples.
+    points = [(0.5, 0.5), (-0.25, 0.75), (0.0, 0.0)]
     got = _artifact(tmp_path, *common, *(f"--lambda={x},{y}" for x, y in points))
     certs = [c.to_json_dict() for c in amu_batch(tup, points, 0.35, 0.35)]
     assert got == _dumped({"sigma": 0.35, "eps": 0.35, "certificates": certs})
@@ -559,6 +581,20 @@ def test_amu_artifacts_are_the_bytes_of_their_certificates(tmp_path, gen):
     assert got == _dumped({"sigma": 0.35, "eps": 0.35, "certificates": certs,
                            "scan": {"eta": 0.5, "k": result.grid.k,
                                     "accepted_count": len(accepted)}})
+
+
+def test_certificates_with_a_value_that_is_not_finite_are_written_value_by_value(tmp_path):
+    # JSON spells such a value Infinity, not as its repr, so the writer's
+    # template path declines its chunk and the bytes stay those of json.
+    tup = generate(ModelSpec("shift_pair", 8))
+    certs = amu_batch(tup, [(0.5, 0.5), (1.0, 0.0)], 0.35, 0.35)
+    report = dataclasses.replace(certs[1].report, var=(float("inf"), 0.25))
+    certs[1] = dataclasses.replace(certs[1], report=report)
+    out = tmp_path / "amu.json"
+    rows = cli.JsonRows(certs, AmuCertificate.to_json_dict, cli._certificate_texts)
+    cli.write_json({"certificates": rows}, out)
+    assert out.read_bytes() == _dumped({"certificates": [c.to_json_dict() for c in certs]})
+    assert b"Infinity" in out.read_bytes()
 
 
 def test_threads_are_capped_at_the_usable_cores(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
-"""Tail compressions, commutator decay, essential-spectrum estimates."""
+"""Interior-window compressions, the shift study's commutator decay, essential-spectrum estimates."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,77 +20,58 @@ from amu_spectra import (
     escape_window,
     essential_spectrum_estimate,
     generate,
-    tail_commutator_decay,
 )
 from amu_spectra.essential import _compress, _window
-
-
-def test_tail_compression_one_sided_slices_diagonal():
-    d = np.diag([0.0, 0.25, 0.5, 0.75])
-    tup = OperatorTuple((d,), bound=1.0)
-    window = _window(tup.dim, 2, interior=False)
-    assert window == (2, 4)
-    tail = _compress(tup, window)
-    assert np.array_equal(tail.ops[0].array, np.diag([0.5, 0.75]))
-    assert tail.bound == tup.bound
 
 
 def test_tail_compression_interior_window():
     d = np.diag(np.linspace(-1.0, 1.0, 8))
     tup = OperatorTuple((d,), bound=1.0)
-    window = _window(tup.dim, 2, interior=True)
+    window = _window(tup.dim, 2)
     assert window == (2, 6)
     tail = _compress(tup, window)
     assert tail.dim == 4
     assert np.array_equal(
         tail.ops[0].array, np.diag(np.linspace(-1.0, 1.0, 8)[2:6])
     )
+    assert tail.bound == tup.bound
 
 
 def test_tail_compression_validates_window():
     tup = generate(ModelSpec("shift_pair", 8))
-    with pytest.raises(ValueError):
-        _window(tup.dim, 7, interior=False)  # one-sided window of size 1
-    with pytest.raises(ValueError):
-        _window(tup.dim, 4, interior=True)  # interior window empty
-    assert _window(tup.dim, 3, interior=True) == (3, 5)  # size-2 window is the floor
-    # The decay uses the same window rule: empty interior windows raise.
     with pytest.raises(ValueError, match="window of size 0"):
-        tail_commutator_decay(tup, (4,), interior=True)
-    tail_commutator_decay(tup, (3,), interior=True)
+        _window(tup.dim, 4)  # interior window empty
+    assert _window(tup.dim, 3) == (3, 5)  # size-2 window is the floor
     tup16 = generate(ModelSpec("shift_pair", 16))
     for m in (8, 9, 15):
         with pytest.raises(ValueError, match="window of size"):
-            _window(tup16.dim, m, interior=True)
-        with pytest.raises(ValueError, match="window of size"):
-            tail_commutator_decay(tup16, (2, m), interior=True)
-
-
-def test_tail_commutator_decay_commuting_is_zero(commuting_16):
-    decay = tail_commutator_decay(commuting_16, (2, 4, 8))
-    assert [m for m, _ in decay] == [2, 4, 8]
-    assert [v for _, v in decay] == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
-
-
-def test_tail_commutator_decay_shift_one_sided_constant():
-    # The shift-pair commutator is a rank-two corner matrix; one-sided
-    # column truncation keeps the far corner, so the norm stays 1/2.
-    tup = generate(ModelSpec("shift_pair", 64))
-    decay = tail_commutator_decay(tup, (4, 8, 16))
-    assert [v for _, v in decay] == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
-
-
-def test_tail_commutator_decay_shift_interior_vanishes():
-    # Interior windows drop both corners and the commutator with them.
-    tup = generate(ModelSpec("shift_pair", 64))
-    decay = tail_commutator_decay(tup, (4, 8, 16), interior=True)
-    assert [v for _, v in decay] == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
+            _window(tup16.dim, m)
+    with pytest.raises(ValueError, match="cut 16 must be below dim 16"):
+        _window(tup16.dim, 16)
 
 
 def test_compressed_shift_commutator_still_half():
+    # A window of the truncated shift pair is a truncated shift pair again,
+    # with its own boundary corners, so its commutator keeps the norm 1/2.
     tup = generate(ModelSpec("shift_pair", 64))
-    prof = commutator_profile(_compress(tup, _window(tup.dim, 8, interior=False)))
+    prof = commutator_profile(_compress(tup, _window(tup.dim, 8)))
     assert prof[0, 1] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_shift_study_prints_the_commutator_decay():
+    # The shift-pair commutator is a rank-two corner matrix: one-sided
+    # column truncation keeps the far corner, so the norm stays 1/2, while
+    # interior windows drop both corners and the commutator with them.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "essential_shift_study.py"),
+         "--dim", "64", "--cuts", "8,16"],
+        capture_output=True, text=True, env=env, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["commutator decay (cut: one-sided | interior):",
+                         "     8: 0.500000 | 0.000000",
+                         "    16: 0.500000 | 0.000000"]
 
 
 def test_escape_window_geometry():
@@ -126,11 +111,9 @@ def test_cuts_must_be_integers(cut):
     with pytest.raises(ValueError, match=re.escape(message)):
         essential_spectrum_estimate(tup, 0.5, [cut, 8])
     with pytest.raises(ValueError, match=re.escape(message)):
-        _window(tup.dim, cut, interior=True)
+        _window(tup.dim, cut)
     with pytest.raises(ValueError, match=re.escape(message)):
         escape_window(tup.dim, cut)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        tail_commutator_decay(tup, [cut])
     # numpy integers are integers.
     assert essential_spectrum_estimate(tup, 0.5, [np.int64(2), np.int32(4)]).cuts == (2, 4)
 
