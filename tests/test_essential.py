@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import subprocess
@@ -22,6 +23,17 @@ from amu_spectra import (
     generate,
 )
 from amu_spectra.essential import _compress, _window
+
+
+def test_tail_compression_one_sided_slices_diagonal():
+    # _window makes only interior windows, but _compress takes any window,
+    # the one-sided [m, dim) the shift study truncates to included.
+    d = np.diag([0.0, 0.25, 0.5, 0.75])
+    tup = OperatorTuple((d,), bound=1.0)
+    tail = _compress(tup, (2, tup.dim))
+    assert tail.dim == 2
+    assert np.array_equal(tail.ops[0].array, np.diag([0.5, 0.75]))
+    assert tail.bound == tup.bound
 
 
 def test_tail_compression_interior_window():
@@ -58,10 +70,9 @@ def test_compressed_shift_commutator_still_half():
     assert prof[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_shift_study_prints_the_commutator_decay():
-    # The shift-pair commutator is a rank-two corner matrix: one-sided
-    # column truncation keeps the far corner, so the norm stays 1/2, while
-    # interior windows drop both corners and the commutator with them.
+@functools.lru_cache(maxsize=None)
+def _shift_study_decay_rows() -> tuple[tuple[str, str, str], ...]:
+    """(cut, one-sided, interior) rows the shift study prints at dim 64, cuts 8 and 16."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
@@ -69,9 +80,28 @@ def test_shift_study_prints_the_commutator_decay():
          "--dim", "64", "--cuts", "8,16"],
         capture_output=True, text=True, env=env, check=True)
     lines = proc.stdout.splitlines()
-    assert lines[:3] == ["commutator decay (cut: one-sided | interior):",
-                         "     8: 0.500000 | 0.000000",
-                         "    16: 0.500000 | 0.000000"]
+    assert lines[0] == "commutator decay (cut: one-sided | interior):"
+    rows = []
+    for line in lines[1:3]:
+        cut, values = line.split(":")
+        one_sided, interior = values.split("|")
+        rows.append((cut.strip(), one_sided.strip(), interior.strip()))
+    return tuple(rows)
+
+
+def test_tail_commutator_decay_shift_one_sided_constant():
+    # The shift-pair commutator is a rank-two corner matrix; the study's
+    # one-sided column truncation keeps the far corner, so the norm stays 1/2.
+    rows = _shift_study_decay_rows()
+    assert [(cut, one_sided) for cut, one_sided, _ in rows] == [
+        ("8", "0.500000"), ("16", "0.500000")]
+
+
+def test_tail_commutator_decay_shift_interior_vanishes():
+    # Interior windows drop both corners and the commutator with them.
+    rows = _shift_study_decay_rows()
+    assert [(cut, interior) for cut, _, interior in rows] == [
+        ("8", "0.000000"), ("16", "0.000000")]
 
 
 def test_escape_window_geometry():
