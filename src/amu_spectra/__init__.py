@@ -58,8 +58,6 @@ from .search import (
 from .essential import (
     EssentialLevel,
     EssentialSpectrumEstimate,
-    amu_sequence,
-    escape_window,
     essential_spectrum_estimate,
 )
 from .models import (

@@ -27,7 +27,7 @@ from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
 from .models import (FAMILIES, JsonRows, ModelSpec, _family_params, family_name, generate,
                      load_tuple, save_tuple, write_json)
-from .observables import AmuCertificate, as_point, commutator_profile
+from .observables import AmuCertificate, _certificate_texts, as_point, commutator_profile
 from .search import _solvable_point, amu_at, amu_batch, uses_band_path
 from .spectrum import _thread_map, scan
 
@@ -162,27 +162,6 @@ def _cmd_spectrum(args) -> int:
         f"accepted {len(result.accepted)}"
     )
     return 0
-
-
-def _certificate_texts(certs):
-    """The JSON text of each certificate's scalars, in ``AmuCertificate.to_json_dict`` order.
-
-    Numbers are ``float.__repr__`` and flags ``true`` or ``false``, as
-    ``write_json`` writes them. A certificate holding a value that is not
-    finite, which JSON spells otherwise, raises TypeError, so its chunk is
-    written value by value.
-    """
-    for cert in certs:
-        report = cert.report
-        values = (*cert.lam, cert.sigma, cert.eps, *report.exp, *report.var, *report.sd,
-                  *cert.state.to_json_list())
-        if not math.isfinite(sum(values)):
-            raise TypeError("a certificate value is not finite")
-        texts = tuple(map(float.__repr__, values))
-        flags = tuple("true" if flag else "false"
-                      for flag in (cert.amu_member, cert.expectation_close))
-        k = len(cert.lam) + 2
-        yield texts[:k] + flags + texts[k:]
 
 
 def _cmd_amu(args) -> int:

@@ -1,4 +1,4 @@
-"""Finite models of behavior at infinity: compressions and state sequences.
+"""Finite models of behavior at infinity: interior-window compressions.
 
 For a tuple on C^dim with basis u_1, ..., u_dim, the cut at m keeps the
 interior window of indices m+1..dim-m: it drops the first m basis vectors
@@ -9,12 +9,6 @@ commutators carry boundary terms at both ends.
 resolution across increasing cuts and reports the Hausdorff distance
 between the last two accepted sets as the stability of the estimate. The
 estimate is reported as-is and never extrapolated.
-
-``amu_sequence`` builds one state per cut, supported in the escaping
-window [m+1, min(2m, dim-m)], and certifies each at the same sigma and
-eps: each state is exactly orthogonal to the first m basis vectors while
-the window width grows with m, so the standard deviations shrink as the
-cuts increase.
 """
 from __future__ import annotations
 
@@ -25,16 +19,13 @@ import numpy as np
 
 from .constants import GRID_POINT_CAP
 from .models import JsonRows
-from .observables import AmuCertificate, OperatorTuple, VectorState, amu_check, as_point
-from .search import _ground_states
+from .observables import OperatorTuple
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
 
 __all__ = [
     "EssentialLevel",
     "EssentialSpectrumEstimate",
     "essential_spectrum_estimate",
-    "amu_sequence",
-    "escape_window",
 ]
 
 
@@ -156,38 +147,3 @@ def essential_spectrum_estimate(
     if last.shape[0] > 0 and prev.shape[0] > 0:
         stability = hausdorff(last, prev)
     return EssentialSpectrumEstimate(levels=tuple(levels), stability=stability)
-
-
-def escape_window(dim: int, m: int) -> tuple[int, int]:
-    """Window [m, min(2m, dim - m)) used by ``amu_sequence`` at cut ``m``.
-
-    States supported here are orthogonal to the first m basis vectors and
-    stay clear of the far boundary; the width grows with m up to dim/3.
-    """
-    m = _cut(m)
-    if m < 1:
-        raise ValueError("cuts must be at least 1")
-    stop = min(2 * m, dim - m)
-    if stop - m < 2:
-        raise ValueError(
-            f"cut {m} leaves an escape window of size {stop - m} on dim {dim}; "
-            "need at least 2"
-        )
-    return m, stop
-
-
-def amu_sequence(tup: OperatorTuple, lam, cuts, sigma: float, eps: float) -> list[AmuCertificate]:
-    """One AMU certificate at (lam, sigma, eps) per cut, measured against the full tuple.
-
-    The state for cut m is the localization ground state computed inside
-    the escaping window and embedded back with exact zeros elsewhere.
-    """
-    lam = as_point(lam, tup.n)
-    certs: list[AmuCertificate] = []
-    for m in cuts:
-        lo, hi = escape_window(tup.dim, m)
-        inner_state = _ground_states(_compress(tup, (lo, hi)), [lam])[0]
-        full = np.zeros(tup.dim, dtype=np.complex128)
-        full[lo:hi] = inner_state.vector
-        certs.append(amu_check(tup, VectorState(full), lam, sigma, eps))
-    return certs

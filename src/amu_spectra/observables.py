@@ -212,6 +212,27 @@ class AmuCertificate:
         }
 
 
+def _certificate_texts(certs):
+    """The JSON text of each certificate's scalars, in ``AmuCertificate.to_json_dict`` order.
+
+    Numbers are ``float.__repr__`` and flags ``true`` or ``false``, as
+    ``write_json`` writes them. A certificate holding a value that is not
+    finite, which JSON spells otherwise, raises TypeError, so its chunk is
+    written value by value.
+    """
+    for cert in certs:
+        report = cert.report
+        values = (*cert.lam, cert.sigma, cert.eps, *report.exp, *report.var, *report.sd,
+                  *cert.state.to_json_list())
+        if not math.isfinite(sum(values)):
+            raise TypeError("a certificate value is not finite")
+        texts = tuple(map(float.__repr__, values))
+        flags = tuple("true" if flag else "false"
+                      for flag in (cert.amu_member, cert.expectation_close))
+        k = len(cert.lam) + 2
+        yield texts[:k] + flags + texts[k:]
+
+
 def _check_dim(op: HermitianMatrix, state: VectorState) -> None:
     if op.dim != state.dim:
         raise DimensionMismatch(

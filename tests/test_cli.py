@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from amu_spectra import (AmuCertificate, ModelSpec, OperatorTuple, amu_batch, cli, essential,
-                         generate, load_tuple, save_tuple, scan, search, spectrum)
+                         generate, load_tuple, observables, save_tuple, scan, search, spectrum)
 from amu_spectra.essential import _compress
 from conftest import accepted_entries
 
@@ -591,7 +591,7 @@ def test_certificates_with_a_value_that_is_not_finite_are_written_value_by_value
     report = dataclasses.replace(certs[1].report, var=(float("inf"), 0.25))
     certs[1] = dataclasses.replace(certs[1], report=report)
     out = tmp_path / "amu.json"
-    rows = cli.JsonRows(certs, AmuCertificate.to_json_dict, cli._certificate_texts)
+    rows = cli.JsonRows(certs, AmuCertificate.to_json_dict, observables._certificate_texts)
     cli.write_json({"certificates": rows}, out)
     assert out.read_bytes() == _dumped({"certificates": [c.to_json_dict() for c in certs]})
     assert b"Infinity" in out.read_bytes()

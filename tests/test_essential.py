@@ -1,10 +1,12 @@
-"""Interior-window compressions, the shift study's commutator decay, essential-spectrum estimates."""
+"""Interior-window compressions, essential-spectrum estimates, and the shift study's
+commutator decay and AMU sequence."""
 
 from __future__ import annotations
 
 import functools
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -16,13 +18,15 @@ from amu_spectra import (
     EssentialSpectrumEstimate,
     ModelSpec,
     OperatorTuple,
-    amu_sequence,
     commutator_profile,
-    escape_window,
     essential_spectrum_estimate,
     generate,
+    search,
 )
 from amu_spectra.essential import _compress, _window
+
+ROOT = Path(__file__).resolve().parent.parent
+STUDY = ROOT / "scripts" / "essential_shift_study.py"
 
 
 def test_tail_compression_one_sided_slices_diagonal():
@@ -71,15 +75,28 @@ def test_compressed_shift_commutator_still_half():
 
 
 @functools.lru_cache(maxsize=None)
+def _study() -> dict:
+    """The shift study's globals; its ``__main__`` guard keeps ``main`` from running."""
+    return runpy.run_path(str(STUDY))
+
+
+def _run_study(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(STUDY), *args],
+                          capture_output=True, text=True, env=env)
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_study_lines() -> tuple[str, ...]:
+    """The lines the shift study prints at dim 64, cuts 8 and 16."""
+    proc = _run_study("--dim", "64", "--cuts", "8,16")
+    assert proc.returncode == 0, proc.stderr
+    return tuple(proc.stdout.splitlines())
+
+
 def _shift_study_decay_rows() -> tuple[tuple[str, str, str], ...]:
     """(cut, one-sided, interior) rows the shift study prints at dim 64, cuts 8 and 16."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "essential_shift_study.py"),
-         "--dim", "64", "--cuts", "8,16"],
-        capture_output=True, text=True, env=env, check=True)
-    lines = proc.stdout.splitlines()
+    lines = _shift_study_lines()
     assert lines[0] == "commutator decay (cut: one-sided | interior):"
     rows = []
     for line in lines[1:3]:
@@ -105,6 +122,7 @@ def test_tail_commutator_decay_shift_interior_vanishes():
 
 
 def test_escape_window_geometry():
+    escape_window = _study()["escape_window"]
     assert escape_window(512, 32) == (32, 64)
     assert escape_window(512, 128) == (128, 256)
     assert escape_window(512, 200) == (200, 312)
@@ -142,8 +160,6 @@ def test_cuts_must_be_integers(cut):
         essential_spectrum_estimate(tup, 0.5, [cut, 8])
     with pytest.raises(ValueError, match=re.escape(message)):
         _window(tup.dim, cut)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        escape_window(tup.dim, cut)
     # numpy integers are integers.
     assert essential_spectrum_estimate(tup, 0.5, [np.int64(2), np.int32(4)]).cuts == (2, 4)
 
@@ -177,7 +193,7 @@ def test_essential_estimate_reads_its_facts_from_its_levels():
 
 def test_amu_sequence_sharpens_along_cuts():
     tup = generate(ModelSpec("shift_pair", 256))
-    certs = amu_sequence(tup, (1.0, 0.0), (16, 32, 64), 0.3, 0.3)
+    certs = _study()["amu_sequence"](tup, (1.0, 0.0), (16, 32, 64), 0.3, 0.3)
     sds = [c.max_sd for c in certs]
     assert sds == sorted(sds, reverse=True)
     assert sds[-1] <= 0.15
@@ -187,7 +203,35 @@ def test_amu_sequence_sharpens_along_cuts():
 
 def test_amu_sequence_states_escape_initial_block():
     tup = generate(ModelSpec("shift_pair", 256))
-    certs = amu_sequence(tup, (1.0, 0.0), (16, 32), 0.3, 0.3)
+    certs = _study()["amu_sequence"](tup, (1.0, 0.0), (16, 32), 0.3, 0.3)
     for cut, cert in zip((16, 32), certs):
         head = cert.state.vector[:cut]
         assert np.linalg.norm(head) <= 1e-12
+
+
+def test_amu_sequence_refuses_a_far_point_before_any_solve(monkeypatch):
+    # Each state comes from amu_at, so the far point is refused as in amu_batch.
+    solves = []
+    for name in ("ground_eigenpair", "band_ground_eigenpairs"):
+        solve = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda q, solve=solve: solves.append(q) or solve(q))
+    tup = generate(ModelSpec("shift_pair", 64))
+    with pytest.raises(ValueError, match="too far out"):
+        _study()["amu_sequence"](tup, (1e90, 0), (8, 16), 0.2, 0.2)
+    assert solves == []
+
+
+def test_shift_study_refuses_a_narrow_escape_window_before_printing():
+    # Cut 1 leaves interior windows wide enough for the estimate, but an
+    # escape window of size 1.
+    proc = _run_study("--dim", "64", "--cuts", "1,8")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cut 1 leaves an escape window of size 1" in proc.stderr
+
+
+def test_shift_study_amu_sequence_rows():
+    assert _shift_study_lines()[-2:] == (
+        "  cut    8: max sd 0.314939  max exp error 0.068094  member=False",
+        "  cut   16: max sd 0.176645  max exp error 0.019197  member=True",
+    )

@@ -16,7 +16,6 @@ from amu_spectra import (
     VectorState,
     amu_at,
     amu_check,
-    amu_sequence,
     commutator_profile,
     generate,
     measure,
@@ -264,14 +263,11 @@ def _point_entry_points():
         "amu_check": lambda p: amu_check(tup, state, p, 0.1, 0.1),
         "amu_at": lambda p: amu_at(tup, p, 0.1, 0.1),
         "superpose": lambda p: superpose(tup, [cert], p),
-        "amu_sequence": lambda p: amu_sequence(tup, p, (1,), 0.1, 0.1),
         "theta_product": lambda p: theta_product(tup, p, 0.5),
     }
 
 
-@pytest.mark.parametrize(
-    "name", ["amu_check", "amu_at", "superpose", "amu_sequence", "theta_product"]
-)
+@pytest.mark.parametrize("name", ["amu_check", "amu_at", "superpose", "theta_product"])
 def test_point_arguments_reject_wrong_count_and_nan(name):
     call = _point_entry_points()[name]
     with pytest.raises(DimensionMismatch):
