@@ -182,6 +182,13 @@ def _cmd_amu(args) -> int:
         points = result.accepted_points()
         scan_meta = {"eta": args.eta, "k": result.grid.k,
                      "accepted_count": len(result.accepted)}
+        # Every bump factor of an accepted point is at least 1 - eta, so for a
+        # commuting tuple some joint eigenvalue lies within this of it on each axis.
+        reach = args.eta * (3.0 + args.eta) / 4.0
+        if args.eps <= reach:
+            print(f"note: eps {args.eps:g} is at most eta (3 + eta) / 4 = {reach:g}; an "
+                  f"accepted point can lie that far from every joint eigenvalue on one "
+                  f"axis, so it can fail even when the tuple commutes", file=sys.stderr)
     else:
         points = [_parse_point(raw, tup.n) for raw in args.lambdas]
     for point in points:  # every point is checked before the first solve

@@ -5,10 +5,8 @@ exactly symmetrized array, a full eigensolver with residual and unitarity
 verification, a lowest-eigenpair solver that verifies only the pair it
 returns (its residual, and a Cholesky factorization showing that no
 eigenvalue lies below it), the operator norm of a square or rectangular
-matrix via the top eigenvalue of its Gram matrix (also for stacks of
-equal-shaped matrices, and for several stacks in one call, whose Gram
-matrices of equal size share one ``eigvalsh`` call: this is how the scan
-takes its norms), and an orthonormalization by one Householder QR.
+matrix, or of each matrix of a stack, via the top eigenvalue of its Gram
+matrix, and an orthonormalization by one Householder QR.
 
 For Hermitian band matrices, ``band_ground_eigenpairs`` finds and certifies
 the lowest eigenpairs of a whole stack without a dense matrix. Whether a
@@ -24,8 +22,6 @@ passes the same two certificates as ``ground_eigenpair``, with delta
 scaled by the Gershgorin bound on the spectral radius.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -527,42 +523,22 @@ def _inverse_iteration(band, shift, vectors):
     return energies, resid
 
 
-def operator_norm(a, *more):
+def operator_norm(a):
     """Largest singular value of a finite, non-empty m×k matrix, or of each in a p×m×k stack.
 
     Computed as the square root of the top eigenvalue of the Gram matrix on
     the smaller side: A†A (k×k) when m >= k, otherwise AA† (m×m). A matrix
-    gives a float, a stack a float64 array of its p norms. Given several
-    arguments, returns a tuple with, for each, what the call on it alone
-    returns; their Gram matrices of equal size are written into one buffer
-    and share one ``eigvalsh`` call, which is how the scan gets calls large
-    enough for numpy to release the GIL. Every norm equals bit for bit the
-    norm of its matrix passed alone, so neither stacking nor grouping
-    changes an answer. A nonzero matrix whose Gram trace is not finite or
-    outside [2^-500, 2^500] is scaled by a power of two (``_gram_stack``).
+    gives a float, a stack a float64 array of its p norms, each equal bit
+    for bit to the norm of its matrix passed alone, so stacking changes no
+    answer. A nonzero matrix whose Gram trace is not finite or outside
+    [2^-500, 2^500] is scaled by a power of two (``_gram_stack``).
     """
-    args = (a, *more)
-    stacks = [
-        _finite_nonempty(np.asarray(x, dtype=np.complex128)) if np.ndim(x) == 3
-        else as_matrix(x, square=False)[None]
-        for x in args
-    ]
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(stacks):
-        groups.setdefault(min(s.shape[1:]), []).append(i)
-    norms = [None] * len(args)
-    for size, members in groups.items():
-        for i, nrm in zip(members, _gram_norms([stacks[i] for i in members], size)):
-            norms[i] = nrm if np.ndim(args[i]) == 3 else float(nrm[0])
-    return tuple(norms) if more else norms[0]
-
-
-def _gram_norms(stacks: list[np.ndarray], size: int) -> list[np.ndarray]:
-    """The norms of each stack in ``stacks``, whose Gram matrices are all size×size."""
-    gram, exp = _gram_stack(stacks, size)
+    stack = (_finite_nonempty(np.asarray(a, dtype=np.complex128)) if np.ndim(a) == 3
+             else as_matrix(a, square=False)[None])
+    gram, exp = _gram_stack(stack)
     with np.errstate(over="ignore"):
         norms = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), exp)
-    return np.split(norms, list(itertools.accumulate(len(s) for s in stacks[:-1])))
+    return norms if np.ndim(a) == 3 else float(norms[0])
 
 
 def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
@@ -572,7 +548,7 @@ def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
     without an eigensolve. G is scaled as in ``operator_norm``, so the bound
     overflows or underflows only where ||A||^2 itself does.
     """
-    gram, exp = _gram_stack([stack], min(stack.shape[1:]))
+    gram, exp = _gram_stack(stack)
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2))), 2 * exp)
 
@@ -583,8 +559,8 @@ def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
 _SQUARE_RANGE = 2.0**500
 
 
-def _gram_stack(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The size×size Gram matrix on the smaller side of every matrix of ``stacks``, in one buffer.
+def _gram_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix on the smaller side of every matrix of a p×m×k ``stack``.
 
     Returns it and per matrix the e for which its entry is the Gram matrix of
     the matrix over 2^e: 0, unless the matrix is nonzero and its Gram trace,
@@ -592,28 +568,24 @@ def _gram_stack(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, np.nda
     [2^-500, 2^500]; then the exponent of its largest real or imaginary part,
     at least -1020 so that 2^-e is finite.
     """
-    bounds = [0, *itertools.accumulate(len(s) for s in stacks)]
-    gram = np.empty((bounds[-1], size, size), dtype=np.complex128)
-    exp = np.zeros(bounds[-1], dtype=int)
+    exp = np.zeros(len(stack), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, lo, hi in zip(stacks, bounds, bounds[1:]):
-            _gram(s, out=gram[lo:hi])
+        gram = _gram(stack)
         trace = np.trace(gram, axis1=1, axis2=2).real
         outside = ~((trace >= 1.0 / _SQUARE_RANGE) & (trace <= _SQUARE_RANGE))
-    for s, lo, hi in zip(stacks, bounds, bounds[1:]):
-        if (pick := np.flatnonzero(outside[lo:hi])).size:
-            top = np.abs(s[pick].view(np.float64)).max(axis=(1, 2))  # real and imaginary parts
-            if (pick := pick[top > 0.0]).size:
-                exp[lo + pick] = np.maximum(np.frexp(top[top > 0.0])[1], -1020)
-                gram[lo + pick] = _gram(s[pick] * np.ldexp(1.0, -exp[lo + pick])[:, None, None])
+    if (pick := np.flatnonzero(outside)).size:
+        top = np.abs(stack[pick].view(np.float64)).max(axis=(1, 2))  # real and imaginary parts
+        if (pick := pick[top > 0.0]).size:
+            exp[pick] = np.maximum(np.frexp(top[top > 0.0])[1], -1020)
+            gram[pick] = _gram(stack[pick] * np.ldexp(1.0, -exp[pick])[:, None, None])
     return gram, exp
 
 
-def _gram(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gram(stack: np.ndarray) -> np.ndarray:
     """A†A for each matrix A of a p×m×k stack when m >= k, otherwise AA†."""
     if stack.shape[1] >= stack.shape[2]:
-        return np.matmul(stack.conj().swapaxes(1, 2), stack, out=out)
-    return np.matmul(stack, stack.conj().swapaxes(1, 2), out=out)
+        return np.matmul(stack.conj().swapaxes(1, 2), stack)
+    return np.matmul(stack, stack.conj().swapaxes(1, 2))
 
 
 def gram_schmidt(vectors) -> list[np.ndarray]:

@@ -17,11 +17,9 @@ W_ij = U_i† U_j, and the right-hand core only has rows and columns on the
 bump supports. ``scan`` walks the grid axis by axis and extends the
 rectangular core by one coupling per axis. Within each block of points
 that share the first coordinate, it multiplies a chunk of prefix cores, at
-most ``CORE_STACK_BYTES``, by the last coupling at once. The last-axis
-cores whose Gram matrices have equal size go to ``operator_norm``
-together, so one ``eigvalsh`` call solves them all; past ``GIL_FREE_ROWS``
-rows numpy releases the GIL for it, which is what lets ``threads`` workers
-overlap. A scan that needs only the accepted set (``norms=False``, as
+most ``CORE_STACK_BYTES``, by the last coupling at once, and each
+last-axis center's cores across the chunk go to ``operator_norm`` as one
+stack. A scan that needs only the accepted set (``norms=False``, as
 ``amu --lambda all-accepted`` runs it) accepts most points from a
 Rayleigh-quotient lower bound on the core norm, rejects most others from
 an upper bound, the Frobenius norm of the core's Gram matrix, and
@@ -55,13 +53,9 @@ from .observables import OperatorTuple, as_point
 HAUSDORFF_BLOCK_BYTES = 32 * 2**20
 # Largest chunk of complex128 prefix cores ``scan`` multiplies by the last
 # coupling at once. Each last-axis core is a slice of that product times the
-# bump values; besides the chunk, a worker holds one run of cores (see
-# ``_gram_runs``) and their Gram matrices.
+# bump values; besides the chunk, a worker holds one center's cores and their
+# Gram matrices.
 CORE_STACK_BYTES = 2**18
-# numpy's stacked eigvalsh releases the GIL only when its matrices times their
-# size exceed this (NPY_BEGIN_THREADS_THRESHOLDED in
-# numpy/_core/include/numpy/ndarraytypes.h), so worker threads overlap only there.
-GIL_FREE_ROWS = 500
 
 __all__ = [
     "GridSpec",
@@ -144,7 +138,8 @@ class SyntheticSpectrumResult:
     every coordinate, whose value is m/k, so |m| <= grid.half.
     ``norms`` is the read-only float64 array of their norms, or None for a
     scan with ``norms=False``. Arrays of any other shape, dtype or range
-    raise ValueError.
+    raise ValueError, and so does a norm that is not finite or is negative,
+    so every result is strict JSON.
     """
 
     eta: float
@@ -165,6 +160,8 @@ class SyntheticSpectrumResult:
             norms = np.asarray(self.norms, dtype=float)
             if norms.shape != accepted.shape[:1]:
                 raise ValueError(f"norms must have shape {accepted.shape[:1]}, got {norms.shape}")
+            if not (norms >= 0.0).all() or not np.isfinite(norms).all():
+                raise ValueError("norms must be finite and non-negative")
             object.__setattr__(self, "norms", _read_only(norms))
 
     def accepted_points(self) -> np.ndarray:
@@ -194,8 +191,7 @@ class SyntheticSpectrumResult:
         formatted in one pass: a tuple per entry, the repr of each coordinate,
         then of its norm, or "null" for each in a result without norms. Each
         coordinate's text is looked up by its grid index, so no coordinate is
-        formatted twice. A chunk with a non-finite norm, which JSON spells
-        otherwise, is written value by value.
+        formatted twice.
         """
         def texts(rows: range):
             lo, hi = rows.start, rows.stop
@@ -203,10 +199,8 @@ class SyntheticSpectrumResult:
                         (self.accepted[lo:hi] + self.grid.half).ravel().tolist())
             if self.norms is None:
                 norms = ["null"] * len(rows)
-            elif np.isfinite(self.norms[lo:hi]).all():
-                norms = map(float.__repr__, self.norms[lo:hi].tolist())
             else:
-                raise TypeError("norm is not finite")
+                norms = map(float.__repr__, self.norms[lo:hi].tolist())
             return zip(*[cells] * self.grid.n, norms)
 
         return {
@@ -271,12 +265,8 @@ def scan(
     coordinate at a time. Within a block, the prefix cores are multiplied
     by the last coupling a chunk of at most ``CORE_STACK_BYTES`` at a time;
     for each last-axis center, its cores across the chunk are sliced out of
-    those products. The centers are taken in order of support width, so
-    cores with Gram matrices of equal size come together, and each run of
-    them goes to one ``operator_norm`` call and so one ``eigvalsh`` call. A
-    run ends when the size changes or once it passes ``GIL_FREE_ROWS``
-    rows, where numpy solves it without the GIL; only one run's cores and
-    Gram matrices are held at a time. Every axis keeps a
+    those products and go to one ``operator_norm`` call, so one center's
+    cores and Gram matrices are held at a time. Every axis keeps a
     center: the pitch 1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so
     each eigenvalue, at the edges too, lies within eta/2 of a grid value,
     and a bump of width eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every
@@ -286,9 +276,7 @@ def scan(
     its decisions, and kept as the grid indices and norms the result holds.
     The blocks are mapped through a pool of ``threads`` workers when
     ``threads`` is above 1, and run inline at 1; results are assembled in
-    grid order, so the output is identical for any thread count. Workers
-    overlap in BLAS, in large elementwise products and in the runs solved
-    without the GIL.
+    grid order, so the output is identical for any thread count.
 
     With ``norms=False`` the scan decides acceptance only, and the result
     stores no norms. Each chunk first gets ``_witness``, a lower
@@ -300,8 +288,8 @@ def scan(
     eigensolve when ||G||_F <= (1 - eta - 2 slack)^2, G being its Gram
     matrix: ||C||^2 = lam_max(G) <= ||G||_F, so its norm is at least
     ``TOL.accept_slack`` below the threshold, mirroring the witness. The
-    cores left, the points near the threshold, go to ``operator_norm`` as
-    sub-stacks of their runs and are decided by the norm test above, so the
+    cores left, the points near the threshold, go to ``operator_norm`` a
+    center at a time and are decided by the norm test above, so the
     accepted points are exactly those of ``norms=True``, in the same order.
     """
     if not (0.0 < eta < 1.0):
@@ -321,10 +309,6 @@ def scan(
                 alive[axis].append(m)
                 supports[axis].append((sl, vals))
     last = np.array(alive[-1], dtype=np.int32)
-    # A last-axis core has a Gram matrix of size min(rows, support width), so
-    # in this order the cores of equal Gram size are adjacent in every chunk.
-    widths = [vals.size for _, vals in supports[-1]]
-    by_width = sorted(range(len(last)), key=widths.__getitem__)
     if not norms:
         # Column c holds the squared bump values of last-axis center c, the
         # weights ``_witness`` puts on the columns of a coupled prefix.
@@ -350,23 +334,16 @@ def scan(
             wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
             values = np.zeros((len(last), len(chunk)))
             if norms:
-                witnessed, order = np.zeros(values.shape, dtype=bool), by_width
+                witnessed = np.zeros(values.shape, dtype=bool)
             else:
                 witnessed = (_witness(wides, weights) >= (1.0 - eta) ** 2).T
-                order = [i for i in by_width if not witnessed[i].all()]
-            for run in _gram_runs(order, widths, rows, len(chunk)):
-                picks = [slice(None) if norms else np.flatnonzero(~witnessed[i]) for i in run]
-                cores = [wides[:, :, sl][pick] * vals
-                         for pick, (sl, vals) in zip(picks, (supports[-1][i] for i in run))]
-                if not norms:
-                    live = [(i, pick[keep], core[keep]) for i, pick, core in zip(run, picks, cores)
-                            if (keep := _gram_frobenius(core) > floor).any()]
-                    if not live:
-                        continue
-                    run, picks, cores = zip(*live)
-                solved = operator_norm(*cores)
-                for i, pick, nrm in zip(run, picks, solved if len(run) > 1 else (solved,)):
-                    values[i, pick] = nrm
+            for i, (sl, vals) in enumerate(supports[-1]):
+                if norms:
+                    values[i] = operator_norm(wides[:, :, sl] * vals)
+                elif (pick := np.flatnonzero(~witnessed[i])).size:
+                    core = wides[pick, :, sl] * vals
+                    if (keep := _gram_frobenius(core) > floor).any():
+                        values[i, pick[keep]] = operator_norm(core[keep])
             # Prefix-major, then by last-axis center: grid order.
             prefix, center = np.nonzero((witnessed | (values >= threshold)).T)
             heads = np.array([coords for coords, _, _ in chunk], dtype=np.int32)
@@ -428,21 +405,6 @@ def _witness(wides: np.ndarray, weights: np.ndarray) -> np.ndarray:
         g = wides @ (unit.swapaxes(1, 2) * cols)
         out[:, lo:lo + step] = (g.real**2 + g.imag**2).sum(axis=1)
     return out
-
-
-def _gram_runs(order: list[int], widths: list[int], rows: int, count: int):
-    """Split ``order`` into runs of last-axis centers whose cores share one ``eigvalsh`` call.
-
-    The cores of a run have Gram matrices of equal size min(rows, width), and
-    a run ends once it passes ``GIL_FREE_ROWS`` Gram rows over its
-    ``count``-deep stacks, so each call but the last of a size runs without
-    the GIL, and no more cores than that are held at once.
-    """
-    for size, group in itertools.groupby(order, key=lambda i: min(rows, widths[i])):
-        group = list(group)
-        step = GIL_FREE_ROWS // (count * size) + 1
-        for lo in range(0, len(group), step):
-            yield group[lo:lo + step]
 
 
 def hausdorff(x, y) -> float:

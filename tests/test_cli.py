@@ -322,6 +322,25 @@ def test_amu_all_accepted_prints_only_failing_points(tmp_path, shift_file, capsy
         assert line.startswith("lambda=(" + ",".join(f"{x:.6g}" for x in cert["lambda"]) + ")")
 
 
+@pytest.mark.parametrize("eps, noted", [("0.35", True), ("0.4375", True), ("0.44", False)])
+def test_amu_all_accepted_notes_an_eps_within_the_acceptance_reach(tmp_path, capsys, eps, noted):
+    # At eta 0.5 an accepted point can lie eta (3 + eta) / 4 = 0.4375 from
+    # every joint eigenvalue on one axis; the note goes to stderr only.
+    src = tmp_path / "diag.json"
+    save_tuple(generate(ModelSpec("commuting_diag", 16, n=2, seed=11)), src)
+    common = ["--input", str(src), "--sigma", "0.35", "--eps", eps]
+    out, alone = tmp_path / "amu.json", tmp_path / "alone.json"
+    assert cli.main(["amu", *common, "--lambda", "all-accepted", "--eta", "0.5",
+                     "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert ("0.4375" in captured.err) == noted
+    assert captured.err.count("\n") == int(noted)
+    assert "note" not in captured.out
+    # Explicit points are never noted.
+    assert cli.main(["amu", *common, "--lambda", "0.5,0.5", "-o", str(alone)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_malformed_tuple_file_exit_code(tmp_path):
     no_im = tmp_path / "no_im.json"
     no_im.write_text(json.dumps({"n": 1, "dim": 2, "M": 1.0, "ops": [{"re": [[0.0]]}]}))

@@ -184,6 +184,12 @@ def test_operator_norm_scales_matrices_whose_gram_overflows():
     # Only the overflowing member is recomputed; the other keeps its bits.
     norms = operator_norm(np.array([[[1e200]], [[2.0]]]))
     assert abs(norms[0] - 1e200) <= 1e-15 * 1e200 and norms[1] == 2.0
+    rng = np.random.default_rng(19)
+    stack = rng.normal(size=(3, 5, 7)) + 1j * rng.normal(size=(3, 5, 7))
+    stack[1, 2, 3] = 1e200
+    norms = operator_norm(stack)
+    assert abs(norms[1] - np.linalg.norm(stack[1], ord=2)) <= 1e-15 * 1e200
+    assert norms.tobytes() == np.array([operator_norm(matrix) for matrix in stack]).tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
@@ -208,9 +214,9 @@ def test_zero_matrices_are_not_formed_again(monkeypatch):
     shapes = []
     real = linalg._gram
 
-    def gram(stack, out=None):
+    def gram(stack):
         shapes.append(stack.shape)
-        return real(stack, out=out)
+        return real(stack)
 
     monkeypatch.setattr(linalg, "_gram", gram)
     stack = np.zeros((50, 4, 3), dtype=np.complex128)
@@ -225,45 +231,6 @@ def test_zero_matrices_are_not_formed_again(monkeypatch):
     assert norms[7] == 1e-200 and not np.delete(norms, 7).any()
 
 
-def recording_eigvalsh(monkeypatch) -> list[tuple[int, ...]]:
-    """Patch ``np.linalg.eigvalsh`` to record the shape of every stack it solves."""
-    shapes = []
-    real = np.linalg.eigvalsh
-
-    def eigvalsh(a):
-        shapes.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    return shapes
-
-
-def complex_normal(rng, *shape) -> np.ndarray:
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def test_operator_norm_of_several_stacks_matches_each_alone(monkeypatch):
-    rng = np.random.default_rng(19)
-    overflowing = complex_normal(rng, 3, 5, 7)
-    overflowing[1, 2, 3] = 1e200
-    # 5×7, 7×5, 5×9 and 5×5 all have a 5×5 Gram matrix; the 6×6 one has its own.
-    args = [complex_normal(rng, 3, 5, 7), complex_normal(rng, 2, 7, 5), complex_normal(rng, 6, 6),
-            complex_normal(rng, 4, 5, 9), overflowing, complex_normal(rng, 2, 5, 5)]
-    shapes = recording_eigvalsh(monkeypatch)
-    norms = operator_norm(*args)
-    # One call per Gram size: the overflowing member is rescaled in its buffer.
-    assert shapes == [(14, 5, 5), (1, 6, 6)]
-    monkeypatch.undo()
-    assert isinstance(norms, tuple) and len(norms) == len(args)
-    for a, nrm in zip(args, norms):
-        alone = operator_norm(a)
-        if a.ndim == 2:
-            assert isinstance(nrm, float) and nrm == alone
-        else:
-            assert nrm.dtype == np.float64 and nrm.tobytes() == alone.tobytes()
-    assert abs(norms[4][1] - np.linalg.norm(overflowing[1], ord=2)) <= 1e-15 * 1e200
-
-
 @pytest.mark.parametrize(
     "bad",
     [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4), np.array([[1.0, np.nan]]),
@@ -273,8 +240,6 @@ def test_operator_norm_of_several_stacks_matches_each_alone(monkeypatch):
 def test_operator_norm_rejects_empty_and_nonfinite(bad):
     with pytest.raises(ValueError):
         operator_norm(bad)
-    with pytest.raises(ValueError):
-        operator_norm(np.eye(2), bad)
 
 
 @given(

@@ -239,9 +239,9 @@ def recording_operator_norm(monkeypatch) -> list[np.ndarray]:
     """Route the scan's ``operator_norm`` through a wrapper; returns the norms it hands back."""
     solved: list[np.ndarray] = []
 
-    def recording(*cores):
-        out = operator_norm(*cores)
-        solved.extend(np.atleast_1d(x) for x in (out if len(cores) > 1 else (out,)))
+    def recording(cores):
+        out = operator_norm(cores)
+        solved.append(np.atleast_1d(out))
         return out
 
     monkeypatch.setattr(spectrum, "operator_norm", recording)
@@ -352,9 +352,9 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     tup = perturbed_triple()
     stacks = []
 
-    def recording_norm(*cores):
-        stacks.extend(np.shape(c) for c in cores)
-        return operator_norm(*cores)
+    def recording_norm(cores):
+        stacks.append(np.shape(cores))
+        return operator_norm(cores)
 
     monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
     default = scan(tup, 0.9)
@@ -372,7 +372,8 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     assert np.array_equal(decided.accepted, default.accepted)
 
 
-def test_scan_solves_each_gram_size_once_per_chunk(monkeypatch, shift_pair_64):
+@pytest.mark.parametrize("norms", [True, False])
+def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pair_64, norms):
     triple = perturbed_triple()
     events = []
     real_couple, real_eigvalsh = BumpFactorCache.couple, np.linalg.eigvalsh
@@ -382,35 +383,46 @@ def test_scan_solves_each_gram_size_once_per_chunk(monkeypatch, shift_pair_64):
         return real_couple(self, prefix, axis, prev)
 
     def eigvalsh(gram):
-        events.append(("eigvalsh", gram.shape))
+        events.append(("eigvalsh", len(gram)))
         return real_eigvalsh(gram)
+
+    def recording_norm(cores):
+        out = operator_norm(cores)
+        events.append(("norm", len(cores)))
+        solved.append((cores, out))
+        return out
 
     monkeypatch.setattr(BumpFactorCache, "couple", couple)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
     for tup, eta in ((triple, 0.9), (shift_pair_64, 0.5)):
+        cache = BumpFactorCache(tup)
+        threshold = 1.0 - eta - TOL.accept_slack
+        centers = sum(1 for x in build_grid(tup.n, tup.bound, eta).axis_values
+                      if (vals := cache.support(tup.n - 1, x, eta)[1]).size
+                      and vals.max() >= threshold)
         events.clear()
-        assert len(scan(tup, eta, threads=1).accepted)
+        solved = []
+        assert len(scan(tup, eta, threads=1, norms=norms).accepted)
         # A chunk couples its prefixes to the last axis, then takes the norms.
-        chunks = []
-        for kind, what in events:
-            if kind == "couple" and what == tup.n - 1 and (not chunks or chunks[-1]):
+        chunks, last = [], ("couple", tup.n - 1)
+        for event, before in zip(events, [None, *events]):
+            if event == last and before != last:
                 chunks.append([])
-            elif kind == "eigvalsh":
-                chunks[-1].append(what)
+            elif event[0] != "couple":
+                chunks[-1].append(event)
         assert len(chunks) > 1
-        for shapes in chunks:
-            # A run is cut once numpy would solve it without the GIL, so each
-            # Gram size has at most one smaller call per chunk.
-            below = [size for count, size, _ in shapes if count * size <= spectrum.GIL_FREE_ROWS]
-            assert len(below) == len(set(below))
-
-
-def test_gram_runs_group_equal_sizes_and_cut_past_the_gil_threshold():
-    # With 20 rows the Gram sizes are 20, 5, 20, 20, 5, 20.
-    widths = [30, 5, 30, 40, 5, 20]
-    order = sorted(range(len(widths)), key=widths.__getitem__)
-    # Size 5 holds 2 * 9 * 5 = 90 rows; a size-20 core adds 180, so the third ends a run.
-    assert list(spectrum._gram_runs(order, widths, 20, 9)) == [[1, 4], [5, 0, 2], [3]]
+        for calls in chunks:
+            # One norm call, and one eigvalsh call within it, per center solved.
+            assert [kind for kind, _ in calls] == ["eigvalsh", "norm"] * (len(calls) // 2)
+            assert all(solve[1] == call[1] for solve, call in zip(calls[::2], calls[1::2]))
+            if norms:
+                assert len(calls) == 2 * centers
+        if not norms:
+            assert any(len(calls) < 2 * centers for calls in chunks)
+        # Each norm is bit for bit the norm of its core alone.
+        for cores, out in solved:
+            assert out.tobytes() == np.array([operator_norm(core) for core in cores]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -522,6 +534,27 @@ def test_result_holds_read_only_grid_indices_and_norms(commuting_16):
                             ([[0, 0]], [1.0, 1.0])):  # a norm too many
         with pytest.raises(ValueError):
             SyntheticSpectrumResult(0.5, grid, np.array(accepted), norms)
+    # JSON has no NaN or Infinity, and no operator norm is negative.
+    for norm in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+        with pytest.raises(ValueError, match="norms must be finite and non-negative"):
+            SyntheticSpectrumResult(0.5, grid, np.array([[0, 0], [1, 0]]), [1.0, norm])
+
+
+@pytest.mark.parametrize("dim, n, seed", [(16, 2, 11), (64, 2, 0), (12, 3, 0)])
+def test_commuting_accepted_points_lie_within_reach_of_a_joint_eigenvalue(dim, n, seed):
+    # For a commuting tuple the product norm is the largest bump product over
+    # the joint eigenvalues, so every factor of an accepted point is at least
+    # 1 - eta - slack. The trapezoid is that high only within
+    # eta (3 + eta) / 4 + eta slack / 4 of its center, on every axis.
+    eta = 0.5
+    tup = generate(ModelSpec("commuting_diag", dim, n=n, seed=seed))
+    joint = np.stack([np.diagonal(op.array).real for op in tup.ops], axis=1)
+    reach = eta * (3.0 + eta) / 4.0
+    points = scan(tup, eta).accepted_points()
+    nearest = np.abs(points[:, None, :] - joint).max(axis=2).min(axis=1)
+    assert len(points) and nearest.max() <= reach + eta * TOL.accept_slack / 4.0 + 1e-12
+    # Some accepted points lie beyond 0.35 of every joint eigenvalue on one axis.
+    assert nearest.max() > 0.35
 
 
 @pytest.mark.parametrize("norms", [True, False])
