@@ -184,12 +184,6 @@ def test_operator_norm_scales_matrices_whose_gram_overflows():
     # Only the overflowing member is recomputed; the other keeps its bits.
     norms = operator_norm(np.array([[[1e200]], [[2.0]]]))
     assert abs(norms[0] - 1e200) <= 1e-15 * 1e200 and norms[1] == 2.0
-    rng = np.random.default_rng(19)
-    stack = rng.normal(size=(3, 5, 7)) + 1j * rng.normal(size=(3, 5, 7))
-    stack[1, 2, 3] = 1e200
-    norms = operator_norm(stack)
-    assert abs(norms[1] - np.linalg.norm(stack[1], ord=2)) <= 1e-15 * 1e200
-    assert norms.tobytes() == np.array([operator_norm(matrix) for matrix in stack]).tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
@@ -229,6 +223,28 @@ def test_zero_matrices_are_not_formed_again(monkeypatch):
     norms = operator_norm(stack)
     assert shapes == [(50, 4, 3), (1, 4, 3)]
     assert norms[7] == 1e-200 and not np.delete(norms, 7).any()
+
+
+def test_operator_norm_of_several_stacks_matches_each_alone(monkeypatch):
+    # The scan stacks one center's cores from a chunk of prefixes into one call.
+    rng = np.random.default_rng(19)
+    stacks = [rng.normal(size=(p, 5, 7)) + 1j * rng.normal(size=(p, 5, 7)) for p in (3, 1, 4)]
+    stacks[0][1, 2, 3] = 1e200
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    norms = operator_norm(np.concatenate(stacks))
+    # One eigensolve for the whole stack: the overflowing member is rescaled in it.
+    assert shapes == [(8, 5, 5)]
+    monkeypatch.undo()
+    assert norms.tobytes() == np.concatenate([operator_norm(a) for a in stacks]).tobytes()
+    assert norms.tobytes() == np.array([operator_norm(m) for a in stacks for m in a]).tobytes()
+    assert abs(norms[1] - np.linalg.norm(stacks[0][1], ord=2)) <= 1e-15 * 1e200
 
 
 @pytest.mark.parametrize(
