@@ -6,7 +6,8 @@ verification, a lowest-eigenpair solver that verifies only the pair it
 returns (its residual, and a Cholesky factorization showing that no
 eigenvalue lies below it), the operator norm of a square or rectangular
 matrix, or of each matrix of a stack, via the top eigenvalue of its Gram
-matrix, and an orthonormalization by one Householder QR.
+matrix (for the scan's cores, behind a screen by its Frobenius norm), and
+an orthonormalization by one Householder QR.
 
 For Hermitian band matrices, ``band_ground_eigenpairs`` finds and certifies
 the lowest eigenpairs of a whole stack without a dense matrix. Whether a
@@ -535,22 +536,29 @@ def operator_norm(a):
     """
     stack = (_finite_nonempty(np.asarray(a, dtype=np.complex128)) if np.ndim(a) == 3
              else as_matrix(a, square=False)[None])
-    gram, exp = _gram_stack(stack)
-    with np.errstate(over="ignore"):
-        norms = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), exp)
+    norms = _screened_norms(stack)
     return norms if np.ndim(a) == 3 else float(norms[0])
 
 
-def _gram_frobenius(stack: np.ndarray) -> np.ndarray:
-    """An upper bound on the squared norm of each matrix of a non-empty p×m×k stack.
+def _screened_norms(stack: np.ndarray, floor: float | None = None) -> np.ndarray:
+    """Norms of a non-empty p×m×k stack, 0 for each matrix a Gram bound rules out.
 
-    ||A||^2 = lam_max(G) <= ||G||_F for its Gram matrix G, which is returned
-    without an eigensolve. G is scaled as in ``operator_norm``, so the bound
-    overflows or underflows only where ||A||^2 itself does.
+    Each Gram matrix G is formed once (``_gram_stack``), scaled so that
+    ||G||_F over- or underflows only where ||A||^2 does. A matrix with
+    ||G||_F <= ``floor``, so ||A||^2 = lam_max(G) <= floor, gets 0 unsolved;
+    the rest share one ``eigvalsh`` call, each bit for bit its ``operator_norm``.
     """
-    gram, exp = _gram_stack(stack)
+    gram, exp = _gram_stack(np.asarray(stack, dtype=np.complex128))
+    norms = np.zeros(len(gram))
+    keep = np.ones(len(gram), dtype=bool)
     with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt((gram.real**2 + gram.imag**2).sum(axis=(1, 2))), 2 * exp)
+        if floor is not None:
+            keep = np.ldexp(np.sqrt((gram.real**2 + gram.imag**2).sum((1, 2))), 2 * exp) > floor
+        if keep.any():
+            # With every matrix kept, the stack is solved as formed, not copied.
+            top = np.linalg.eigvalsh(gram if keep.all() else gram[keep])[:, -1]
+            norms[keep] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), exp[keep])
+    return norms
 
 
 # Gram traces above this, or nonzero below its inverse, are rescaled before

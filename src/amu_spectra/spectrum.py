@@ -18,14 +18,12 @@ bump supports. ``scan`` walks the grid axis by axis and extends the
 rectangular core by one coupling per axis. Within each block of points
 that share the first coordinate, it multiplies a chunk of prefix cores, at
 most ``CORE_STACK_BYTES``, by the last coupling at once, and each
-last-axis center's cores across the chunk go to ``operator_norm`` as one
-stack. A scan that needs only the accepted set (``norms=False``, as
-``amu --lambda all-accepted`` runs it) accepts most points from a
-Rayleigh-quotient lower bound on the core norm, rejects most others from
-an upper bound, the Frobenius norm of the core's Gram matrix, and
-eigensolves only the points near the threshold. ``spectrum`` and
-``essential`` store every accepted norm, so their scans still eigensolve
-every point.
+last-axis center's cores across the chunk are decided as one stack: their
+Gram matrices are formed once, the cores whose Gram bound cannot reach the
+threshold are rejected, and the rest are eigensolved. A scan that needs
+only the accepted set (``norms=False``, as ``amu --lambda all-accepted``
+runs it) first accepts most points from a Rayleigh-quotient lower bound,
+so it eigensolves only the points near the threshold.
 
 A ``SyntheticSpectrumResult`` holds its accepted set as two read-only
 arrays: the grid index m of every coordinate (the coordinate is m/k), and
@@ -45,7 +43,7 @@ import numpy as np
 from .constants import GRID_POINT_CAP, TOL
 from .calculus import BumpFactorCache
 from .errors import GridCapExceeded
-from .linalg import _gram_frobenius, operator_norm
+from .linalg import _screened_norms
 from .models import JsonRows
 from .observables import OperatorTuple, as_point
 
@@ -265,12 +263,15 @@ def scan(
     coordinate at a time. Within a block, the prefix cores are multiplied
     by the last coupling a chunk of at most ``CORE_STACK_BYTES`` at a time;
     for each last-axis center, its cores across the chunk are sliced out of
-    those products and go to one ``operator_norm`` call, so one center's
-    cores and Gram matrices are held at a time. Every axis keeps a
-    center: the pitch 1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so
-    each eigenvalue, at the edges too, lies within eta/2 of a grid value,
-    and a bump of width eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every
-    point gets the arithmetic ``theta_product`` performs for it alone.
+    those products and go to one ``_screened_norms`` call, so one center's
+    cores and Gram matrices are held at a time. A core whose Gram matrix G
+    has ||G||_F <= (1 - eta - 2 slack)^2 is rejected unsolved, its norm
+    being ``TOL.accept_slack`` or more below the threshold; every other
+    core gets its ``operator_norm``. Every axis keeps a center: the pitch
+    1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so each eigenvalue, at
+    the edges too, lies within eta/2 of a grid value, and a bump of width
+    eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every point gets
+    the arithmetic ``theta_product`` performs for it alone.
 
     Each chunk's accepted points are found with one ``np.nonzero`` over
     its decisions, and kept as the grid indices and norms the result holds.
@@ -284,13 +285,8 @@ def scan(
     the coupled prefixes and without forming the cores. A point with
     w >= (1 - eta)^2 is accepted without an eigensolve: its norm is at
     least 1 - eta, which is ``TOL.accept_slack`` above the threshold, far
-    beyond rounding. Each other core C is formed, and rejected without an
-    eigensolve when ||G||_F <= (1 - eta - 2 slack)^2, G being its Gram
-    matrix: ||C||^2 = lam_max(G) <= ||G||_F, so its norm is at least
-    ``TOL.accept_slack`` below the threshold, mirroring the witness. The
-    cores left, the points near the threshold, go to ``operator_norm`` a
-    center at a time and are decided by the norm test above, so the
-    accepted points are exactly those of ``norms=True``, in the same order.
+    beyond rounding. Only the other cores are formed and decided as above,
+    so the accepted points are exactly those of ``norms=True``, in order.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -309,23 +305,21 @@ def scan(
                 alive[axis].append(m)
                 supports[axis].append((sl, vals))
     last = np.array(alive[-1], dtype=np.int32)
+    # At or below this bound on its squared norm a core is rejected unsolved.
+    floor = (threshold - TOL.accept_slack) ** 2
     if not norms:
         # Column c holds the squared bump values of last-axis center c, the
         # weights ``_witness`` puts on the columns of a coupled prefix.
         weights = np.zeros((tup.dim, len(last)))
         for c, (sl, vals) in enumerate(supports[-1]):
             weights[sl, c] = vals**2
-        # At or below this squared-norm bound a core is rejected unsolved.
-        floor = (threshold - TOL.accept_slack) ** 2
 
     def scan_block(first: int, support: tuple[slice, np.ndarray]) -> list:
         """The (grid indices, norms) of the block's accepted points, a pair per chunk."""
         head = support[1]
         if n == 1:
-            nrm = operator_norm(np.diag(head))
-            if nrm < threshold:
-                return []
-            return [(np.array([[first]], dtype=np.int32), np.array([nrm]))]
+            nrm = _screened_norms(np.diag(head)[None], floor)
+            return [(np.array([[first]], dtype=np.int32), nrm)] if nrm[0] >= threshold else []
         rows = head.size
         out: list[tuple[np.ndarray, np.ndarray]] = []
         walk = _prefixes(cache, alive, supports, 1, (first,), *support)
@@ -333,17 +327,13 @@ def scan(
         while chunk := list(itertools.islice(walk, per_chunk)):
             wides = np.stack([cache.couple(core, n - 1, prev) for _, prev, core in chunk])
             values = np.zeros((len(last), len(chunk)))
-            if norms:
-                witnessed = np.zeros(values.shape, dtype=bool)
-            else:
-                witnessed = (_witness(wides, weights) >= (1.0 - eta) ** 2).T
+            witnessed = (np.zeros(values.shape, dtype=bool) if norms
+                         else (_witness(wides, weights) >= (1.0 - eta) ** 2).T)
             for i, (sl, vals) in enumerate(supports[-1]):
-                if norms:
-                    values[i] = operator_norm(wides[:, :, sl] * vals)
-                elif (pick := np.flatnonzero(~witnessed[i])).size:
-                    core = wides[pick, :, sl] * vals
-                    if (keep := _gram_frobenius(core) > floor).any():
-                        values[i, pick[keep]] = operator_norm(core[keep])
+                # The cores the witness left; when that is all of them, sliced, not copied.
+                if (pick := np.flatnonzero(~witnessed[i])).size:
+                    part = slice(None) if pick.size == len(chunk) else pick
+                    values[i, part] = _screened_norms(wides[part, :, sl] * vals, floor)
             # Prefix-major, then by last-axis center: grid order.
             prefix, center = np.nonzero((witnessed | (values >= threshold)).T)
             heads = np.array([coords for coords, _, _ in chunk], dtype=np.int32)

@@ -215,7 +215,7 @@ def test_zero_matrices_are_not_formed_again(monkeypatch):
     monkeypatch.setattr(linalg, "_gram", gram)
     stack = np.zeros((50, 4, 3), dtype=np.complex128)
     assert operator_norm(stack).tolist() == [0.0] * 50
-    assert linalg._gram_frobenius(stack).tolist() == [0.0] * 50
+    assert linalg._screened_norms(stack, 0.0).tolist() == [0.0] * 50
     assert shapes == [(50, 4, 3)] * 2
     # A nonzero member whose Gram matrix underflows is formed again, alone.
     stack[7, 1, 2] = 1e-200j
@@ -264,8 +264,11 @@ def test_operator_norm_rejects_empty_and_nonfinite(bad):
     rank_one=st.booleans(),
     zero=st.booleans(),
     scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+    level=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
 )
-def test_gram_frobenius_bounds_the_squared_norm(seed, shape, rank_one, zero, scale):
+def test_gram_frobenius_bounds_the_squared_norm(seed, shape, rank_one, zero, scale, level):
+    # ||A||^2 = lam_max(G) <= ||G||_F screens a matrix at a floor ``level``
+    # times some member's squared norm.
     p, m, k = shape
     rng = np.random.default_rng(seed)
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -274,15 +277,22 @@ def test_gram_frobenius_bounds_the_squared_norm(seed, shape, rank_one, zero, sca
     if zero:
         stack[rng.integers(p)] = 0.0
     stack *= scale
+    alone = np.array([operator_norm(a) for a in stack])
+    squares = alone**2
+    floor = level * squares[rng.integers(p)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        bound = linalg._gram_frobenius(stack)
-    squares = operator_norm(stack) ** 2
-    assert bound.shape == (p,)
-    assert np.all(bound >= squares * (1 - 1e-12))
-    assert np.all((bound == 0.0) == (squares == 0.0))
-    if rank_one:
-        assert np.all(bound <= squares * (1 + 1e-12))
+        norms = linalg._screened_norms(stack, floor)
+    assert norms.shape == (p,)
+    # A screened matrix gets 0 and has ||A||^2 <= floor; any other gets its norm's bits.
+    screened = norms == 0.0
+    assert np.all(squares[screened] <= floor * (1 + 1e-12))
+    assert norms[~screened].tobytes() == alone[~screened].tobytes()
+    if rank_one:  # the screen is exact up to rounding
+        assert np.all(screened | (squares > floor * (1 - 1e-12)))
+    if floor == 0.0:  # the bound is 0 for a zero matrix only
+        assert np.all(screened == (squares == 0.0))
+    assert linalg._screened_norms(stack).tobytes() == alone.tobytes()
 
 
 def test_gram_schmidt_orthonormalizes_and_preserves_span():

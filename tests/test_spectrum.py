@@ -23,6 +23,7 @@ from amu_spectra import (
     ModelSpec,
     OperatorTuple,
     SyntheticSpectrumResult,
+    amu_at,
     build_grid,
     generate,
     grid_step_count,
@@ -30,6 +31,7 @@ from amu_spectra import (
     operator_norm,
     scan,
     theta_product,
+    uses_band_path,
 )
 from amu_spectra import TOL, spectrum
 from conftest import accepted_entries, random_hermitian
@@ -236,15 +238,20 @@ def test_scan_thread_counts_agree_triple():
 
 
 def recording_operator_norm(monkeypatch) -> list[np.ndarray]:
-    """Route the scan's ``operator_norm`` through a wrapper; returns the norms it hands back."""
+    """Route the scan's ``_screened_norms`` through a wrapper; returns the norms it solved.
+
+    A core rejected by the Gram bound gets 0. Every core solved is nonzero,
+    since its bound exceeds the floor, which is positive.
+    """
     solved: list[np.ndarray] = []
 
-    def recording(cores):
-        out = operator_norm(cores)
-        solved.append(np.atleast_1d(out))
+    def recording(cores, floor):
+        out = real(cores, floor)
+        solved.append(out[out != 0.0])
         return out
 
-    monkeypatch.setattr(spectrum, "operator_norm", recording)
+    real = spectrum._screened_norms
+    monkeypatch.setattr(spectrum, "_screened_norms", recording)
     return solved
 
 
@@ -304,19 +311,22 @@ def test_scan_without_norms_rejects_cores_below_the_gram_floor_unsolved(monkeypa
     # plus ``offset``. The cores of the points (x, 0), |x| <= 3 eta/4, have
     # rank one, so the Frobenius norm of their Gram matrices is their
     # squared norm: at the floor less 5e-13 they are rejected without an
-    # eigensolve, at the floor plus 5e-13 eigvalsh rejects them.
+    # eigensolve, at the floor plus 5e-13 eigvalsh rejects them. Scans that
+    # store norms take the same screen.
     eta = 0.5
     target = 1.0 - eta - 2 * TOL.accept_slack + offset
     b = eta - target * eta / 4.0
     tup = OperatorTuple((np.diag([0.0, 0.9, -0.9, 0.85]), np.diag([b, -0.9, 0.9, 0.05])),
                         bound=1.0)
     full = scan(tup, eta)
-    solved = recording_operator_norm(monkeypatch)
-    decided = scan(tup, eta, norms=False)
-    assert np.array_equal(decided.accepted, full.accepted)
     assert (0.0, 0.0) not in dict(accepted_entries(full))
-    near = np.concatenate([np.zeros(0), *solved])
-    assert np.count_nonzero(np.abs(near - target) <= 1e-12) == (9 if offset > 0 else 0)
+    for norms in (True, False):
+        solved = recording_operator_norm(monkeypatch)
+        decided = scan(tup, eta, norms=norms)
+        monkeypatch.undo()
+        assert np.array_equal(decided.accepted, full.accepted)
+        near = np.concatenate([np.zeros(0), *solved])
+        assert np.count_nonzero(np.abs(near - target) <= 1e-12) == (9 if offset > 0 else 0)
 
 
 @given(
@@ -352,11 +362,13 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     tup = perturbed_triple()
     stacks = []
 
-    def recording_norm(cores):
-        stacks.append(np.shape(cores))
-        return operator_norm(cores)
+    real = spectrum._screened_norms
 
-    monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
+    def recording_norm(cores, floor):
+        stacks.append(np.shape(cores))
+        return real(cores, floor)
+
+    monkeypatch.setattr(spectrum, "_screened_norms", recording_norm)
     default = scan(tup, 0.9)
     default_calls = len(stacks)
     stacks.clear()
@@ -377,6 +389,7 @@ def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pai
     triple = perturbed_triple()
     events = []
     real_couple, real_eigvalsh = BumpFactorCache.couple, np.linalg.eigvalsh
+    real_norms = spectrum._screened_norms
 
     def couple(self, prefix, axis, prev):
         events.append(("couple", axis))
@@ -386,15 +399,21 @@ def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pai
         events.append(("eigvalsh", len(gram)))
         return real_eigvalsh(gram)
 
-    def recording_norm(cores):
-        out = operator_norm(cores)
-        events.append(("norm", len(cores)))
-        solved.append((cores, out))
+    def recording_norm(cores, floor):
+        start = len(events)
+        out = real_norms(cores, floor)
+        # The Gram bound of each core, formed apart from the scan's arithmetic.
+        screened = np.array([np.linalg.norm(c.conj().T @ c) <= floor for c in cores])
+        solves = events[start:]
+        del events[start:]
+        events.append(("norm", solves))
+        solved.append((cores, out, screened, solves))
         return out
 
     monkeypatch.setattr(BumpFactorCache, "couple", couple)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
+    monkeypatch.setattr(spectrum, "_screened_norms", recording_norm)
+    screened_calls = []
     for tup, eta in ((triple, 0.9), (shift_pair_64, 0.5)):
         cache = BumpFactorCache(tup)
         threshold = 1.0 - eta - TOL.accept_slack
@@ -412,17 +431,30 @@ def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pai
             elif event[0] != "couple":
                 chunks[-1].append(event)
         assert len(chunks) > 1
-        for calls in chunks:
-            # One norm call, and one eigvalsh call within it, per center solved.
-            assert [kind for kind, _ in calls] == ["eigvalsh", "norm"] * (len(calls) // 2)
-            assert all(solve[1] == call[1] for solve, call in zip(calls[::2], calls[1::2]))
-            if norms:
-                assert len(calls) == 2 * centers
-        if not norms:
-            assert any(len(calls) < 2 * centers for calls in chunks)
-        # Each norm is bit for bit the norm of its core alone.
-        for cores, out in solved:
-            assert out.tobytes() == np.array([operator_norm(core) for core in cores]).tobytes()
+        # One norm call per center with a core left to decide: every alive
+        # center when no witness runs.
+        assert all(kind == "norm" for calls in chunks for kind, _ in calls)
+        if norms:
+            assert all(len(calls) == centers for calls in chunks)
+        else:
+            assert any(len(calls) < centers for calls in chunks)
+        for cores, out, screened, solves in solved:
+            # One eigvalsh call on exactly the cores above the Gram floor, and
+            # none when the bound rejects them all.
+            kept = int(np.count_nonzero(~screened))
+            assert solves == ([("eigvalsh", kept)] if kept else [])
+            # A screened core gets 0; every other norm is bit for bit its core's alone.
+            alone = np.array([operator_norm(core) for core in cores])
+            assert not out[screened].any()
+            assert np.all(alone[screened] ** 2 <= (threshold - TOL.accept_slack) ** 2 * (1 + 1e-12))
+            assert out[~screened].tobytes() == alone[~screened].tobytes()
+        screened_calls += [screened for _, _, screened, _ in solved]
+    if norms:
+        # The bound spares some alive cores their eigensolve, not all: some
+        # calls solve part of their stack, and some solve nothing.
+        assert 0 < sum(np.count_nonzero(m) for m in screened_calls) < sum(map(len, screened_calls))
+        assert any(0 < np.count_nonzero(m) < len(m) for m in screened_calls)
+        assert any(m.all() for m in screened_calls)
 
 
 @pytest.mark.parametrize(
@@ -555,6 +587,28 @@ def test_commuting_accepted_points_lie_within_reach_of_a_joint_eigenvalue(dim, n
     assert len(points) and nearest.max() <= reach + eta * TOL.accept_slack / 4.0 + 1e-12
     # Some accepted points lie beyond 0.35 of every joint eigenvalue on one axis.
     assert nearest.max() > 0.35
+
+
+def test_scalar_tuple_accepts_points_out_to_the_reach_and_no_further():
+    # T_j = t_j I: each factor is bump(t_j) I, and every state has
+    # expectation t. So a point is accepted when the product of the bump
+    # values at t reaches the threshold, which on each axis is within
+    # eta (3 + eta) / 4 of t, and the grid comes within a pitch of that.
+    eta = 0.5
+    t = (0.1, -0.23)
+    tup = OperatorTuple([tj * np.eye(4) for tj in t], bound=1.0)
+    assert not uses_band_path(tup)
+    result = scan(tup, eta)
+    points = result.accepted_points()
+    distance = np.abs(points - t).max(axis=1)
+    reach = eta * (3.0 + eta) / 4.0
+    farthest = float(distance.max())
+    assert farthest <= reach + eta * TOL.accept_slack / 4.0 + 1e-12
+    assert reach - farthest <= result.grid.pitch
+    # No state does better than t there: amu fails just below that distance.
+    point = points[np.argmax(distance)]
+    assert not amu_at(tup, point, 0.35, farthest - 1e-9).expectation_close
+    assert amu_at(tup, point, 0.35, farthest + 1e-9).expectation_close
 
 
 @pytest.mark.parametrize("norms", [True, False])
