@@ -270,8 +270,8 @@ def scan(
     core gets its ``operator_norm``. Every axis keeps a center: the pitch
     1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so each eigenvalue, at
     the edges too, lies within eta/2 of a grid value, and a bump of width
-    eta is 1 within 3 eta/4 of its center. The stacking changes no norm: every point gets
-    the arithmetic ``theta_product`` performs for it alone.
+    eta is 1 within 3 eta/4 of its center. The stacking changes no norm:
+    every point gets the arithmetic ``theta_product`` performs for it alone.
 
     Each chunk's accepted points are found with one ``np.nonzero`` over
     its decisions, and kept as the grid indices and norms the result holds.
