@@ -26,8 +26,7 @@ the columns S(c) scaled by the bump values. Callers keep the supports they
 walk and hand the previous one back to ``couple``. ``theta_product`` takes
 those columns for its one center; ``spectrum.scan`` takes them for one
 last-axis center across a chunk of prefix cores and passes that stack to
-``linalg._screened_norms``, which gives every core it does not reject
-its ``operator_norm``.
+``linalg.operator_norm`` with the scan's floor.
 The arithmetic per point is the same on both paths, so their norms agree
 bit for bit. No dense factor is formed on either path;
 ``BumpFactorCache.factor_matrix`` builds one only as the reference the core

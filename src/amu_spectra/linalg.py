@@ -524,7 +524,7 @@ def _inverse_iteration(band, shift, vectors):
     return energies, resid
 
 
-def operator_norm(a):
+def operator_norm(a, *, floor=None):
     """Largest singular value of a finite, non-empty m×k matrix, or of each in a p×m×k stack.
 
     Computed as the square root of the top eigenvalue of the Gram matrix on
@@ -532,23 +532,17 @@ def operator_norm(a):
     gives a float, a stack a float64 array of its p norms, each equal bit
     for bit to the norm of its matrix passed alone, so stacking changes no
     answer. A nonzero matrix whose Gram trace is not finite or outside
-    [2^-500, 2^500] is scaled by a power of two (``_gram_stack``).
+    [2^-500, 2^500] is scaled by a power of two (``_gram_stack``), so the
+    Frobenius norm of its Gram matrix G over- or underflows only where
+    ||A||^2 does.
+
+    With a ``floor``, the screen ``spectrum.scan`` decides its cores by: a
+    matrix with ||G||_F <= floor, so ||A||^2 = lam_max(G) <= floor, gets 0
+    without an eigensolve, and the rest share one ``eigvalsh`` call.
     """
     stack = (_finite_nonempty(np.asarray(a, dtype=np.complex128)) if np.ndim(a) == 3
              else as_matrix(a, square=False)[None])
-    norms = _screened_norms(stack)
-    return norms if np.ndim(a) == 3 else float(norms[0])
-
-
-def _screened_norms(stack: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Norms of a non-empty p×m×k stack, 0 for each matrix a Gram bound rules out.
-
-    Each Gram matrix G is formed once (``_gram_stack``), scaled so that
-    ||G||_F over- or underflows only where ||A||^2 does. A matrix with
-    ||G||_F <= ``floor``, so ||A||^2 = lam_max(G) <= floor, gets 0 unsolved;
-    the rest share one ``eigvalsh`` call, each bit for bit its ``operator_norm``.
-    """
-    gram, exp = _gram_stack(np.asarray(stack, dtype=np.complex128))
+    gram, exp = _gram_stack(stack)
     norms = np.zeros(len(gram))
     keep = np.ones(len(gram), dtype=bool)
     with np.errstate(over="ignore"):
@@ -558,7 +552,7 @@ def _screened_norms(stack: np.ndarray, floor: float | None = None) -> np.ndarray
             # With every matrix kept, the stack is solved as formed, not copied.
             top = np.linalg.eigvalsh(gram if keep.all() else gram[keep])[:, -1]
             norms[keep] = np.ldexp(np.sqrt(np.maximum(top, 0.0)), exp[keep])
-    return norms
+    return norms if np.ndim(a) == 3 else float(norms[0])
 
 
 # Gram traces above this, or nonzero below its inverse, are rescaled before

@@ -91,9 +91,9 @@ class VectorState:
 class OperatorTuple:
     """Hermitian observables on a common space with a norm bound.
 
-    ``bound`` is the constant M with ||T_j|| <= M, checked on the spectral
-    radius max |eigvalsh(T_j)| with slack ``TOL.tuple_norm_slack``; it
-    must be positive and finite. It controls the grid range in scans.
+    ``bound`` is the constant M with ||T_j|| <= M (checked with slack
+    ``TOL.tuple_norm_slack``); it must be positive and finite. It controls
+    the grid range in scans.
     """
 
     __slots__ = ("ops", "bound", "_square_sum", "_half_bandwidth")
@@ -113,7 +113,7 @@ class OperatorTuple:
         if not 0.0 < bound < np.inf:
             raise ValueError(f"bound must be positive and finite, got {bound}")
         for j, op in enumerate(converted):
-            nrm = float(np.max(np.abs(np.linalg.eigvalsh(op.array))))
+            nrm = operator_norm(op)
             # Written so that a NaN norm fails the check too.
             if not nrm <= bound + TOL.tuple_norm_slack:
                 raise ValueError(

@@ -43,7 +43,7 @@ import numpy as np
 from .constants import GRID_POINT_CAP, TOL
 from .calculus import BumpFactorCache
 from .errors import GridCapExceeded
-from .linalg import _screened_norms
+from .linalg import operator_norm
 from .models import JsonRows
 from .observables import OperatorTuple, as_point
 
@@ -263,11 +263,11 @@ def scan(
     coordinate at a time. Within a block, the prefix cores are multiplied
     by the last coupling a chunk of at most ``CORE_STACK_BYTES`` at a time;
     for each last-axis center, its cores across the chunk are sliced out of
-    those products and go to one ``_screened_norms`` call, so one center's
-    cores and Gram matrices are held at a time. A core whose Gram matrix G
-    has ||G||_F <= (1 - eta - 2 slack)^2 is rejected unsolved, its norm
-    being ``TOL.accept_slack`` or more below the threshold; every other
-    core gets its ``operator_norm``. Every axis keeps a center: the pitch
+    those products and go to one ``operator_norm`` call, so one center's
+    cores and Gram matrices are held at a time. Its ``floor`` rejects
+    unsolved a core whose Gram matrix G has ||G||_F <= (1 - eta - 2 slack)^2,
+    its norm being ``TOL.accept_slack`` or more below the threshold; every
+    other core gets its norm. Every axis keeps a center: the pitch
     1/k is below eta / (2 sqrt(n) (M + 1)) < eta/2, so each eigenvalue, at
     the edges too, lies within eta/2 of a grid value, and a bump of width
     eta is 1 within 3 eta/4 of its center. The stacking changes no norm:
@@ -318,8 +318,8 @@ def scan(
         """The (grid indices, norms) of the block's accepted points, a pair per chunk."""
         head = support[1]
         if n == 1:
-            nrm = _screened_norms(np.diag(head)[None], floor)
-            return [(np.array([[first]], dtype=np.int32), nrm)] if nrm[0] >= threshold else []
+            nrm = operator_norm(np.diag(head), floor=floor)
+            return [(np.array([[first]], dtype=np.int32), np.array([nrm]))] if nrm >= threshold else []
         rows = head.size
         out: list[tuple[np.ndarray, np.ndarray]] = []
         walk = _prefixes(cache, alive, supports, 1, (first,), *support)
@@ -333,7 +333,7 @@ def scan(
                 # The cores the witness left; when that is all of them, sliced, not copied.
                 if (pick := np.flatnonzero(~witnessed[i])).size:
                     part = slice(None) if pick.size == len(chunk) else pick
-                    values[i, part] = _screened_norms(wides[part, :, sl] * vals, floor)
+                    values[i, part] = operator_norm(wides[part, :, sl] * vals, floor=floor)
             # Prefix-major, then by last-axis center: grid order.
             prefix, center = np.nonzero((witnessed | (values >= threshold)).T)
             heads = np.array([coords for coords, _, _ in chunk], dtype=np.int32)

@@ -215,7 +215,7 @@ def test_zero_matrices_are_not_formed_again(monkeypatch):
     monkeypatch.setattr(linalg, "_gram", gram)
     stack = np.zeros((50, 4, 3), dtype=np.complex128)
     assert operator_norm(stack).tolist() == [0.0] * 50
-    assert linalg._screened_norms(stack, 0.0).tolist() == [0.0] * 50
+    assert operator_norm(stack, floor=0.0).tolist() == [0.0] * 50
     assert shapes == [(50, 4, 3)] * 2
     # A nonzero member whose Gram matrix underflows is formed again, alone.
     stack[7, 1, 2] = 1e-200j
@@ -282,7 +282,7 @@ def test_gram_frobenius_bounds_the_squared_norm(seed, shape, rank_one, zero, sca
     floor = level * squares[rng.integers(p)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        norms = linalg._screened_norms(stack, floor)
+        norms = operator_norm(stack, floor=floor)
     assert norms.shape == (p,)
     # A screened matrix gets 0 and has ||A||^2 <= floor; any other gets its norm's bits.
     screened = norms == 0.0
@@ -292,7 +292,7 @@ def test_gram_frobenius_bounds_the_squared_norm(seed, shape, rank_one, zero, sca
         assert np.all(screened | (squares > floor * (1 - 1e-12)))
     if floor == 0.0:  # the bound is 0 for a zero matrix only
         assert np.all(screened == (squares == 0.0))
-    assert linalg._screened_norms(stack).tobytes() == alone.tobytes()
+    assert operator_norm(stack).tobytes() == alone.tobytes()
 
 
 def test_gram_schmidt_orthonormalizes_and_preserves_span():

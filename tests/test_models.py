@@ -157,6 +157,20 @@ def test_perturbed_commutators_small():
     assert commutator_profile(tup).max() <= 4 * t + 4 * t * t + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_perturbed_tuple_with_a_large_bound_passes_its_own_check(tmp_path, seed):
+    # The stored M is the largest operator_norm, and OperatorTuple checks
+    # each norm with the same routine, so a norm near 1e8, where an ulp
+    # exceeds TOL.tuple_norm_slack, still lies within its own bound.
+    ranges = {"eigen_low": -1e8, "eigen_high": 1e8}
+    tup = generate(ModelSpec("perturbed_commuting", 16, n=2, seed=seed, params=ranges))
+    assert tup.bound > 1e7
+    save_tuple(tup, tmp_path / "big.json")
+    loaded, _ = load_tuple(tmp_path / "big.json")
+    assert loaded.bound == tup.bound
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.arrays(), tup.arrays()))
+
+
 def test_clock_shift_triple_structure():
     dim = 16
     tup = generate(ModelSpec("clock_shift_triple", dim, n=3))

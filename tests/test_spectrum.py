@@ -238,20 +238,19 @@ def test_scan_thread_counts_agree_triple():
 
 
 def recording_operator_norm(monkeypatch) -> list[np.ndarray]:
-    """Route the scan's ``_screened_norms`` through a wrapper; returns the norms it solved.
+    """Route the scan's ``operator_norm`` through a wrapper; returns the norms it solved.
 
     A core rejected by the Gram bound gets 0. Every core solved is nonzero,
     since its bound exceeds the floor, which is positive.
     """
     solved: list[np.ndarray] = []
 
-    def recording(cores, floor):
-        out = real(cores, floor)
-        solved.append(out[out != 0.0])
+    def recording(cores, *, floor):
+        out = operator_norm(cores, floor=floor)
+        solved.append(np.atleast_1d(out)[np.atleast_1d(out) != 0.0])
         return out
 
-    real = spectrum._screened_norms
-    monkeypatch.setattr(spectrum, "_screened_norms", recording)
+    monkeypatch.setattr(spectrum, "operator_norm", recording)
     return solved
 
 
@@ -362,13 +361,11 @@ def test_scan_small_stack_budget_matches_default(monkeypatch):
     tup = perturbed_triple()
     stacks = []
 
-    real = spectrum._screened_norms
-
-    def recording_norm(cores, floor):
+    def recording_norm(cores, *, floor):
         stacks.append(np.shape(cores))
-        return real(cores, floor)
+        return operator_norm(cores, floor=floor)
 
-    monkeypatch.setattr(spectrum, "_screened_norms", recording_norm)
+    monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
     default = scan(tup, 0.9)
     default_calls = len(stacks)
     stacks.clear()
@@ -389,7 +386,6 @@ def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pai
     triple = perturbed_triple()
     events = []
     real_couple, real_eigvalsh = BumpFactorCache.couple, np.linalg.eigvalsh
-    real_norms = spectrum._screened_norms
 
     def couple(self, prefix, axis, prev):
         events.append(("couple", axis))
@@ -399,9 +395,9 @@ def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pai
         events.append(("eigvalsh", len(gram)))
         return real_eigvalsh(gram)
 
-    def recording_norm(cores, floor):
+    def recording_norm(cores, *, floor):
         start = len(events)
-        out = real_norms(cores, floor)
+        out = operator_norm(cores, floor=floor)
         # The Gram bound of each core, formed apart from the scan's arithmetic.
         screened = np.array([np.linalg.norm(c.conj().T @ c) <= floor for c in cores])
         solves = events[start:]
@@ -412,7 +408,7 @@ def test_scan_solves_each_last_axis_center_once_per_chunk(monkeypatch, shift_pai
 
     monkeypatch.setattr(BumpFactorCache, "couple", couple)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(spectrum, "_screened_norms", recording_norm)
+    monkeypatch.setattr(spectrum, "operator_norm", recording_norm)
     screened_calls = []
     for tup, eta in ((triple, 0.9), (shift_pair_64, 0.5)):
         cache = BumpFactorCache(tup)
