@@ -268,22 +268,53 @@ def _real_matrix(rows) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+# Distinct number texts a ``_FloatMemo`` keeps a float for.
+_FLOAT_TEXTS = 1024
+
+
+class _FloatMemo(dict):
+    """``memo[text]`` is ``float(text)``, one float object per stored text.
+
+    ``json`` calls ``memo.__getitem__`` as its ``parse_float``, so a stored
+    text costs one C-level dict lookup. The first ``_FLOAT_TEXTS`` distinct
+    texts are stored; any later one gets a new float on every read, so the
+    memo stays bounded.
+    """
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> float:
+        value = float(text)
+        if len(self) < _FLOAT_TEXTS:
+            self[text] = value
+        return value
+
+
 def _json_fields(path: str) -> tuple:
     """Decode a UTF-8 JSON tuple file into n, dim, M, ops and meta, left unchecked.
 
     Each operator's ``re`` and ``im`` become one complex array here. The
-    decoded document, which holds every entry as a Python float, several
-    times the memory of the arrays, is freed on return, before
-    ``load_tuple`` checks the operators. NaN, Infinity and -Infinity,
-    which ``json`` reads but strict JSON lacks, are refused wherever they
-    stand, meta included, so a tuple saved back is strict JSON too.
+    decoded document is freed on return, before ``load_tuple`` checks the
+    operators. Its numbers are decoded through a ``_FloatMemo`` made for
+    this call, so a number text seen again gives the float object it gave
+    before. A shift tuple, nearly all ``0.0``, then holds one float per
+    distinct number instead of one per entry, and its load peaks at about
+    twice the file (its bytes, then its decoded text), against about three
+    times with a float per entry. A dense file, whose numbers are nearly
+    all distinct, misses the memo on almost every number and decodes
+    about 1.6 times as slowly. The memo calls ``float`` on the text, as
+    ``json`` does, so every bit is the same.
+
+    NaN, Infinity and -Infinity, which ``json`` reads but strict JSON
+    lacks, are refused wherever they stand, meta included, so a tuple
+    saved back is strict JSON too.
     """
     def refuse(constant: str):
         raise TupleFormatError(f"{path}: {constant} is not a JSON number")
 
     with open(path, "rb") as fh:
         try:
-            d = json.loads(fh.read().decode("utf-8"), parse_constant=refuse)
+            d = json.loads(fh.read().decode("utf-8"), parse_constant=refuse,
+                           parse_float=_FloatMemo().__getitem__)
         except UnicodeDecodeError as exc:
             raise TupleFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:

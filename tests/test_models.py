@@ -21,6 +21,7 @@ from amu_spectra import (
     load_tuple,
     save_tuple,
 )
+from amu_spectra.linalg import HermitianMatrix
 from amu_spectra.models import (FAMILIES, JsonRows, family_name, splitmix64, uniform_doubles,
                                 write_json)
 from amu_spectra.spectrum import GridSpec, SyntheticSpectrumResult
@@ -338,6 +339,50 @@ def test_load_rejects_malformed_files(tmp_path, name, content):
     if name.startswith("constant_"):
         assert str(info.value).endswith(("NaN is not a JSON number",
                                          "-Infinity is not a JSON number"))
+
+
+# Hand-written: -0.0 (the symmetrization in the loaded operators makes it
+# 0.0; meta keeps it), the extreme floats, integer entries, and 0.5
+# written a second way as 5e-1.
+_EDGE_TUPLE = """{"n": 2, "dim": 2, "M": 1.7976931348623157e308, "ops": [
+  {"re": [[-0.0, 0.5], [5e-1, 3]], "im": [[-0.0, 5e-324], [-5e-324, -0.0]]},
+  {"re": [[1, 0.0], [0, -1]], "im": [[0, 0], [0.0, -0.0]]}],
+ "meta": {"max": 1.7976931348623157e308, "tiny": 5e-324, "zero": [0.0, -0.0],
+          "half": [0.5, 5e-1], "count": 3}}"""
+
+
+@pytest.mark.parametrize("source", ["shift", "perturbed", "hand-written"])
+def test_load_keeps_every_bit_of_a_plain_json_decode(tmp_path, source):
+    path = tmp_path / f"{source}.json"
+    if source == "hand-written":
+        path.write_text(_EDGE_TUPLE)
+    else:
+        spec = (ModelSpec("shift_pair", 32) if source == "shift" else
+                ModelSpec("perturbed_commuting", 24, n=3, seed=1, params={"perturbation": 0.2}))
+        save_tuple(generate(spec), path, meta={"family": spec.family, "pi": math.pi})
+    tup, meta = load_tuple(path)
+    plain = json.loads(path.read_text())
+    assert tup.bound.hex() == float(plain["M"]).hex()
+    assert meta == plain["meta"] and json.dumps(meta) == json.dumps(plain["meta"])
+    for op, entry in zip(tup.ops, plain["ops"], strict=True):
+        # The plain decode through the loader's own assembly of the array.
+        want = HermitianMatrix(np.array(entry["re"], dtype=float)
+                               + 1j * np.array(entry["im"], dtype=float)).array
+        assert np.array_equal(op.array, want)
+        for got, ref in ((op.array.real, want.real), (op.array.imag, want.imag)):
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+    if source == "hand-written":
+        assert tup.ops[0].array[1, 0] == 0.5 - 5e-324j
+        assert math.copysign(1.0, meta["zero"][1]) == -1.0
+
+
+def test_loading_a_shift_tuple_peaks_at_about_twice_its_file(tmp_path):
+    # Nearly every entry is 0.0. The file's bytes and its decoded text come
+    # to twice its size; one float object per entry came to about 3.2 times.
+    path = tmp_path / "shift128.json"
+    save_tuple(generate(ModelSpec("shift_pair", 128)), path)
+    peak = _traced_peak(lambda: load_tuple(path))
+    assert peak <= 2.25 * path.stat().st_size
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
