@@ -15,7 +15,7 @@ shrink as the cuts increase.
 Every cut is checked before anything is printed; a bad one exits with
 status 2.
 
-Usage: python3 scripts/essential_shift_study.py [--dim 512] [--eta 0.5]
+Usage: python3 scripts/essential_shift_study.py [--dim 512] [--eta 0.5] [--cuts 32,64,128]
 """
 
 from __future__ import annotations

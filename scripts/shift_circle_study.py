@@ -9,7 +9,7 @@ prints the plan's phase-free cross-term bound and exits 1 if some
 |exp_j - target_j| exceeds that bound plus the distance from the weighted
 source points to the target.
 
-Usage: python3 scripts/shift_circle_study.py [--dims 128,256,512] [--points 16]
+Usage: python3 scripts/shift_circle_study.py [--dims 128,256,512] [--points 16] [--sigma 0.2]
 """
 
 from __future__ import annotations

@@ -65,8 +65,6 @@ class ThetaProduct:
     (see the module docstring); it is exactly 0.0 when some factor vanishes.
     """
 
-    centers: tuple[float, ...]
-    width: float
     factor_norms: tuple[float, ...]
     norm: float
 
@@ -164,5 +162,5 @@ def theta_product(
             core = cache.couple(core, j, prev)[:, sl] * vals
             prev = sl
         norm = operator_norm(np.diag(core) if core.ndim == 1 else core)
-    return ThetaProduct(centers, eta, fnorms, norm)
+    return ThetaProduct(fnorms, norm)
 

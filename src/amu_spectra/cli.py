@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .constants import GRID_POINT_CAP
 from .errors import GridCapExceeded, NumericalError, SpectraError
 from .essential import essential_spectrum_estimate
 from .models import (FAMILIES, JsonRows, ModelSpec, _family_params, family_name, generate,
@@ -33,16 +32,6 @@ from .spectrum import _thread_map, scan
 
 __all__ = ["main", "build_parser"]
 
-def _positive_int(source: str):
-    """An argparse type for positive integers whose error names ``source``, their origin."""
-    def parse(raw: str) -> int:
-        if raw.strip().isdecimal() and int(raw) >= 1:
-            return int(raw)
-        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer (from {source})")
-
-    return parse
-
-
 def _thread_count(raw: str) -> int:
     """A positive thread count, capped at the cores this process may run on.
 
@@ -51,7 +40,9 @@ def _thread_count(raw: str) -> int:
     point. The cores are the process's CPU affinity, or the machine's count
     where the system does not report one.
     """
-    count = _positive_int("--threads")(raw)
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer (from --threads)")
+    count = int(raw)
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -90,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Options of every command that scans a tuple file.
     scanning = argparse.ArgumentParser(add_help=False)
     scanning.add_argument("--input", required=True, help="tuple file")
-    scanning.add_argument("--grid-cap", type=_positive_int("--grid-cap"), default=GRID_POINT_CAP)
     scanning.add_argument("--threads", type=_thread_count, default=1,
                           help="worker threads (default 1), at most the usable cores")
     scanning.add_argument("-o", "--output", required=True, help="JSON result path")
@@ -155,7 +145,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     tup, _ = load_tuple(args.input)
-    result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads)
+    result = scan(tup, args.eta, threads=args.threads)
     write_json(result.to_json_dict(), args.output)
     print(
         f"scanned {result.grid.count} grid points (k={result.grid.k}), "
@@ -178,7 +168,7 @@ def _cmd_amu(args) -> int:
     tup, _ = load_tuple(args.input)
     scan_meta = None
     if all_accepted:
-        result = scan(tup, args.eta, cap=args.grid_cap, threads=args.threads, norms=False)
+        result = scan(tup, args.eta, threads=args.threads, norms=False)
         points = result.accepted_points()
         scan_meta = {"eta": args.eta, "k": result.grid.k,
                      "accepted_count": len(result.accepted)}
@@ -229,8 +219,7 @@ def _cmd_amu(args) -> int:
 def _cmd_essential(args) -> int:
     tup, _ = load_tuple(args.input)
     cuts = _parse_list(args.cuts, int, "cuts")
-    estimate = essential_spectrum_estimate(tup, args.eta, cuts, cap=args.grid_cap,
-                                           threads=args.threads)
+    estimate = essential_spectrum_estimate(tup, args.eta, cuts, threads=args.threads)
     write_json(estimate.to_json_dict(), args.output)
     for lvl in estimate.levels:
         print(f"cut={lvl.cut} window={lvl.window} accepted={len(lvl.result.accepted)}")

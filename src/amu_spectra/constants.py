@@ -50,4 +50,4 @@ class Tolerances:
 TOL = Tolerances()
 
 GRID_POINT_CAP = 2_000_000
-"""Default refusal threshold on the number of grid points in a scan."""
+"""Refusal threshold on the number of grid points in a scan."""

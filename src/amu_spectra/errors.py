@@ -23,7 +23,7 @@ class NearDependence(SpectraError, ValueError):
 
 
 class GridCapExceeded(SpectraError):
-    """A requested grid would have more points than the configured cap."""
+    """A requested grid would have more points than ``GRID_POINT_CAP``."""
 
     def __init__(self, size: int, cap: int):
         count = size
@@ -32,8 +32,7 @@ class GridCapExceeded(SpectraError):
 
             count = f"{Decimal(size):.2e}"
         super().__init__(
-            f"grid would have {count} points, above the cap {cap}; "
-            "use a larger eta (coarser grid) or raise the cap explicitly"
+            f"grid would have {count} points, above the cap {cap}; use a larger eta (coarser grid)"
         )
         self.size = size
         self.cap = cap

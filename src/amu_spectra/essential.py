@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GRID_POINT_CAP
 from .models import JsonRows
 from .observables import OperatorTuple
 from .spectrum import SyntheticSpectrumResult, hausdorff, scan
@@ -119,7 +118,6 @@ def essential_spectrum_estimate(
     eta: float,
     cuts,
     *,
-    cap: int = GRID_POINT_CAP,
     threads: int = 1,
 ) -> EssentialSpectrumEstimate:
     """Scan interior windows [m, dim - m) across increasing cuts m at one resolution.
@@ -139,7 +137,7 @@ def essential_spectrum_estimate(
     # Every window is checked before the first scan runs.
     windows = [_window(tup.dim, m) for m in cuts]
     levels = [EssentialLevel(cut=m, window=window,
-                             result=scan(_compress(tup, window), eta, cap=cap, threads=threads))
+                             result=scan(_compress(tup, window), eta, threads=threads))
               for m, window in zip(cuts, windows)]
     last = levels[-1].result.accepted_points()
     prev = levels[-2].result.accepted_points()

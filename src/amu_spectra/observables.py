@@ -248,12 +248,15 @@ def _moments(op: HermitianMatrix, state: VectorState, bound: float) -> tuple[flo
     <(T - e)^2 v, v>, which must agree. Rounding grows with the operator, so
     with s = max(1, ``bound``) these checks allow ``TOL.imag_expectation`` * s,
     ``TOL.cross_check`` * s^2 and a negative variance of ``TOL.variance_clamp`` * s^2.
+    The squared checks compare x / s with tol * s, so no s^2 is formed and
+    none overflows. A NaN or infinite variance on either path fails the
+    cross-check.
     """
     _check_dim(op, state)
     scale = max(1.0, bound)
     tv = op.array @ state.vector
     val = complex(np.vdot(state.vector, tv))
-    if abs(val.imag) > TOL.imag_expectation * scale:
+    if not abs(val.imag) <= TOL.imag_expectation * scale:
         raise NumericalError(
             f"expectation has imaginary part {val.imag:.3e} for a Hermitian operator"
         )
@@ -261,13 +264,13 @@ def _moments(op: HermitianMatrix, state: VectorState, bound: float) -> tuple[flo
     shifted = tv - e * state.vector
     var_direct = float(np.vdot(shifted, shifted).real)
     var_quad = float(np.vdot(state.vector, op.array @ shifted - e * shifted).real)
-    if abs(var_direct - var_quad) > TOL.cross_check * scale**2:
+    if not abs(var_direct - var_quad) / scale <= TOL.cross_check * scale:
         raise NumericalError(
             f"variance paths disagree: {var_direct:.15e} vs {var_quad:.15e}"
         )
     var = var_direct
     if var < 0.0:
-        if var < -TOL.variance_clamp * scale**2:
+        if not -var / scale <= TOL.variance_clamp * scale:
             raise NumericalError(f"variance {var:.3e} is negative beyond clamp")
         var = 0.0
     return e, var, float(np.sqrt(var))

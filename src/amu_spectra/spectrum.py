@@ -107,22 +107,22 @@ def grid_step_count(n: int, bound: float, eta: float) -> int:
     return int(math.floor(threshold)) + 1
 
 
-def build_grid(n: int, bound: float, eta: float, *, cap: int = GRID_POINT_CAP) -> GridSpec:
+def build_grid(n: int, bound: float, eta: float) -> GridSpec:
     """Grid for resolution ``eta``, with the step count of ``grid_step_count``.
 
-    The point count is checked against ``cap`` before anything is
-    materialized. A step count or half-width beyond float range exceeds
-    any cap.
+    The point count is checked against ``GRID_POINT_CAP``, read at each
+    call, before anything is materialized. A step count or half-width
+    beyond float range exceeds the cap.
     """
     bound = float(bound)
     try:
         k = grid_step_count(n, bound, eta)
         half = int(math.floor(bound * k))
     except OverflowError:  # raised only by a step count or half-width past float range
-        raise GridCapExceeded(math.inf, cap) from None
+        raise GridCapExceeded(math.inf, GRID_POINT_CAP) from None
     count = (2 * half + 1) ** n
-    if count > cap:
-        raise GridCapExceeded(count, cap)
+    if count > GRID_POINT_CAP:
+        raise GridCapExceeded(count, GRID_POINT_CAP)
     return GridSpec(n=n, bound=bound, k=k, half=half)
 
 
@@ -242,7 +242,6 @@ def scan(
     tup: OperatorTuple,
     eta: float,
     *,
-    cap: int = GRID_POINT_CAP,
     threads: int = 1,
     norms: bool = True,
 ) -> SyntheticSpectrumResult:
@@ -290,7 +289,7 @@ def scan(
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    grid = build_grid(tup.n, tup.bound, eta, cap=cap)
+    grid = build_grid(tup.n, tup.bound, eta)
     cache = BumpFactorCache(tup)
     threshold = 1.0 - eta - TOL.accept_slack
     n = tup.n

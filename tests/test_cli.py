@@ -182,39 +182,66 @@ def test_thread_count_must_be_positive_integer(tmp_path, shift_file):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("cap", ["-5", "0", "abc"])
-def test_grid_cap_must_be_positive_integer(tmp_path, shift_file, capsys, cap):
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--eta", "0.5"],
+    ["amu", "--lambda", "all-accepted", "--eta", "0.5", "--sigma", "0.35", "--eps", "0.35"],
+    ["essential", "--eta", "0.5", "--cuts", "8,16"],
+], ids=["spectrum", "amu", "essential"])
+def test_grid_cap_is_not_an_option(tmp_path, shift_file, capsys, command):
+    # The cap is the fixed GRID_POINT_CAP; no command can raise it.
     with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--input", str(shift_file), "--eta", "0.5",
-                  "--grid-cap", cap, "-o", str(tmp_path / "x.json")])
+        cli.main([*command, "--input", str(shift_file), "--grid-cap", "10000000",
+                  "-o", str(tmp_path / "x.json")])
     assert exc.value.code == 2
-    assert "--grid-cap" in capsys.readouterr().err
+    assert "unrecognized arguments: --grid-cap" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
 def test_spectrum_grid_cap_exit_code(tmp_path, shift_file):
-    proc = run_cli(
-        "spectrum", "--input", str(shift_file), "--eta", "0.01",
-        "--grid-cap", "10000", "-o", str(tmp_path / "never.json"),
-    )
-    assert proc.returncode == 3
-    assert "cap" in proc.stderr.lower()
-    # Grids whose step count or half-width is beyond float range, one of a
-    # 603-digit count, which the message abbreviates, and the 625-point scan
-    # of ``amu --lambda all-accepted``, which bounds its eigensolves.
-    huge_m = tmp_path / "huge_m.json"
-    huge_m.write_text(shift_file.read_text().replace('"M": 1.0', '"M": 1e300'))
-    for args in (["spectrum", "--input", str(shift_file), "--eta", "1e-320"],
+    # At eta 0.005 an n = 2, M = 1 grid has 2265^2 = 5,130,225 points,
+    # above the 2,000,000 of GRID_POINT_CAP. Grids whose step count is
+    # beyond float range, one of a 603-digit count, which the message
+    # abbreviates, and the scan of ``amu --lambda all-accepted``, which
+    # bounds its eigensolves, are refused too.
+    stderrs = []
+    for args in (["spectrum", "--input", str(shift_file), "--eta", "0.005"],
+                 ["spectrum", "--input", str(shift_file), "--eta", "1e-320"],
                  ["spectrum", "--input", str(shift_file), "--eta", "1e-300"],
-                 ["spectrum", "--input", str(huge_m), "--eta", "0.5"],
-                 ["essential", "--input", str(huge_m), "--eta", "0.5", "--cuts", "8,16"],
-                 ["amu", "--input", str(shift_file), "--lambda", "all-accepted", "--eta", "0.5",
-                  "--sigma", "0.35", "--eps", "0.35", "--grid-cap", "100"]):
+                 ["amu", "--input", str(shift_file), "--lambda", "all-accepted", "--eta", "0.005",
+                  "--sigma", "0.35", "--eps", "0.35"]):
         proc = run_cli(*args, "-o", str(tmp_path / "never.json"))
         assert proc.returncode == 3, proc.stderr
-        assert "points, above the cap" in proc.stderr and "Traceback" not in proc.stderr
+        assert "points, above the cap 2000000" in proc.stderr and "Traceback" not in proc.stderr
         assert len(proc.stderr) < 200
+        stderrs.append(proc.stderr)
+    assert "grid would have 5130225 points" in stderrs[0]
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("bound", [1e150, 1e300])
+def test_huge_bound_refuses_every_grid_and_certifies_a_point(tmp_path, bound):
+    # Past M ~ 1.34e154, M^2 leaves float range; the variance checks of an
+    # explicit point form no M^2, and every grid is far above the cap.
+    tup = generate(ModelSpec("shift_pair", 32))
+    save_tuple(tup, tmp_path / "shift32.json")
+    huge = tmp_path / "huge.json"
+    save_tuple(OperatorTuple(tup.ops, bound=bound), huge)
+    for args in (["spectrum", "--eta", "0.5"],
+                 ["essential", "--eta", "0.5", "--cuts", "4,8"],
+                 ["amu", "--lambda", "all-accepted", "--eta", "0.5",
+                  "--sigma", "0.35", "--eps", "0.35"]):
+        proc = run_cli(*args, "--input", str(huge), "-o", str(tmp_path / "never.json"))
+        assert proc.returncode == 3, proc.stderr
+        assert "points, above the cap" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "never.json").exists()
+    outputs = []
+    for src in (tmp_path / "shift32.json", huge):
+        out = tmp_path / f"amu_{src.stem}.json"
+        proc = run_cli("amu", "--input", str(src), "--lambda", "1.0,0.0",
+                       "--sigma", "0.2", "--eps", "0.2", "-o", str(out))
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -182,6 +182,18 @@ def test_measure_variance_cross_check_at_large_bound(skew, disagrees):
         assert measure(single, state).var[0] == pytest.approx(6.8361866e5, rel=1e-6)
 
 
+def test_measure_past_a_squared_bound_beyond_float_range():
+    # M^2 = 4e400 is beyond float range. An eigenstate has variance 0; an
+    # even mix of the ends has variance 1e400, which no float holds: numpy
+    # warns of the overflow, and the NaN or infinite variance is refused.
+    tup = OperatorTuple((np.diag([1e200, -1e200]), np.diag([-1e200, 1e200])), bound=2e200)
+    report = measure(tup, VectorState(np.array([1.0, 0.0])))
+    assert report.exp == (1e200, -1e200) and report.var == (0.0, 0.0)
+    mix = VectorState.normalized(np.array([1.0, 1.0]))
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match="paths disagree"):
+        measure(tup, mix)
+
+
 def test_amu_check_strict_inequalities():
     # Thresholds equal to the measured values must fail (strict <); the
     # next representable floats above them must pass.

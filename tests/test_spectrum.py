@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import re
-import sys
 import tracemalloc
 import warnings
 
@@ -75,11 +74,11 @@ def test_build_grid_axis_values():
 
 
 def test_build_grid_respects_cap():
-    # n=3, M=1, eta=0.1: k=70 and half=70, so 141 values per axis.
+    # n=3, M=1, eta=0.05: k=139 and half=139, so 279 values per axis.
     with pytest.raises(GridCapExceeded) as info:
-        build_grid(3, 1.0, 0.1, cap=1000)
-    assert info.value.size == 141**3
-    assert info.value.cap == 1000
+        build_grid(3, 1.0, 0.05)
+    assert info.value.size == 279**3
+    assert info.value.cap == GRID_POINT_CAP
     # A count past float range keeps its exact size; the message gives its
     # leading digits, not all 603 of them.
     with pytest.raises(GridCapExceeded) as info:
@@ -105,6 +104,17 @@ def test_grid_rejects_nonfinite_eta_and_bound(value):
 
 def test_default_cap_value():
     assert GRID_POINT_CAP == 2_000_000
+
+
+def test_build_grid_reads_the_cap_at_each_call(monkeypatch):
+    # n=3, M=1: 21^3 points at eta 0.7, and 141^3 = 2,803,221 at eta 0.1, above
+    # the fixed cap. The cap is read at each call, so a patched value moves the refusal.
+    assert build_grid(3, 1.0, 0.7).count == 21**3
+    monkeypatch.setattr(spectrum, "GRID_POINT_CAP", 21**3 - 1)
+    with pytest.raises(GridCapExceeded, match=f"above the cap {21**3 - 1}"):
+        build_grid(3, 1.0, 0.7)
+    monkeypatch.setattr(spectrum, "GRID_POINT_CAP", 141**3)
+    assert build_grid(3, 1.0, 0.1).count == 141**3
 
 
 def test_is_refinement_divisibility():
@@ -480,8 +490,9 @@ def test_every_axis_has_a_center_with_factor_norm_one(make):
         tup = make(seed)
         cache = BumpFactorCache(tup)
         for eta in (0.05, 0.2, 0.35, 0.5, 0.9, 0.99):
-            # Only the axis values are read, so no point count is too large.
-            grid = build_grid(tup.n, tup.bound, eta, cap=sys.maxsize)
+            # Only the axis values are read, so the grid is not checked against the cap.
+            k = grid_step_count(tup.n, tup.bound, eta)
+            grid = GridSpec(n=tup.n, bound=tup.bound, k=k, half=math.floor(tup.bound * k))
             for axis in range(tup.n):
                 best = max(cache.factor_norm(axis, float(x), eta) for x in grid.axis_values)
                 assert best == 1.0, (seed, eta, axis)
